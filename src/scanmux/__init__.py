@@ -6,116 +6,4 @@ parse the heterogeneous outputs into findings / errors / failures, and
 aggregate everything into taxonomy-mapped reports (SARIF included).
 """
 
-from .model import (
-    BytecodeLocation,
-    ContractFormat,
-    ContractInput,
-    ExecutionRecord,
-    Finding,
-    HarnessError,
-    LimitHit,
-    NormalizedFinding,
-    ParsedReport,
-    RawResult,
-    ResourceLimits,
-    SourceLocation,
-    Task,
-    ToolSpec,
-    content_hash,
-    detect_format,
-)
-from .registry import Registry, load_registry, select_tools
-from .solc import (
-    CompilerCache,
-    MockCompilerFetcher,
-    ReleaseIndex,
-    SemVer,
-    VersionConstraint,
-    ensure_compiler,
-    extract_pragma,
-    resolve_version,
-)
-from .plan import (
-    RunPlan,
-    SkipRecord,
-    build_plan,
-    canonicalize_args,
-    discover_contracts,
-    plan_output_dir,
-    read_plan_lock,
-    write_plan_lock,
-)
-from .executor import ContainerBackend, DockerCliBackend, MockBackend, execute, stage_volume
-from .runner import Runner, RunSummary, TaskExecutor, TaskResult, permute, resume_filter, run
-from .parsing import ExitClass, classify_exit, parse
-from .reporting import (
-    TaxonomyMap,
-    build_summary,
-    collect_outcomes,
-    emit_sarif,
-    error_rate_series,
-    failure_rate,
-    normalize,
-)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "BytecodeLocation",
-    "ContainerBackend",
-    "ContractFormat",
-    "ContractInput",
-    "CompilerCache",
-    "DockerCliBackend",
-    "ExecutionRecord",
-    "ExitClass",
-    "Finding",
-    "HarnessError",
-    "LimitHit",
-    "MockBackend",
-    "MockCompilerFetcher",
-    "NormalizedFinding",
-    "ParsedReport",
-    "RawResult",
-    "Registry",
-    "ReleaseIndex",
-    "ResourceLimits",
-    "RunPlan",
-    "RunSummary",
-    "Runner",
-    "SemVer",
-    "SkipRecord",
-    "SourceLocation",
-    "Task",
-    "TaskExecutor",
-    "TaskResult",
-    "TaxonomyMap",
-    "ToolSpec",
-    "VersionConstraint",
-    "build_plan",
-    "build_summary",
-    "canonicalize_args",
-    "classify_exit",
-    "collect_outcomes",
-    "content_hash",
-    "detect_format",
-    "discover_contracts",
-    "emit_sarif",
-    "ensure_compiler",
-    "error_rate_series",
-    "execute",
-    "extract_pragma",
-    "failure_rate",
-    "load_registry",
-    "normalize",
-    "parse",
-    "permute",
-    "plan_output_dir",
-    "read_plan_lock",
-    "resolve_version",
-    "resume_filter",
-    "run",
-    "select_tools",
-    "stage_volume",
-    "write_plan_lock",
-]
+__version__ = "0.1.0"

@@ -18,7 +18,6 @@ from .executor import (
     read_raw,
 )
 from .model import ContractFormat, HarnessError, ResourceLimits
-from .parsing import RESULT_FILENAME, classify_exit, parse, write_report
 from .paths import bundled_registry, bundled_release_index, bundled_taxonomy
 from .plan import (
     DEFAULT_SCHEME,
@@ -47,7 +46,7 @@ from .reporting import (
     write_sarif,
     write_summary,
 )
-from .runner import Runner, TaskExecutor, read_done_marker, write_done_marker
+from .runner import CorruptMarkerError, Runner, TaskExecutor, finalize, read_done_marker
 from .solc import CompilerCache, MockCompilerFetcher, ReleaseIndex, UrlCompilerFetcher
 
 DEFAULT_RESULTS = "results/" + DEFAULT_SCHEME
@@ -278,6 +277,12 @@ def cmd_reparse(args) -> int:
     reparsed = 0
     for entry in lock["tasks"]:
         out_dir = results_root / entry["output_dir"]
+        try:
+            marker = read_done_marker(out_dir)
+        except CorruptMarkerError:
+            marker = None
+        if marker is None:  # collect_outcomes reports it as incomplete
+            continue
         if not (out_dir / RAW_DIRNAME).is_dir() or not (out_dir / META_FILENAME).exists():
             continue
         tool = registry.find(entry["tool"], entry["tool_version"])
@@ -285,14 +290,15 @@ def cmd_reparse(args) -> int:
             raise PlanningError(
                 [f"registry at {registry_dir} no longer defines {entry['tool']}:{entry['tool_version']}"]
             )
-        raw = read_raw(out_dir)
-        record = read_meta(out_dir / META_FILENAME)
-        report = parse(raw, registry.parser_for(tool))
-        write_report(out_dir / RESULT_FILENAME, report)
-        marker = read_done_marker(out_dir)
-        if marker is not None:
-            exit_class = classify_exit(record, report)
-            write_done_marker(out_dir, marker[0], marker[1], exit_class.value)
+        content_hash, args_digest, _ = marker
+        finalize(
+            out_dir,
+            read_meta(out_dir / META_FILENAME),
+            read_raw(out_dir),
+            registry.parser_for(tool),
+            content_hash,
+            args_digest,
+        )
         reparsed += 1
 
     taxonomy = TaxonomyMap.load(bundled_taxonomy())

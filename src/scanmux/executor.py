@@ -186,9 +186,6 @@ class MockBackend(ContainerBackend):
     def request_abort(self) -> None:
         self._abort.set()
 
-    def reset_abort(self) -> None:
-        self._abort.clear()
-
     def run(self, image_digest: str, volume_dir: Path, command: str, limits: ResourceLimits) -> RunOutcome:
         image_ref = self._by_digest.get(image_digest)
         if image_ref is None:
@@ -232,7 +229,6 @@ class DockerCliBackend(ContainerBackend):
     def __init__(self, binary: str = "docker"):
         self.binary = binary
         self._kill_lock = threading.Lock()
-        self._running_cids: set[str] = set()
         self._abort_requested = False
 
     def available(self) -> bool:

@@ -11,6 +11,7 @@ from pathlib import Path, PurePosixPath
 from typing import Mapping, Sequence
 
 from .model import (
+    _EXTENSION_FORMATS,
     ContractFormat,
     ContractInput,
     HarnessError,
@@ -109,13 +110,10 @@ def discover_contracts(
     return contracts
 
 
-_EXTENSIONS = (".rt.hex", ".hex", ".sol")
-
-
 def filename_stem(contract_id: str) -> str:
     """Base name of a contract path with the format extension removed."""
     name = PurePosixPath(contract_id).name
-    for ext in _EXTENSIONS:
+    for ext, _ in _EXTENSION_FORMATS:
         if name.endswith(ext) and len(name) > len(ext):
             return name[: -len(ext)]
     stem = PurePosixPath(name).stem
@@ -266,7 +264,7 @@ def build_plan(
     fetcher: Fetcher | None = None,
     release_index: ReleaseIndex | None = None,
     backend=None,
-    created_with_args: str | None = None,
+    created_with_args: str,
     registry_path: str = "",
     pin_digests: bool = True,
 ) -> RunPlan:
@@ -282,17 +280,6 @@ def build_plan(
     if len({c.id for c in ordered}) != len(ordered):
         raise PlanningError(["duplicate contract ids in input"])
 
-    if created_with_args is None:
-        created_with_args = canonicalize_args(
-            tools=requested_tools,
-            files=[c.id for c in ordered],
-            wall_timeout=limits.wall_timeout,
-            memory_bytes=limits.memory_bytes,
-            cpu_quota=limits.cpu_quota,
-            seed=seed,
-            scheme=scheme,
-            registry_digest=registry.content_digest,
-        )
     digest = args_digest(created_with_args)
     runid = f"run-{digest[:8]}"
 

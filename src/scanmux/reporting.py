@@ -329,16 +329,6 @@ def pct(numerator: int, denominator: int) -> float:
     return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-def failure_rate(records: Sequence[SeriesRecord]) -> dict[str, float]:
-    per_tool: dict[str, list[int]] = {}
-    for record in records:
-        bucket = per_tool.setdefault(record.tool, [0, 0])
-        bucket[1] += 1
-        if record.exit_class is ExitClass.TOOL_FAILURE:
-            bucket[0] += 1
-    return {tool: pct(f, n) for tool, (f, n) in sorted(per_tool.items())}
-
-
 _CLASS_FIELDS = {
     ExitClass.SUCCESS: "success",
     ExitClass.TOOL_ERROR: "tool_error",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
+from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -13,14 +14,15 @@ from .executor import (
     ExecutorUnavailableError,
     execute,
 )
-from .model import ExecutionRecord, HarnessError, ParsedReport, Task
+from .model import ExecutionRecord, HarnessError, ParsedReport, RawResult, Task
 from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, write_report
 from .plan import RunPlan
-from .registry import Registry
+from .registry import ParserSpec, Registry
 from .solc import CompilerCache
 
 DONE_MARKER_FILENAME = "done"
 MARKER_VERSION = "v1"
+_EXIT_CLASSES = frozenset(c.value for c in ExitClass)
 
 
 class CorruptMarkerError(HarnessError):
@@ -39,10 +41,31 @@ def read_done_marker(out_dir: Path) -> tuple[str, str, str] | None:
     path = out_dir / DONE_MARKER_FILENAME
     if not path.exists():
         return None
-    parts = path.read_text(encoding="utf-8").split()
-    if len(parts) != 4 or parts[0] != MARKER_VERSION:
+    parts = path.read_text(encoding="utf-8", errors="replace").split()
+    if len(parts) != 4 or parts[0] != MARKER_VERSION or parts[3] not in _EXIT_CLASSES:
         raise CorruptMarkerError(f"{path}: malformed marker")
     return parts[1], parts[2], parts[3]
+
+
+def finalize(
+    out_dir: Path,
+    record: ExecutionRecord,
+    raw: RawResult,
+    parser: ParserSpec,
+    content_hash: str,
+    args_digest: str,
+) -> tuple[ExitClass, ParsedReport]:
+    """Parse, classify, write ``result.json``, then the done marker last.
+
+    The one completion path for a task, shared by a run and by reparse, so
+    reparsing stored output with an unchanged registry reproduces both files
+    byte for byte.
+    """
+    report = parse(raw, parser)
+    exit_class = classify_exit(record, report)
+    write_report(out_dir / RESULT_FILENAME, report)
+    write_done_marker(out_dir, content_hash, args_digest, exit_class.value)
+    return exit_class, report
 
 
 def _archive_stale(out_dir: Path) -> None:
@@ -115,6 +138,15 @@ class TaskResult:
     error: str | None = None
     aborted: bool = False
 
+    @property
+    def tally_key(self) -> ExitClass | str:
+        """Bucket of the run tally: the exit class, or how the task fell short."""
+        if self.aborted:
+            return "aborted"
+        if self.error is not None:
+            return "infra_error"
+        return self.exit_class
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -174,11 +206,14 @@ class TaskExecutor:
         if aborted:
             # No done marker: the task must rerun on resume.
             return TaskResult(task, record=record, aborted=True)
-        report = parse(raw, self.registry.parser_for(task.tool))
-        exit_class = classify_exit(record, report)
-        out_dir = results_root / task.output_dir
-        write_report(out_dir / RESULT_FILENAME, report)
-        write_done_marker(out_dir, task.contract.content_hash, self.args_digest, exit_class.value)
+        exit_class, report = finalize(
+            results_root / task.output_dir,
+            record,
+            raw,
+            self.registry.parser_for(task.tool),
+            task.contract.content_hash,
+            self.args_digest,
+        )
         return TaskResult(task, exit_class=exit_class, record=record, report=report)
 
 
@@ -200,12 +235,11 @@ class Runner:
         self.results_root = Path(results_root)
         self.workers = workers
         self.on_progress = on_progress
-        self._queue: list[Task] = []
+        self._queue: deque[Task] = deque()
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._in_flight: set[str] = set()
-        self._results: list[TaskResult] = []
-        self._completed = 0
+        self._tally: Counter[ExitClass | str] = Counter()
 
     def request_stop(self) -> None:
         """Stop dispatching; in-flight tasks run to completion (or timeout)."""
@@ -220,7 +254,7 @@ class Runner:
         with self._lock:
             if self._stop.is_set() or not self._queue:
                 return None
-            task = self._queue.pop(0)
+            task = self._queue.popleft()
             if task.output_dir in self._in_flight:
                 raise AssertionError(f"output dir dispatched twice: {task.output_dir}")
             self._in_flight.add(task.output_dir)
@@ -239,9 +273,8 @@ class Runner:
                 with self._lock:
                     self._in_flight.discard(task.output_dir)
             with self._lock:
-                self._results.append(result)
-                self._completed += 1
-                done, progress = self._completed, self.on_progress
+                self._tally[result.tally_key] += 1
+                done, progress = self._tally.total(), self.on_progress
             if progress is not None:
                 progress(done, pending_total)
 
@@ -250,9 +283,8 @@ class Runner:
             raise ExecutorUnavailableError("container backend is not available")
         pending = resume_filter(self.plan, self.results_root)
         skipped = len(self.plan.tasks) - len(pending)
-        self._queue = permute(pending, self.plan.seed)
-        self._results = []
-        self._completed = 0
+        self._queue = deque(permute(pending, self.plan.seed))
+        self._tally = Counter()
         threads = [
             threading.Thread(target=self._worker, args=(len(pending),), name=f"scanmux-worker-{i}")
             for i in range(min(self.workers, max(len(pending), 1)))
@@ -261,39 +293,16 @@ class Runner:
             t.start()
         for t in threads:
             t.join()
-        counts = {cls: 0 for cls in ExitClass}
-        infra = aborted = 0
-        for result in self._results:
-            if result.aborted:
-                aborted += 1
-            elif result.error is not None:
-                infra += 1
-            elif result.exit_class is not None:
-                counts[result.exit_class] += 1
+        tally = self._tally
         return RunSummary(
             total=len(self.plan.tasks),
-            executed=len(self._results),
-            succeeded=counts[ExitClass.SUCCESS],
-            tool_errors=counts[ExitClass.TOOL_ERROR],
-            tool_failures=counts[ExitClass.TOOL_FAILURE],
-            timeouts=counts[ExitClass.TIMEOUT],
-            oom=counts[ExitClass.OUT_OF_MEMORY],
-            infra_errors=infra,
+            executed=tally.total(),
+            succeeded=tally[ExitClass.SUCCESS],
+            tool_errors=tally[ExitClass.TOOL_ERROR],
+            tool_failures=tally[ExitClass.TOOL_FAILURE],
+            timeouts=tally[ExitClass.TIMEOUT],
+            oom=tally[ExitClass.OUT_OF_MEMORY],
+            infra_errors=tally["infra_error"],
             skipped_as_done=skipped,
-            aborted=aborted,
+            aborted=tally["aborted"],
         )
-
-    @property
-    def results(self) -> list[TaskResult]:
-        return list(self._results)
-
-
-def run(
-    plan: RunPlan,
-    workers: int,
-    executor: TaskExecutor,
-    results_root: str | Path,
-    on_progress: Callable[[int, int], None] | None = None,
-) -> RunSummary:
-    """Execute every non-completed task of the plan exactly once."""
-    return Runner(plan, executor, results_root, workers=workers, on_progress=on_progress).run()

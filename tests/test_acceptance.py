@@ -26,7 +26,6 @@ from scanmux.reporting import (
     collect_outcomes,
     emit_sarif,
     error_rate_series,
-    failure_rate,
     series_records,
     validate_sarif,
 )
@@ -386,8 +385,6 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     outcomes2, _ = collect_outcomes(root2, taxonomy)
     classes = sorted(o.exit_class.value for o in outcomes2)
     assert classes.count("tool_failure") == 1
-    rate = failure_rate(series_records(outcomes2, {c.id: 1 for c in contracts2}))["probe:1.0"]
-    assert abs(rate - 25.00) <= 0.01
     summary = build_summary(outcomes2)
     assert abs(summary["tools"]["probe:1.0"]["failure_rate"] - 25.00) <= 0.01
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
+import threading
 from pathlib import Path
 
 import pytest
 
+import scanmux
 from scanmux import cli
 from scanmux.cli import (
     UsageError,
@@ -18,6 +21,7 @@ from scanmux.cli import (
 from scanmux.runner import Runner
 
 from conftest import write_corpus, write_tool_dir
+from test_acceptance import tree_digest
 
 
 class TestParseMemory:
@@ -74,6 +78,13 @@ class TestSplitToolArgs:
 
     def test_blank_collapses_to_all(self):
         assert _split_tool_args([" , "]) == ["all"]
+
+
+def test_version_matches_pyproject():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert declared is not None
+    assert scanmux.__version__ == declared.group(1)
 
 
 def test_no_command_is_usage_error(capsys):
@@ -290,3 +301,63 @@ class TestReparseCommand:
         write_tool_dir(other, "unrelated", "1.0", ["runtime"], {"runtime": "x {contract}"})
         assert main(["reparse", str(results), "--registry", str(other)]) == 2
         assert "no longer defines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("garbage", [b"garbage", b"v1 abc def nonsense\n", b"\xff\xfe"])
+    def test_corrupt_marker_is_incomplete_not_fatal(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, garbage
+    ):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        before = {
+            p.relative_to(results).as_posix(): p.read_bytes()
+            for p in results.rglob("result.json")
+        }
+        corrupt = sorted(results.rglob("done"))[0].parent
+        (corrupt / "done").write_bytes(garbage)
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
+        assert f"reparsed {TestRunCommand.EXPECTED_TASKS - 1} tasks" in capsys.readouterr().out
+        summary = json.loads((results / "summary.json").read_text())
+        assert summary["incomplete"] == [corrupt.relative_to(results).as_posix()]
+        after = {
+            p.relative_to(results).as_posix(): p.read_bytes()
+            for p in results.rglob("result.json")
+        }
+        assert after == before
+
+    def test_after_killed_run_finalizes_only_marked_tasks(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
+    ):
+        # delta blocks until killed; every other tool finishes at once
+        slow = tmp_path / "slow.yaml"
+        slow.write_text("example.io/mock/delta:1.2:\n  sleep_s: 30\n")
+        killed = tmp_path / "killed"
+        argv = run_argv(small_corpus, mock_registry_dir, killed, tmp_path / "cc")
+
+        def killing_runner(plan, executor, results_root, workers=1, on_progress=None):
+            runner = Runner(plan, executor, results_root, workers=workers)
+            timer = threading.Timer(0.5, runner.request_kill)
+            timer.daemon = True
+            timer.start()
+            return runner
+
+        monkeypatch.setattr(cli, "Runner", killing_runner)
+        assert main(argv + ["--processes", "2", "--mock-fixtures", str(slow)]) == 130
+        monkeypatch.undo()
+        marked = {p.parent for p in killed.rglob("done")}
+        attempted = {p.parent for p in killed.rglob("meta.json")}
+        assert 1 <= len(marked) < TestRunCommand.EXPECTED_TASKS
+        assert attempted - marked, "no task was killed in flight"
+
+        capsys.readouterr()
+        assert main(["reparse", str(killed), "--registry", str(mock_registry_dir)]) == 0
+        assert f"reparsed {len(marked)} tasks" in capsys.readouterr().out
+        assert {p.parent for p in killed.rglob("done")} == marked
+        assert {p.parent for p in killed.rglob("result.json")} == marked
+        summary = json.loads((killed / "summary.json").read_text())
+        assert len(summary["incomplete"]) == TestRunCommand.EXPECTED_TASKS - len(marked)
+
+        assert main(argv) == 0
+        reference = tmp_path / "reference"
+        assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc")) == 0
+        assert tree_digest(killed) == tree_digest(reference)

@@ -233,6 +233,9 @@ def test_build_plan_resolves_compilers_once_per_constraint(
         contracts, mock_registry, "all", DEFAULT_SCHEME, ResourceLimits(), 0,
         cache=compiler_cache, fetcher=fetcher, release_index=release_index,
         backend=MockBackend(),
+        created_with_args=canonicalize_args(
+            files=[c.id for c in contracts], registry_digest=mock_registry.content_digest
+        ),
     )
     needed = {t.compiler_version for t in plan.tasks if t.compiler_version}
     assert sorted(str(v) for v in fetcher.calls) == sorted(needed)
@@ -342,4 +345,7 @@ def test_build_plan_rejects_duplicate_ids(mock_registry, compiler_cache, release
         build_plan(
             contracts + contracts, mock_registry, "all", DEFAULT_SCHEME,
             ResourceLimits(), 0, cache=compiler_cache,
+            created_with_args=canonicalize_args(
+                files=[c.id for c in contracts], registry_digest=mock_registry.content_digest
+            ),
         )

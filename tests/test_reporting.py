@@ -34,7 +34,6 @@ from scanmux.reporting import (
     collect_outcomes,
     emit_sarif,
     error_rate_series,
-    failure_rate,
     normalize,
     pct,
     read_keys,
@@ -344,16 +343,6 @@ class TestSeries:
     def test_keyless_record_rejected(self):
         with pytest.raises(MissingKeyError):
             error_rate_series([SeriesRecord("t:1", ExitClass.SUCCESS)], 10)
-
-    def test_failure_rate_quarter(self):
-        records = [SeriesRecord("t:1", ExitClass.TOOL_FAILURE, 1)] + [
-            SeriesRecord("t:1", ExitClass.SUCCESS, k) for k in (2, 3, 4)
-        ]
-        assert failure_rate(records) == {"t:1": 25.0}
-
-    def test_failure_rate_keys_optional(self):
-        records = [SeriesRecord("t:1", ExitClass.TOOL_FAILURE)]
-        assert failure_rate(records) == {"t:1": 100.0}
 
 
 class TestSummary:
