@@ -6,6 +6,7 @@ import abc
 import fnmatch
 import hashlib
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -255,9 +256,17 @@ class DockerCliBackend(ContainerBackend):
 
     def run_argv(self, image: str, volume_dir: Path, command: str, limits: ResourceLimits) -> list[str]:
         """Argv of the engine invocation; split out for testability."""
+        # A staged compiler may be a hard link to the cache's own file, so
+        # it is mounted read-only over the writable volume.
+        compiler = volume_dir / COMPILER_FILENAME
+        compiler_mount = (
+            ["--volume", f"{compiler}:{MOUNT_POINT}/{COMPILER_FILENAME}:ro"]
+            if compiler.exists() else []
+        )
         return [
             self.binary, "run", "--rm",
             "--volume", f"{volume_dir}:{MOUNT_POINT}",
+            *compiler_mount,
             "--workdir", MOUNT_POINT,
             "--memory", str(limits.memory_bytes),
             "--cpus", str(limits.cpu_quota),
@@ -302,7 +311,7 @@ class DockerCliBackend(ContainerBackend):
 
 
 def stage_volume(task: Task, cache: CompilerCache) -> Path:
-    """Copy contract, compiler (if needed) and aux files into a fresh temp volume."""
+    """Stage contract, compiler (if needed) and aux files in a fresh temp volume."""
     try:
         volume = Path(tempfile.mkdtemp(prefix="scanmux-"))
     except OSError as exc:
@@ -317,8 +326,12 @@ def stage_volume(task: Task, cache: CompilerCache) -> Path:
                 raise MissingCompilerError(
                     f"compiler {task.compiler_version} requested by {task.tool.key} is not cached"
                 )
-            shutil.copyfile(binary, volume / COMPILER_FILENAME)
-            (volume / COMPILER_FILENAME).chmod(0o755)
+            staged = volume / COMPILER_FILENAME
+            try:  # the cache's inode, already 0o755: no copy and no chmod
+                os.link(binary, staged)
+            except OSError:  # another filesystem, or links not permitted
+                shutil.copyfile(binary, staged)
+                staged.chmod(0o755)
         for aux in task.tool.aux_files:
             shutil.copyfile(aux, volume / aux.name)
     except MissingCompilerError:

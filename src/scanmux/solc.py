@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import re
+import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -286,16 +290,26 @@ class UrlCompilerFetcher:
             raise DownloadFailedError(f"GET {url} failed: {exc}", 1) from exc
 
 
+# A cached binary modified less than this long ago is not trusted on its stat
+# stamp: a same-size rewrite could keep its mtime on a filesystem with coarse
+# timestamps (FAT keeps 2 s).
+_SETTLED_NS = 2_000_000_000
+
+
 class CompilerCache:
     """Digest-verified store of downloaded compiler binaries.
 
     Layout: ``<cache_dir>/solc-<version>`` plus an ``index`` file with one
     ``version digest size`` line per entry. Entries are never evicted.
+
+    A binary is hashed once per process: after it verifies, later lookups
+    trust it while its stat stamp (device, inode, size, mtime) is unchanged.
     """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self._index: dict[SemVer, tuple[str, int]] = {}
+        self._verified: dict[SemVer, tuple[int, int, int, int]] = {}
         self._load_index()
 
     @property
@@ -312,8 +326,11 @@ class CompilerCache:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            version_s, digest, size_s = line.split()
-            self._index[SemVer.parse(version_s)] = (digest, int(size_s))
+            try:
+                version_s, digest, size_s = line.split()
+                self._index[SemVer.parse(version_s)] = (digest, int(size_s))
+            except ValueError:  # a torn or hand-edited line: that version is fetched again
+                continue
 
     def known_versions(self) -> tuple[SemVer, ...]:
         return tuple(sorted(self._index))
@@ -324,23 +341,46 @@ class CompilerCache:
         if entry is None:
             return None
         path = self.path_for(version)
-        if not path.exists():
+        now_ns = time.time_ns()
+        try:
+            st = os.stat(path)
+        except OSError:
             return None
-        digest, _ = entry
-        if hashlib.sha256(path.read_bytes()).hexdigest() != digest:
-            return None
+        # st_ctime is left out: staging links and unlinks the file.
+        stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        if self._verified.get(version) == stamp:
+            return path
+        with open(path, "rb") as f:
+            if hashlib.file_digest(f, "sha256").hexdigest() != entry[0]:
+                return None
+        if now_ns - st.st_mtime_ns > _SETTLED_NS:
+            self._verified[version] = stamp
         return path
 
     def store(self, version: SemVer, data: bytes) -> Path:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self.path_for(version)
-        path.write_bytes(data)
-        path.chmod(0o755)
+        _write_atomically(path, data, 0o755)
+        self._verified.pop(version, None)
         digest = hashlib.sha256(data).hexdigest()
         self._index[version] = (digest, len(data))
         lines = [f"{v} {d} {s}" for v, (d, s) in sorted(self._index.items())]
-        self.index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_atomically(self.index_path, ("\n".join(lines) + "\n").encode(), 0o644)
         return path
+
+
+def _write_atomically(path: Path, data: bytes, mode: int) -> None:
+    """Replace ``path`` by a complete new file, so a crash leaves the old or the new one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            os.fchmod(f.fileno(), mode)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def ensure_compiler(

@@ -41,7 +41,7 @@ from scanmux.solc import (
     resolve_version,
 )
 
-from conftest import (
+from helpers import (
     MOCK_TOOLS,
     discover_corpus,
     plan_for,

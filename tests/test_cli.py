@@ -20,7 +20,7 @@ from scanmux.cli import (
 )
 from scanmux.runner import Runner
 
-from conftest import write_corpus, write_tool_dir
+from helpers import write_corpus, write_tool_dir
 from test_acceptance import tree_digest
 
 

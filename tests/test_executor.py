@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import shutil
 import time
 from pathlib import Path
 
@@ -34,6 +37,8 @@ from scanmux.model import (
     content_hash,
 )
 from scanmux.solc import CompilerCache, MockCompilerFetcher, SemVer
+
+from helpers import backdate
 
 
 def make_contract(tmp_path: Path, fmt=ContractFormat.SOLIDITY, body="contract A {}"):
@@ -104,6 +109,47 @@ class TestStaging:
 
             shutil.rmtree(volume)
 
+    def test_linked_compiler_leaves_cache_file_unchanged(self, tmp_path, compiler_cache):
+        cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
+        backdate(cached)
+        before = cached.stat()
+        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), compiler_cache)
+        try:
+            assert os.path.samefile(volume / "solc", cached)
+        finally:
+            shutil.rmtree(volume)
+        after = cached.stat()
+        assert cached.read_bytes() == b"solc-0.8.4"
+        assert (after.st_mode, after.st_mtime_ns) == (before.st_mode, before.st_mtime_ns)
+
+    def test_write_through_staged_link_is_caught(self, tmp_path, compiler_cache):
+        backdate(compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4"))
+        task = make_task(tmp_path, compiler="0.8.4")
+        volume = stage_volume(task, compiler_cache)
+        try:
+            (volume / "solc").write_bytes(b"evil-0.8.4")
+        finally:
+            shutil.rmtree(volume)
+        assert compiler_cache.lookup(SemVer.parse("0.8.4")) is None
+        with pytest.raises(MissingCompilerError):
+            stage_volume(task, compiler_cache)
+
+    def test_compiler_copied_when_link_fails(self, tmp_path, compiler_cache, monkeypatch):
+        cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", cross_device)
+        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), compiler_cache)
+        try:
+            solc = volume / "solc"
+            assert not os.path.samefile(solc, cached)
+            assert solc.read_bytes() == b"solc-0.8.4"
+            assert solc.stat().st_mode & 0o777 == 0o755
+        finally:
+            shutil.rmtree(volume)
+
     def test_missing_compiler_raises_and_cleans_up(self, tmp_path, compiler_cache):
         task = make_task(tmp_path, compiler="0.8.4")
         before = set(Path(tempfile_dir()).iterdir())
@@ -166,6 +212,19 @@ class TestDockerArgv:
             "sha256:abc",
             "tool", "--flag", "value",
         ]
+
+    def test_staged_compiler_mounted_read_only(self, tmp_path, compiler_cache):
+        compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
+        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), compiler_cache)
+        try:
+            argv = DockerCliBackend().run_argv("img", volume, "tool", ResourceLimits())
+            at = argv.index(f"{volume}:/work")
+            assert argv[at + 1:at + 3] == ["--volume", f"{volume}/solc:/work/solc:ro"]
+            (volume / "solc").unlink()
+            argv = DockerCliBackend().run_argv("img", volume, "tool", ResourceLimits())
+            assert not any(a.endswith(":ro") for a in argv)
+        finally:
+            shutil.rmtree(volume)
 
     def test_quoted_command_splits_like_a_shell(self, tmp_path):
         backend = DockerCliBackend()

@@ -29,7 +29,7 @@ from scanmux.plan import (
 )
 from scanmux.solc import PragmaSyntaxError
 
-from conftest import discover_corpus, plan_for, write_corpus
+from helpers import discover_corpus, plan_for, write_corpus
 
 
 def test_discover_sorted_and_typed(corpus_dir):

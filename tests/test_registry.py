@@ -19,7 +19,7 @@ from scanmux.registry import (
     select_tools,
 )
 
-from conftest import MOCK_PARSER, write_tool_dir
+from helpers import MOCK_PARSER, write_tool_dir
 
 
 @pytest.fixture(scope="module")

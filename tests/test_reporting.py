@@ -428,7 +428,7 @@ class TestCollectOutcomes:
         from scanmux.plan import write_plan_lock
         from scanmux.runner import Runner, TaskExecutor
 
-        from conftest import discover_corpus, plan_for
+        from helpers import discover_corpus, plan_for
 
         behaviors = {
             "example.io/mock/delta:1.2": MockToolBehavior(stdout="VULN: Reentrancy at line 3\n"),

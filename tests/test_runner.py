@@ -22,7 +22,7 @@ from scanmux.runner import (
     write_done_marker,
 )
 
-from conftest import discover_corpus, plan_for
+from helpers import discover_corpus, plan_for
 
 
 def test_permute_frozen_seed_0():

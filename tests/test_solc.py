@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,8 @@ from scanmux.solc import (
     prefetch_compilers,
     resolve_version,
 )
+
+from helpers import backdate
 
 versions = st.builds(
     SemVer,
@@ -237,6 +240,84 @@ def test_cache_survives_reload(tmp_path: Path):
     reloaded = CompilerCache(tmp_path / "cc")
     assert reloaded.lookup(v) is not None
     assert reloaded.known_versions() == (v,)
+
+
+@pytest.mark.parametrize("settled, hashes", [(True, 1), (False, 3)])
+def test_lookup_hashes_a_settled_file_once(tmp_path: Path, monkeypatch, settled, hashes):
+    # A file written moments ago could be rewritten within one timestamp
+    # tick, so only a settled file is trusted on its stat stamp.
+    cache = CompilerCache(tmp_path / "cc")
+    v = SemVer.parse("0.8.1")
+    path = cache.store(v, b"binary-bytes")
+    if settled:
+        backdate(path)
+    hashed = []
+    file_digest = hashlib.file_digest
+
+    def counted(f, name):
+        hashed.append(f.name)
+        return file_digest(f, name)
+
+    monkeypatch.setattr(hashlib, "file_digest", counted)
+    assert [cache.lookup(v) for _ in range(3)] == [path] * 3
+    assert len(hashed) == hashes
+
+
+@pytest.mark.parametrize("settled", [True, False])
+def test_cache_detects_same_size_tamper_after_verified_lookup(tmp_path: Path, settled):
+    cache = CompilerCache(tmp_path / "cc")
+    v = SemVer.parse("0.8.1")
+    path = cache.store(v, b"good")
+    if settled:
+        backdate(path)
+    assert cache.lookup(v) == path
+    path.write_bytes(b"evil")
+    assert cache.lookup(v) is None
+
+
+def test_store_replaces_a_verified_binary(tmp_path: Path):
+    cache = CompilerCache(tmp_path / "cc")
+    v = SemVer.parse("0.8.1")
+    path = cache.store(v, b"first-")
+    backdate(path)
+    assert cache.lookup(v) == path
+    cache.store(v, b"second")
+    assert cache.lookup(v) == path
+    assert path.read_bytes() == b"second"
+
+
+def test_cache_skips_torn_index_line(tmp_path: Path):
+    cache = CompilerCache(tmp_path / "cc")
+    fetcher = MockCompilerFetcher()
+    old, new = SemVer.parse("0.4.26"), SemVer.parse("0.8.4")
+    for v in (old, new):
+        ensure_compiler(v, cache, fetcher)
+    # a write cut short inside the last line's digest
+    cache.index_path.write_bytes(cache.index_path.read_bytes()[:-30])
+    reloaded = CompilerCache(tmp_path / "cc")
+    assert reloaded.known_versions() == (old,)
+    ensure_compiler(new, reloaded, fetcher)
+    assert fetcher.calls == [old, new, new]
+    assert CompilerCache(tmp_path / "cc").known_versions() == (old, new)
+
+
+def test_store_failure_keeps_previous_index(tmp_path: Path, monkeypatch):
+    cache = CompilerCache(tmp_path / "cc")
+    old = SemVer.parse("0.4.26")
+    cache.store(old, b"old")
+    before = sorted(p.name for p in cache.cache_dir.iterdir())
+    index = cache.index_path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        cache.store(SemVer.parse("0.8.4"), b"new")
+    monkeypatch.undo()
+    assert sorted(p.name for p in cache.cache_dir.iterdir()) == before
+    assert cache.index_path.read_bytes() == index
+    assert CompilerCache(tmp_path / "cc").known_versions() == (old,)
 
 
 def test_ensure_compiler_fetches_exactly_once(tmp_path: Path):
