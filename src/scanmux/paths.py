@@ -1,7 +1,10 @@
-"""Locations of the data files bundled with the package."""
+"""Locations of the data files bundled with the package, and atomic file replacement."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -24,3 +27,17 @@ def bundled_release_index() -> Path:
 
 def sarif_schema_path() -> Path:
     return data_dir() / "sarif-2.1.0-subset.schema.json"
+
+
+def write_atomically(path: Path, data: bytes, mode: int) -> None:
+    """Replace ``path`` by a complete new file, so a crash leaves the old or the new one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            os.fchmod(f.fileno(), mode)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
+import numbers
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import jsonschema
 import yaml
@@ -23,7 +26,7 @@ from .model import (
     ToolSpec,
 )
 from .parsing import RESULT_FILENAME, ExitClass, read_report
-from .paths import sarif_schema_path
+from .paths import sarif_schema_path, write_atomically
 from .plan import read_plan_lock
 from .runner import CorruptMarkerError, read_done_marker
 
@@ -157,8 +160,9 @@ def collect_outcomes(
     """Read every completed task under a results root.
 
     Returns (outcomes sorted by output dir, output dirs without a valid done
-    marker). Incomplete tasks are reported, not fatal: a stopped run can
-    still be summarized.
+    marker or a readable result.json). Incomplete tasks are reported, not
+    fatal: a stopped run can still be summarized, and reparse rewrites a torn
+    result.json.
     """
     root = Path(results_root)
     lock = read_plan_lock(root)
@@ -174,7 +178,11 @@ def collect_outcomes(
         if marker is None or not result_path.exists():
             incomplete.append(entry["output_dir"])
             continue
-        report = read_report(result_path)
+        try:
+            report = read_report(result_path)
+        except (ValueError, KeyError, TypeError):
+            incomplete.append(entry["output_dir"])
+            continue
         exit_class = ExitClass(marker[2])
         normalized = tuple(normalize(report, entry["tool"], taxonomy))
         outcomes.append(
@@ -268,15 +276,95 @@ def emit_sarif(outcomes: Sequence[TaskOutcome], taxonomy: TaxonomyMap) -> dict:
     return {"$schema": SARIF_SCHEMA_URI, "version": SARIF_VERSION, "runs": runs}
 
 
-def validate_sarif(doc: dict) -> None:
-    """Raises jsonschema.ValidationError if the document is not valid SARIF."""
+# Keywords that assert nothing under jsonschema.validate (no format checker).
+_ANNOTATIONS = frozenset({"$schema", "title", "description", "definitions", "format"})
+_SCALARS = (str, int, float, bool, type(None))
+_TYPES = {
+    "object": lambda x: type(x) is dict,
+    "array": lambda x: type(x) is list,
+    "string": lambda x: type(x) is str,
+    "integer": lambda x: type(x) is int,  # stricter than draft-07: no bool, no 1.0
+}
+
+
+def compile_schema(schema: dict) -> Callable[[object], bool]:
+    """A predicate that never accepts what draft-07 rejects under ``schema``.
+
+    It may reject more; jsonschema then has the last word. Raises
+    jsonschema.SchemaError for an invalid schema and ValueError for a keyword
+    it cannot compile.
+    """
+    jsonschema.Draft7Validator.check_schema(schema)
+    return _compile(schema, schema.get("definitions", {}), ())
+
+
+def _compile(schema, definitions: dict, resolving: tuple) -> Callable[[object], bool]:
+    if type(schema) is not dict:
+        raise ValueError(f"cannot compile schema {schema!r}")
+    if "$ref" in schema:  # draft-07 ignores the siblings of a $ref
+        ref = schema["$ref"]
+        name = ref.removeprefix("#/definitions/")
+        if name == ref or name not in definitions or name in resolving:
+            raise ValueError(f"cannot compile $ref {ref!r}")
+        return _compile(definitions[name], definitions, (*resolving, name))
+    checks = []
+    for key, value in schema.items():
+        if key in _ANNOTATIONS:
+            continue
+        members = [value] if key == "const" else value
+        if key == "type" and type(value) is str and value in _TYPES:
+            checks.append(_TYPES[value])
+        elif key == "required":
+            checks.append(
+                lambda x, keys=tuple(value): not isinstance(x, dict) or all(k in x for k in keys)
+            )
+        elif key == "properties":
+            props = {k: _compile(v, definitions, resolving) for k, v in value.items()}
+            checks.append(
+                lambda x, props=props: not isinstance(x, dict)
+                or all(p(x[k]) for k, p in props.items() if k in x)
+            )
+        elif key == "additionalProperties" and value is False:
+            allowed = frozenset(schema.get("properties", ()))
+            checks.append(lambda x, allowed=allowed: not isinstance(x, dict) or x.keys() <= allowed)
+        elif key == "items":
+            item = _compile(value, definitions, resolving)
+            checks.append(lambda x, item=item: not isinstance(x, list) or all(map(item, x)))
+        elif key in ("const", "enum") and all(type(v) in _SCALARS for v in members):
+            options = frozenset((type(v), v) for v in members)
+            checks.append(lambda x, options=options: type(x) in _SCALARS and (type(x), x) in options)
+        elif key == "minLength":
+            checks.append(lambda x, n=value: not isinstance(x, str) or len(x) >= n)
+        elif key == "minimum":
+            checks.append(
+                lambda x, m=value: isinstance(x, bool) or not isinstance(x, numbers.Number) or x >= m
+            )
+        else:
+            raise ValueError(f"cannot compile keyword {key!r}: {value!r}")
+    return lambda x, checks=tuple(checks): all(check(x) for check in checks)
+
+
+@functools.cache
+def _sarif_schema() -> tuple[dict, Callable[[object], bool]]:
     schema = json.loads(sarif_schema_path().read_text(encoding="utf-8"))
-    jsonschema.validate(doc, schema)
+    return schema, compile_schema(schema)
+
+
+def validate_sarif(doc: dict) -> None:
+    """Raises jsonschema.ValidationError if the document is not valid SARIF.
+
+    The schema is read and compiled once per process. A document the compiled
+    check refuses goes to jsonschema, which raises the error or accepts it.
+    """
+    schema, accepts = _sarif_schema()
+    if not accepts(doc):
+        jsonschema.validate(doc, schema)
 
 
 def write_sarif(path: str | Path, doc: dict) -> None:
     validate_sarif(doc)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    data = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    write_atomically(Path(path), data.encode("utf-8"), 0o644)
 
 
 @dataclass(frozen=True)
@@ -377,7 +465,8 @@ def build_summary(
 
 
 def write_summary(path: str | Path, summary: dict) -> None:
-    Path(path).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    data = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    write_atomically(Path(path), data.encode("utf-8"), 0o644)
 
 
 def _location_text(outcome: TaskOutcome, finding: Finding) -> str:
@@ -391,22 +480,23 @@ def _location_text(outcome: TaskOutcome, finding: Finding) -> str:
 
 def write_findings_csv(path: str | Path, outcomes: Sequence[TaskOutcome]) -> None:
     """One row per normalized finding; the task column is the task's output dir."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "tool", "version", "label", "swc", "dasp", "location"])
-        for outcome in sorted(outcomes, key=lambda o: o.output_dir):
-            for nf in outcome.normalized:
-                writer.writerow(
-                    [
-                        outcome.output_dir,
-                        outcome.tool_id,
-                        outcome.version_label,
-                        nf.finding.native_label,
-                        nf.swc_id or "",
-                        nf.dasp_class if nf.dasp_class is not None else "",
-                        _location_text(outcome, nf.finding),
-                    ]
-                )
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["task", "tool", "version", "label", "swc", "dasp", "location"])
+    for outcome in sorted(outcomes, key=lambda o: o.output_dir):
+        for nf in outcome.normalized:
+            writer.writerow(
+                [
+                    outcome.output_dir,
+                    outcome.tool_id,
+                    outcome.version_label,
+                    nf.finding.native_label,
+                    nf.swc_id or "",
+                    nf.dasp_class if nf.dasp_class is not None else "",
+                    _location_text(outcome, nf.finding),
+                ]
+            )
+    write_atomically(Path(path), buf.getvalue().encode("utf-8"), 0o644)
 
 
 def read_keys(path: str | Path) -> dict[str, int]:

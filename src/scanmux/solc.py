@@ -2,17 +2,16 @@
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import re
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .model import HarnessError
+from .paths import write_atomically
 
 # Oldest compiler the harness provisions; constraints satisfiable only below
 # this line are rejected as belonging to an unsupported era.
@@ -360,27 +359,13 @@ class CompilerCache:
     def store(self, version: SemVer, data: bytes) -> Path:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self.path_for(version)
-        _write_atomically(path, data, 0o755)
+        write_atomically(path, data, 0o755)
         self._verified.pop(version, None)
         digest = hashlib.sha256(data).hexdigest()
         self._index[version] = (digest, len(data))
         lines = [f"{v} {d} {s}" for v, (d, s) in sorted(self._index.items())]
-        _write_atomically(self.index_path, ("\n".join(lines) + "\n").encode(), 0o644)
+        write_atomically(self.index_path, ("\n".join(lines) + "\n").encode(), 0o644)
         return path
-
-
-def _write_atomically(path: Path, data: bytes, mode: int) -> None:
-    """Replace ``path`` by a complete new file, so a crash leaves the old or the new one."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-            os.fchmod(f.fileno(), mode)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
 
 
 def ensure_compiler(

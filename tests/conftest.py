@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from scanmux import reporting
 from scanmux.registry import load_registry
 from scanmux.solc import CompilerCache, ReleaseIndex
 
@@ -41,6 +42,16 @@ def corpus_dir(tmp_path: Path) -> Path:
 @pytest.fixture
 def compiler_cache(tmp_path: Path) -> CompilerCache:
     return CompilerCache(tmp_path / "compilers")
+
+
+@pytest.fixture
+def jsonschema_forbidden(monkeypatch):
+    """Fails a test that reaches jsonschema.validate: the compiled SARIF check must accept alone."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("validate_sarif fell back to jsonschema")
+
+    monkeypatch.setattr(reporting.jsonschema, "validate", forbidden)
 
 
 @pytest.fixture

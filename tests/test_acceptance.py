@@ -17,13 +17,14 @@ import pytest
 from scanmux import cli
 from scanmux.executor import ContainerBackend, MockBackend, MockToolBehavior, RunOutcome
 from scanmux.parsing import ExitClass
-from scanmux.paths import bundled_taxonomy
+from scanmux.paths import bundled_taxonomy, sarif_schema_path
 from scanmux.plan import read_plan_lock, write_plan_lock
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     TaxonomyMap,
     build_summary,
     collect_outcomes,
+    compile_schema,
     emit_sarif,
     error_rate_series,
     series_records,
@@ -289,6 +290,12 @@ def test_criterion_5_sarif_valid_and_versioned_runs(env, full_run, tmp_path, rel
         for r in two_version_doc["runs"]
     ]
     assert drivers == [("zeta", "1.0"), ("zeta", "2.0")]
+
+
+def test_full_run_sarif_passes_the_compiled_check(full_run, jsonschema_forbidden):
+    doc = json.loads((full_run.root / "report.sarif").read_text())
+    assert compile_schema(json.loads(sarif_schema_path().read_text()))(doc)
+    validate_sarif(doc)
 
 
 class KeyedBackend(ContainerBackend):

@@ -325,6 +325,32 @@ class TestReparseCommand:
         }
         assert after == before
 
+    def test_torn_result_is_incomplete_until_reparse(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir
+    ):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
+        assert main(argv) == 0
+        torn = sorted(results.rglob("result.json"))[0]
+        intact = torn.read_bytes()
+        torn.write_bytes(intact[:50])
+        task = torn.parent.relative_to(results).as_posix()
+        for report in ("summary.json", "findings.csv", "report.sarif"):
+            (results / report).unlink()
+
+        assert main(argv) == 0  # the no-op resume still writes every report
+        summary = json.loads((results / "summary.json").read_text())
+        assert summary["incomplete"] == [task]
+        assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS - 1
+        assert (results / "findings.csv").exists()
+        assert (results / "report.sarif").exists()
+
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"]) == 0
+        assert torn.read_bytes() == intact
+        summary = json.loads((results / "summary.json").read_text())
+        assert summary["incomplete"] == []
+        assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS
+
     def test_after_killed_run_finalizes_only_marked_tasks(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
     ):

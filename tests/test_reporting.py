@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
+import os
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scanmux import reporting
 from scanmux.executor import MockToolBehavior, MockBackend
 from scanmux.model import (
     BytecodeLocation,
@@ -20,7 +24,7 @@ from scanmux.model import (
     SourceLocation,
 )
 from scanmux.parsing import ExitClass
-from scanmux.paths import bundled_registry, bundled_taxonomy
+from scanmux.paths import bundled_registry, bundled_taxonomy, sarif_schema_path
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     CatalogEntry,
@@ -32,6 +36,7 @@ from scanmux.reporting import (
     TaxonomyMap,
     build_summary,
     collect_outcomes,
+    compile_schema,
     emit_sarif,
     error_rate_series,
     normalize,
@@ -42,6 +47,7 @@ from scanmux.reporting import (
     validate_sarif,
     write_findings_csv,
     write_sarif,
+    write_summary,
 )
 
 TAXONOMY_YAML = """\
@@ -296,6 +302,229 @@ class TestSarif:
         path = tmp_path / "report.sarif"
         write_sarif(path, emit_sarif([], taxonomy))
         assert json.loads(path.read_text())["version"] == "2.1.0"
+
+
+SARIF_TAXONOMY = TaxonomyMap(
+    {
+        "SWC-107": CatalogEntry("Reentrancy", "https://swcregistry.io/docs/SWC-107"),
+        "SWC-101": CatalogEntry("Integer Overflow and Underflow"),
+    },
+    {
+        ("mytool", "Reentrancy"): TaxonomyEntry("SWC-107", 1),
+        ("mytool", "Overflow"): TaxonomyEntry("SWC-101", 3),
+        ("mytool", "Oddity"): TaxonomyEntry(dasp_class=10),
+    },
+)
+
+# The outcome shapes TestSarif emits: no runs, several tool versions, SWC
+# rules, unmapped labels, source and bytecode locations, a clamped line.
+EMITTED_OUTCOMES = {
+    "empty": [],
+    "runs": [
+        outcome(output_dir="a", tool="mytool", version="1.0"),
+        outcome(output_dir="b", tool="mytool", version="2.0"),
+        outcome(output_dir="c", tool="other", version="1.0"),
+    ],
+    "swc-rule": [outcome(
+        findings=[Finding("Reentrancy", "call before state", SourceLocation(12))],
+        taxonomy=SARIF_TAXONOMY,
+    )],
+    "unmapped": [outcome(findings=[Finding("Mystery", "m")], taxonomy=SARIF_TAXONOMY)],
+    "source-file": [outcome(
+        findings=[Finding("Mystery", "m", SourceLocation(7, "contracts/a.sol"))],
+        taxonomy=SARIF_TAXONOMY,
+    )],
+    "clamped-line": [outcome(findings=[Finding("Mystery", "m", SourceLocation(0))], taxonomy=SARIF_TAXONOMY)],
+    "bytecode": [outcome(
+        contract_id="c.rt.hex",
+        fmt=ContractFormat.RUNTIME_CODE,
+        findings=[Finding("Mystery", "m", BytecodeLocation(0x40))],
+        taxonomy=SARIF_TAXONOMY,
+    )],
+}
+
+
+@st.composite
+def emitted_documents(draw):
+    """emit_sarif over random outcomes: every location kind, mapped and unmapped labels."""
+    locations = st.one_of(
+        st.none(),
+        st.builds(SourceLocation, st.integers(-3, 10**6), st.none() | st.text(max_size=8)),
+        st.builds(BytecodeLocation, st.integers(-3, 10**6)),
+    )
+    findings = st.builds(
+        Finding,
+        st.sampled_from(["Reentrancy", "Overflow", "Oddity", "Mystery"]),
+        st.text(max_size=12),
+        locations,
+    )
+    outcomes = [
+        outcome(
+            output_dir=f"run/{i}",
+            contract_id=draw(st.sampled_from(["c.sol", "c.hex", "c.rt.hex"])),
+            tool=draw(st.sampled_from(["mytool", "other"])),
+            version=draw(st.sampled_from(["1.0", "2.0"])),
+            findings=draw(st.lists(findings, max_size=4)),
+            taxonomy=SARIF_TAXONOMY,
+        )
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    return emit_sarif(outcomes, SARIF_TAXONOMY)
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# Wrong JSON types (bool and float where an integer belongs), empty strings,
+# startLine 0, negative offsets, a wrong level or version.
+WRONG_VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-2, 2),
+    st.sampled_from([1.0, 0.5, -1.5]),
+    st.sampled_from(["", "x", "2.0.0", "fatal", "warning"]),
+    st.none(),
+    st.sampled_from([[], {}, {"text": "t"}]).map(copy.deepcopy),  # mutations edit them
+)
+KEYS = st.sampled_from(["extra", "text", "id", "startLine", "byteOffset", "level", "$schema"])
+
+
+@st.composite
+def mutated_documents(draw):
+    """An emitted document after 1-3 random edits: a dropped key, an added key, a replaced value."""
+    doc = copy.deepcopy(draw(emitted_documents()))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        target = _at(doc, path)
+        kind = draw(st.sampled_from(["drop", "add", "replace"]))
+        if kind == "add" and isinstance(target, dict):
+            target[draw(KEYS)] = draw(WRONG_VALUES)
+        elif kind == "add" and isinstance(target, list):
+            target.append(draw(WRONG_VALUES))
+        elif kind == "drop" and path:
+            del _at(doc, path[:-1])[path[-1]]
+        elif path:
+            _at(doc, path[:-1])[path[-1]] = draw(WRONG_VALUES)
+        else:
+            doc = draw(WRONG_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def sarif_schema():
+    return json.loads(sarif_schema_path().read_text(encoding="utf-8"))
+
+
+class TestCompiledSarifCheck:
+    @given(doc=mutated_documents())
+    def test_never_accepts_what_draft7_rejects(self, sarif_schema, doc):
+        if compile_schema(sarif_schema)(doc):
+            assert jsonschema.Draft7Validator(sarif_schema).is_valid(doc)
+
+    @given(doc=emitted_documents())
+    def test_accepts_every_emitted_document(self, sarif_schema, doc):
+        assert compile_schema(sarif_schema)(doc)
+
+    @pytest.mark.parametrize("name", sorted(EMITTED_OUTCOMES))
+    def test_validate_takes_the_compiled_path(self, jsonschema_forbidden, name):
+        validate_sarif(emit_sarif(EMITTED_OUTCOMES[name], SARIF_TAXONOMY))
+
+    @pytest.mark.parametrize("path,value", [
+        (("version",), "2.0.0"),
+        (("runs", 0, "results", 0, "level"), "fatal"),
+        (("runs", 0, "results", 0, "ruleId"), ""),
+        (("runs", 0, "results", 0, "locations", 0, "physicalLocation", "region", "startLine"), 0),
+        (("runs", 0, "results", 0, "locations", 0, "physicalLocation", "region", "startLine"), True),
+        (("runs", 0, "results", 0, "locations", 0, "physicalLocation", "region", "startLine"), 0.5),
+        (("runs", 0, "results", 0, "locations", 0, "physicalLocation", "region", "byteOffset"), -1),
+        (("runs", 0, "results", 0, "extra"), "x"),
+    ])
+    def test_rejection_is_raised_by_jsonschema(self, sarif_schema, path, value):
+        doc = emit_sarif(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
+        _at(doc, path[:-1])[path[-1]] = value
+        assert not compile_schema(sarif_schema)(doc)
+        with pytest.raises(jsonschema.ValidationError):
+            validate_sarif(doc)
+
+    def test_dropped_required_key_rejected(self, sarif_schema):
+        doc = emit_sarif(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
+        del doc["runs"][0]["results"][0]["message"]
+        assert not compile_schema(sarif_schema)(doc)
+        with pytest.raises(jsonschema.ValidationError, match="'message' is a required property"):
+            validate_sarif(doc)
+
+    def test_jsonschema_accepts_what_the_check_refuses(self, sarif_schema):
+        # draft-07 takes 1.0 as an integer; the compiled check does not
+        doc = emit_sarif(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
+        doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]["startLine"] = 1.0
+        assert not compile_schema(sarif_schema)(doc)
+        validate_sarif(doc)
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "string", "pattern": "^a"},
+        {"type": ["string", "null"]},
+        {"type": "number"},
+        {"type": "object", "additionalProperties": {"type": "string"}},
+        {"items": [{"type": "string"}]},
+        {"enum": [{"a": 1}]},
+        {"$ref": "#/definitions/missing"},
+        {"$ref": "other.json#/definitions/x", "definitions": {"x": {}}},
+        {"$ref": "#/definitions/loop", "definitions": {"loop": {"$ref": "#/definitions/loop"}}},
+    ])
+    def test_unknown_keyword_rejected_at_compile_time(self, schema):
+        with pytest.raises(ValueError):
+            compile_schema(schema)
+
+    def test_schema_read_once_per_process(self, monkeypatch):
+        reads = []
+        read_text = Path.read_text
+
+        def counting(self, *args, **kwargs):
+            if self == sarif_schema_path():
+                reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        reporting._sarif_schema.cache_clear()
+        for name in sorted(EMITTED_OUTCOMES) * 3:
+            validate_sarif(emit_sarif(EMITTED_OUTCOMES[name], SARIF_TAXONOMY))
+        assert len(reads) == 1
+
+
+class TestAtomicReports:
+    WRITERS = {
+        "summary": (write_summary, build_summary([])),
+        "csv": (write_findings_csv, EMITTED_OUTCOMES["swc-rule"]),
+        "sarif": (write_sarif, emit_sarif([], SARIF_TAXONOMY)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_failed_replace_keeps_previous_report(self, tmp_path, monkeypatch, name):
+        write, content = self.WRITERS[name]
+        path = tmp_path / "report"
+        path.write_bytes(b"previous\n")
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError):
+            write(path, content)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
+        write(path, content)
+        assert path.read_bytes() != b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report"]
 
 
 class TestSeries:
