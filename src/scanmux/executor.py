@@ -18,8 +18,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
 
-import yaml
-
 from .model import (
     KILLED,
     ContractFormat,
@@ -30,6 +28,7 @@ from .model import (
     ResourceLimits,
     Task,
 )
+from .paths import dump_json, load_yaml
 from .solc import CompilerCache, SemVer
 
 # Fixed mount point of the per-task volume inside the container.
@@ -165,7 +164,7 @@ class MockBackend(ContainerBackend):
     @classmethod
     def from_fixtures(cls, path: str | Path, **kwargs) -> "MockBackend":
         """Load image behaviors from a YAML mapping image_ref -> behavior fields."""
-        doc = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        doc = load_yaml(Path(path).read_text(encoding="utf-8")) or {}
         behaviors = {str(ref): MockToolBehavior.from_dict(raw or {}) for ref, raw in doc.items()}
         return cls(behaviors=behaviors, **kwargs)
 
@@ -376,7 +375,7 @@ def write_meta(path: Path, record: ExecutionRecord, extra: Mapping[str, object] 
     }
     if extra:
         doc.update(extra)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(dump_json(doc), encoding="utf-8")
 
 
 def read_meta(path: Path) -> ExecutionRecord:

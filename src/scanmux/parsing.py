@@ -17,6 +17,7 @@ from .model import (
     RawResult,
     SourceLocation,
 )
+from .paths import dump_json
 from .registry import DocumentRule, ParserSpec, compile_rule
 
 RESULT_FILENAME = "result.json"
@@ -288,10 +289,7 @@ def report_to_doc(report: ParsedReport) -> dict:
 
 
 def write_report(path: str | Path, report: ParsedReport) -> None:
-    Path(path).write_text(
-        json.dumps(report_to_doc(report), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    Path(path).write_text(dump_json(report_to_doc(report)), encoding="utf-8")
 
 
 def read_report(path: str | Path) -> ParsedReport:

@@ -21,6 +21,7 @@ from .model import (
     content_hash,
     detect_format,
 )
+from .paths import dump_json
 from .registry import Registry, select_tools
 from .solc import (
     CompilerCache,
@@ -428,9 +429,7 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> Path:
                     "use a fresh results root or rerun with the original arguments"
                 ]
             )
-    path.write_text(
-        json.dumps(plan_to_doc(plan), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    path.write_text(dump_json(plan_to_doc(plan)), encoding="utf-8")
     return path
 
 

@@ -13,6 +13,7 @@ from typing import Mapping
 import yaml
 
 from .model import ContractFormat, HarnessError, ToolSpec
+from .paths import load_yaml
 
 SCHEMA_VERSION = 1
 
@@ -145,7 +146,7 @@ def _fail(path: Path, message: str, line: int | None = None) -> None:
 
 def _load_yaml(path: Path) -> dict:
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
+        doc = load_yaml(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         _fail(path, f"invalid YAML: {getattr(exc, 'problem', exc)}", None if mark is None else mark.line + 1)

@@ -12,7 +12,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-import jsonschema
 import yaml
 
 from .model import (
@@ -26,7 +25,7 @@ from .model import (
     ToolSpec,
 )
 from .parsing import RESULT_FILENAME, ExitClass, read_report
-from .paths import sarif_schema_path, write_atomically
+from .paths import dump_json, load_yaml, sarif_schema_path, write_atomically
 from .plan import read_plan_lock
 from .runner import CorruptMarkerError, read_done_marker
 
@@ -81,7 +80,7 @@ class TaxonomyMap:
     @classmethod
     def load(cls, path: str | Path) -> "TaxonomyMap":
         try:
-            doc = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+            doc = load_yaml(Path(path).read_text(encoding="utf-8"))
         except yaml.YAMLError as exc:
             raise TaxonomyError(f"{path}: invalid YAML: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("schema") != 1:
@@ -285,23 +284,46 @@ _TYPES = {
     "string": lambda x: type(x) is str,
     "integer": lambda x: type(x) is int,  # stricter than draft-07: no bool, no 1.0
 }
+# The values draft-07's metaschema allows, or fewer, for the keywords above
+# whose value is not a subschema; a subschema is checked by compiling it.
+_VALUE_CHECKS = {
+    "$schema": lambda v: type(v) is str,
+    "title": lambda v: type(v) is str,
+    "description": lambda v: type(v) is str,
+    "format": lambda v: type(v) is str,
+    "$ref": lambda v: type(v) is str,
+    "definitions": lambda v: type(v) is dict,
+    "properties": lambda v: type(v) is dict,
+    "required": lambda v: type(v) is list
+    and all(type(k) is str for k in v)
+    and len(set(v)) == len(v),
+    "enum": lambda v: type(v) is list,
+    "minLength": lambda v: type(v) is int and v >= 0,
+    "minimum": lambda v: type(v) in (int, float),
+}
 
 
 def compile_schema(schema: dict) -> Callable[[object], bool]:
     """A predicate that never accepts what draft-07 rejects under ``schema``.
 
-    It may reject more; jsonschema then has the last word. Raises
-    jsonschema.SchemaError for an invalid schema and ValueError for a keyword
-    it cannot compile.
+    It may reject more; jsonschema then has the last word. Raises ValueError
+    for a schema draft-07's metaschema refuses and for a keyword or value it
+    cannot compile, so jsonschema need not be imported to check the schema.
     """
-    jsonschema.Draft7Validator.check_schema(schema)
-    return _compile(schema, schema.get("definitions", {}), ())
+    definitions = schema.get("definitions", {}) if type(schema) is dict else {}
+    return _compile(schema, definitions, ())
 
 
 def _compile(schema, definitions: dict, resolving: tuple) -> Callable[[object], bool]:
     if type(schema) is not dict:
         raise ValueError(f"cannot compile schema {schema!r}")
-    if "$ref" in schema:  # draft-07 ignores the siblings of a $ref
+    for key, value in schema.items():
+        if key in _VALUE_CHECKS and not _VALUE_CHECKS[key](value):
+            raise ValueError(f"invalid value for {key!r}: {value!r}")
+    for sub in schema.get("definitions", {}).values():
+        _compile(sub, definitions, resolving)
+    if "$ref" in schema:  # draft-07 ignores the siblings of a $ref, once they are valid
+        _compile({k: v for k, v in schema.items() if k != "$ref"}, definitions, resolving)
         ref = schema["$ref"]
         name = ref.removeprefix("#/definitions/")
         if name == ref or name not in definitions or name in resolving:
@@ -358,13 +380,14 @@ def validate_sarif(doc: dict) -> None:
     """
     schema, accepts = _sarif_schema()
     if not accepts(doc):
+        import jsonschema  # ~0.1 s to import, so only a refused document pays it
+
         jsonschema.validate(doc, schema)
 
 
 def write_sarif(path: str | Path, doc: dict) -> None:
     validate_sarif(doc)
-    data = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    write_atomically(Path(path), data.encode("utf-8"), 0o644)
+    write_atomically(Path(path), dump_json(doc).encode("utf-8"), 0o644)
 
 
 @dataclass(frozen=True)
@@ -465,8 +488,7 @@ def build_summary(
 
 
 def write_summary(path: str | Path, summary: dict) -> None:
-    data = json.dumps(summary, sort_keys=True, indent=2) + "\n"
-    write_atomically(Path(path), data.encode("utf-8"), 0o644)
+    write_atomically(Path(path), dump_json(summary).encode("utf-8"), 0o644)
 
 
 def _location_text(outcome: TaskOutcome, finding: Finding) -> str:

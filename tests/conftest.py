@@ -5,9 +5,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+import jsonschema
 import pytest
 
-from scanmux import reporting
 from scanmux.registry import load_registry
 from scanmux.solc import CompilerCache, ReleaseIndex
 
@@ -51,7 +51,7 @@ def jsonschema_forbidden(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("validate_sarif fell back to jsonschema")
 
-    monkeypatch.setattr(reporting.jsonschema, "validate", forbidden)
+    monkeypatch.setattr(jsonschema, "validate", forbidden)
 
 
 @pytest.fixture

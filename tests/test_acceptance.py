@@ -298,6 +298,16 @@ def test_full_run_sarif_passes_the_compiled_check(full_run, jsonschema_forbidden
     validate_sarif(doc)
 
 
+def test_full_run_json_files_match_the_stdlib_encoding(full_run):
+    names = {"report.sarif", "summary.json", "result.json", "meta.json", "plan.lock"}
+    paths = [p for p in sorted(full_run.root.rglob("*")) if p.name in names]
+    assert {p.name for p in paths} == names
+    assert len(paths) == 3 + 2 * 60
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
+
+
 class KeyedBackend(ContainerBackend):
     """Emits a tool error iff the staged bytecode decodes to a key >= threshold."""
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -269,6 +272,32 @@ class TestRunCommand:
         ]
         assert main(argv) == 0
         assert "planned 4 tasks" in capsys.readouterr().out
+
+    def test_accepted_sarif_run_leaves_jsonschema_unimported(self, tmp_path, small_corpus, mock_registry_dir):
+        fixtures = tmp_path / "behaviors.yaml"
+        fixtures.write_text(
+            'example.io/mock/delta:1.2:\n'
+            '  stdout: "VULN: Reentrancy at line 3\\n"\n'
+        )
+        results = tmp_path / "results"
+        argv = run_argv(
+            small_corpus, mock_registry_dir, results, tmp_path / "cc",
+            "--mock-fixtures", str(fixtures), "--sarif",
+        )
+        script = (
+            "import sys\n"
+            "import scanmux.cli\n"
+            "code = scanmux.cli.main(sys.argv[1:])\n"
+            "sys.exit(code or 10 * ('jsonschema' in sys.modules))\n"
+        )
+        src = Path(scanmux.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, "jsonschema imported" if proc.returncode == 10 else proc.stderr
+        doc = json.loads((results / "report.sarif").read_text())
+        assert sum(len(run["results"]) for run in doc["runs"]) == 3  # delta: 2 solidity + 1 runtime
 
 
 class TestReparseCommand:

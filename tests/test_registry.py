@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+import yaml
 
 from scanmux.model import ContractFormat
 from scanmux.paths import bundled_registry
@@ -134,6 +135,26 @@ def test_invalid_yaml_reports_path(tmp_path: Path):
     with pytest.raises(ConfigSyntaxError) as info:
         load_registry(tmp_path)
     assert "config.yaml" in str(info.value)
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["libyaml", "python"])
+@pytest.mark.parametrize("text,line", [
+    ("schema: 1\nid: [unclosed\nversion: '1'\n", 3),
+    ("schema: 1\nid: t\n  bad: indent\n", 3),
+    ("schema: 1\nid: *nope\n", 2),
+    ("schema: 1\n\tid: t\n", 2),
+])
+def test_invalid_yaml_names_the_line(tmp_path: Path, monkeypatch, libyaml, text, line):
+    # libyaml words its errors differently from PyYAML's parser; the line is the same
+    if not libyaml:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    tool_dir = tmp_path / "t"
+    tool_dir.mkdir()
+    (tool_dir / "config.yaml").write_text(text)
+    with pytest.raises(ConfigSyntaxError, match=rf"config\.yaml:{line}: invalid YAML: "):
+        load_registry(tmp_path)
 
 
 def test_unknown_format_rejected(tmp_path: Path):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scanmux import reporting
@@ -419,6 +419,41 @@ def mutated_documents(draw):
     return doc
 
 
+# Every keyword compile_schema reads, and values to put under them: each JSON
+# type, negative and fractional numbers, duplicate and non-string list members.
+COMPILED_KEYWORDS = [
+    "$ref", "$schema", "additionalProperties", "const", "definitions", "description",
+    "enum", "format", "items", "minLength", "minimum", "properties", "required",
+    "title", "type",
+]
+SCHEMA_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-2, 3),
+        st.sampled_from([0.0, 1.5, -1.0]),
+        st.sampled_from(["", "a", "string", "object", "number", "#/definitions/location"]),
+        st.lists(st.sampled_from(["a", "b", "string", "array"]), max_size=3),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(["a", "type", "minLength", "items"]), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _subschema_paths(schema, path=()):
+    """Where a keyword may sit: the root, each definition, property and items schema."""
+    if not isinstance(schema, dict):
+        return
+    yield path
+    for key in ("definitions", "properties"):
+        for name, sub in schema.get(key, {}).items():
+            yield from _subschema_paths(sub, (*path, key, name))
+    yield from _subschema_paths(schema.get("items"), (*path, "items"))
+
+
 @pytest.fixture(scope="module")
 def sarif_schema():
     return json.loads(sarif_schema_path().read_text(encoding="utf-8"))
@@ -483,6 +518,45 @@ class TestCompiledSarifCheck:
     def test_unknown_keyword_rejected_at_compile_time(self, schema):
         with pytest.raises(ValueError):
             compile_schema(schema)
+
+    def test_bundled_schema_is_valid_draft7(self, sarif_schema):
+        jsonschema.Draft7Validator.check_schema(sarif_schema)
+
+    @pytest.mark.parametrize("schema", [
+        {"enum": "ab"},
+        {"required": "a"},
+        {"required": ["a", "a"]},
+        {"required": [1]},
+        {"minLength": -1},
+        {"minLength": True},
+        {"minLength": "1"},
+        {"minimum": "0"},
+        {"minimum": True},
+        {"properties": []},
+        {"properties": {"a": 1}},
+        {"$ref": 1, "definitions": {}},
+        {"definitions": {"a": "x"}},
+        {"title": 1},
+        {"format": None},
+    ])
+    def test_invalid_keyword_value_rejected_at_compile_time(self, schema):
+        with pytest.raises(jsonschema.SchemaError):
+            jsonschema.Draft7Validator.check_schema(schema)
+        with pytest.raises(ValueError):
+            compile_schema(schema)
+
+    @pytest.mark.parametrize("keyword", COMPILED_KEYWORDS)
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_refuses_what_the_metaschema_refuses(self, sarif_schema, keyword, data):
+        schema = copy.deepcopy(sarif_schema)
+        path = data.draw(st.sampled_from(list(_subschema_paths(schema))))
+        _at(schema, path)[keyword] = data.draw(SCHEMA_VALUES)
+        try:
+            jsonschema.Draft7Validator.check_schema(schema)
+        except jsonschema.SchemaError:
+            with pytest.raises(ValueError):
+                compile_schema(schema)
 
     def test_schema_read_once_per_process(self, monkeypatch):
         reads = []
