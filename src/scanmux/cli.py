@@ -13,11 +13,11 @@ from .executor import (
     ExecutorUnavailableError,
     MockBackend,
     META_FILENAME,
-    RAW_DIRNAME,
     read_meta,
     read_raw,
 )
 from .model import ContractFormat, HarnessError, ResourceLimits
+from .parsing import ExitClass
 from .paths import bundled_registry, bundled_release_index, bundled_taxonomy
 from .plan import (
     DEFAULT_SCHEME,
@@ -26,6 +26,7 @@ from .plan import (
     build_plan,
     canonicalize_args,
     discover_contracts,
+    plan_to_doc,
     read_plan_lock,
     validate_scheme,
     write_plan_lock,
@@ -145,13 +146,14 @@ def _default_cache_dir() -> Path:
     return Path.home() / ".cache" / "scanmux" / "compilers"
 
 
-def _emit_reports(results_root: Path, taxonomy: TaxonomyMap, lock: dict, args) -> None:
-    outcomes, incomplete = collect_outcomes(results_root, taxonomy)
+def _emit_reports(results_root: Path, lock: dict, finished: dict, args) -> None:
+    taxonomy = TaxonomyMap.load(bundled_taxonomy())
+    outcomes, incomplete = collect_outcomes(results_root, lock["tasks"], finished, taxonomy)
     series = None
     if args.keys:
         keys = read_keys(args.keys)
         series = error_rate_series(series_records(outcomes, keys), args.bin_size)
-    summary = build_summary(outcomes, skips=lock.get("skips", ()), incomplete=incomplete, series=series)
+    summary = build_summary(outcomes, skips=lock["skips"], incomplete=incomplete, series=series)
     write_summary(results_root / SUMMARY_FILENAME, summary)
     write_findings_csv(results_root / FINDINGS_FILENAME, outcomes)
     if args.sarif:
@@ -247,8 +249,7 @@ def cmd_run(args) -> int:
     finally:
         signal.signal(signal.SIGINT, previous)
 
-    taxonomy = TaxonomyMap.load(bundled_taxonomy())
-    _emit_reports(results_root, taxonomy, {"skips": plan.skips}, args)
+    _emit_reports(results_root, plan_to_doc(plan), runner.finished, args)
 
     print(
         f"executed {summary.executed} of {summary.total} tasks: "
@@ -274,7 +275,7 @@ def cmd_reparse(args) -> int:
     )
     registry = load_registry(registry_dir)
 
-    reparsed = 0
+    finished = {}
     for entry in lock["tasks"]:
         out_dir = results_root / entry["output_dir"]
         try:
@@ -283,26 +284,24 @@ def cmd_reparse(args) -> int:
             marker = None
         if marker is None:  # collect_outcomes reports it as incomplete
             continue
-        if not (out_dir / RAW_DIRNAME).is_dir() or not (out_dir / META_FILENAME).exists():
+        content_hash, args_digest, exit_class = marker
+        finished[entry["output_dir"]] = (ExitClass(exit_class), None)
+        try:  # unreadable stored output: the task keeps its result.json
+            record = read_meta(out_dir / META_FILENAME)
+            raw = read_raw(out_dir, record.result_files)
+        except (OSError, ValueError, KeyError, TypeError):
             continue
         tool = registry.find(entry["tool"], entry["tool_version"])
         if tool is None:
             raise PlanningError(
                 [f"registry at {registry_dir} no longer defines {entry['tool']}:{entry['tool_version']}"]
             )
-        content_hash, args_digest, _ = marker
-        finalize(
-            out_dir,
-            read_meta(out_dir / META_FILENAME),
-            read_raw(out_dir),
-            registry.parser_for(tool),
-            content_hash,
-            args_digest,
+        finished[entry["output_dir"]] = finalize(
+            out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest
         )
-        reparsed += 1
+    reparsed = sum(report is not None for _, report in finished.values())
 
-    taxonomy = TaxonomyMap.load(bundled_taxonomy())
-    _emit_reports(results_root, taxonomy, lock, args)
+    _emit_reports(results_root, lock, finished, args)
     print(f"reparsed {reparsed} tasks under {results_root}")
     return EXIT_OK
 

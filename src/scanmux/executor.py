@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .model import (
     KILLED,
@@ -462,18 +462,9 @@ def execute(
         shutil.rmtree(volume, ignore_errors=True)
 
 
-def read_raw(out_dir: Path) -> RawResult:
-    """Reconstruct a RawResult from a task's stored ``raw/`` directory."""
+def read_raw(out_dir: Path, result_files: Sequence[str]) -> RawResult:
+    """Reconstruct a RawResult from the ``raw/`` files that ``meta.json`` lists."""
     raw_dir = out_dir / RAW_DIRNAME
-    stdout = (raw_dir / STDOUT_FILENAME).read_bytes() if (raw_dir / STDOUT_FILENAME).exists() else b""
-    stderr = (raw_dir / STDERR_FILENAME).read_bytes() if (raw_dir / STDERR_FILENAME).exists() else b""
-    files = {}
-    if raw_dir.is_dir():
-        for path in sorted(raw_dir.rglob("*")):
-            if not path.is_file():
-                continue
-            rel = path.relative_to(raw_dir).as_posix()
-            if rel in (STDOUT_FILENAME, STDERR_FILENAME):
-                continue
-            files[rel] = path.read_bytes()
+    files = {rel: (raw_dir / rel).read_bytes() for rel in result_files}
+    stdout, stderr = files.pop(STDOUT_FILENAME), files.pop(STDERR_FILENAME)
     return RawResult(stdout=stdout, stderr=stderr, files=files)

@@ -21,7 +21,7 @@ from .model import (
     content_hash,
     detect_format,
 )
-from .paths import dump_json
+from .paths import dump_json, write_atomically
 from .registry import Registry, select_tools
 from .solc import (
     CompilerCache,
@@ -415,26 +415,28 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> Path:
     """
     root = Path(results_root)
     root.mkdir(parents=True, exist_ok=True)
+    try:
+        existing = read_plan_lock(root).get("args_digest")
+    except PlanLockMissingError:
+        existing = plan.args_digest
     path = root / PLAN_LOCK_FILENAME
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            existing = {}
-        if existing.get("args_digest") != plan.args_digest:
-            raise PlanningError(
-                [
-                    f"{path}: created by a different invocation "
-                    f"(args digest {existing.get('args_digest')!r} != {plan.args_digest!r}); "
-                    "use a fresh results root or rerun with the original arguments"
-                ]
-            )
-    path.write_text(dump_json(plan_to_doc(plan)), encoding="utf-8")
+    if existing != plan.args_digest:
+        raise PlanningError(
+            [
+                f"{path}: created by a different invocation "
+                f"(args digest {existing!r} != {plan.args_digest!r}); "
+                "use a fresh results root or rerun with the original arguments"
+            ]
+        )
+    write_atomically(path, dump_json(plan_to_doc(plan)).encode("utf-8"), 0o644)
     return path
 
 
 def read_plan_lock(results_root: str | Path) -> dict:
     path = Path(results_root) / PLAN_LOCK_FILENAME
-    if not path.exists():
-        raise PlanLockMissingError(f"{path}: no plan found (was a run started here?)")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise PlanLockMissingError(f"{path}: no plan found (was a run started here?)") from None
+    except ValueError:
+        raise HarnessError(f"{path}: not valid JSON; remove it and rerun with the original arguments") from None

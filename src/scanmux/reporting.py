@@ -26,8 +26,6 @@ from .model import (
 )
 from .parsing import RESULT_FILENAME, ExitClass, read_report
 from .paths import dump_json, load_yaml, sarif_schema_path, write_atomically
-from .plan import read_plan_lock
-from .runner import CorruptMarkerError, read_done_marker
 
 SARIF_FILENAME = "report.sarif"
 FINDINGS_FILENAME = "findings.csv"
@@ -154,39 +152,37 @@ class TaskOutcome:
 
 
 def collect_outcomes(
-    results_root: str | Path, taxonomy: TaxonomyMap
+    results_root: str | Path,
+    entries: Iterable[Mapping],
+    finished: Mapping[str, tuple[ExitClass, ParsedReport | None]],
+    taxonomy: TaxonomyMap,
 ) -> tuple[list[TaskOutcome], list[str]]:
-    """Read every completed task under a results root.
+    """Join the plan lock's task entries with the outcomes a command holds.
 
-    Returns (outcomes sorted by output dir, output dirs without a valid done
-    marker or a readable result.json). Incomplete tasks are reported, not
-    fatal: a stopped run can still be summarized, and reparse rewrites a torn
-    result.json.
+    ``finished`` maps an output dir to its exit class and parsed report; the
+    report is None for a task finished by an earlier command, and only then
+    is its result.json read. Returns (outcomes sorted by output dir, output
+    dirs absent from ``finished`` or without a readable result.json).
+    Incomplete tasks are reported, not fatal: a stopped run can still be
+    summarized, and reparse rewrites a torn result.json.
     """
-    root = Path(results_root)
-    lock = read_plan_lock(root)
     outcomes: list[TaskOutcome] = []
     incomplete: list[str] = []
-    for entry in sorted(lock["tasks"], key=lambda e: e["output_dir"]):
-        out_dir = root / entry["output_dir"]
-        try:
-            marker = read_done_marker(out_dir)
-        except CorruptMarkerError:
-            marker = None
-        result_path = out_dir / RESULT_FILENAME
-        if marker is None or not result_path.exists():
-            incomplete.append(entry["output_dir"])
+    for entry in sorted(entries, key=lambda e: e["output_dir"]):
+        output_dir = entry["output_dir"]
+        if output_dir not in finished:
+            incomplete.append(output_dir)
             continue
-        try:
-            report = read_report(result_path)
-        except (ValueError, KeyError, TypeError):
-            incomplete.append(entry["output_dir"])
-            continue
-        exit_class = ExitClass(marker[2])
-        normalized = tuple(normalize(report, entry["tool"], taxonomy))
+        exit_class, report = finished[output_dir]
+        if report is None:
+            try:
+                report = read_report(Path(results_root, output_dir, RESULT_FILENAME))
+            except (OSError, ValueError, KeyError, TypeError):
+                incomplete.append(output_dir)
+                continue
         outcomes.append(
             TaskOutcome(
-                output_dir=entry["output_dir"],
+                output_dir=output_dir,
                 contract_id=entry["contract"],
                 source_path=entry["source_path"],
                 format=ContractFormat(entry["format"]),
@@ -194,7 +190,7 @@ def collect_outcomes(
                 version_label=entry["tool_version"],
                 exit_class=exit_class,
                 report=report,
-                normalized=normalized,
+                normalized=tuple(normalize(report, entry["tool"], taxonomy)),
             )
         )
     return outcomes, incomplete

@@ -39,9 +39,10 @@ def write_done_marker(out_dir: Path, content_hash: str, args_digest: str, exit_c
 def read_done_marker(out_dir: Path) -> tuple[str, str, str] | None:
     """(content_hash, args_digest, exit_class) of a completed task, or None."""
     path = out_dir / DONE_MARKER_FILENAME
-    if not path.exists():
+    try:
+        parts = path.read_text(encoding="utf-8", errors="replace").split()
+    except FileNotFoundError:
         return None
-    parts = path.read_text(encoding="utf-8", errors="replace").split()
     if len(parts) != 4 or parts[0] != MARKER_VERSION or parts[3] not in _EXIT_CLASSES:
         raise CorruptMarkerError(f"{path}: malformed marker")
     return parts[1], parts[2], parts[3]
@@ -80,31 +81,31 @@ def _archive_stale(out_dir: Path) -> None:
         k += 1
 
 
-def resume_filter(plan: RunPlan, results_root: str | Path) -> list[Task]:
-    """Tasks still to run: marker absent, corrupt, or not matching this plan.
+def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], dict[str, ExitClass]]:
+    """(tasks still to run, output dir -> exit class of each task already done).
 
-    A folder with a stale marker is moved aside (suffix ``.stale.<k>``) so
-    the rerun starts clean without destroying evidence.
+    A task is pending when its marker is absent, corrupt, or does not match
+    this plan. A folder with a corrupt or stale marker is moved aside (suffix
+    ``.stale.<k>``) so the rerun starts clean without destroying evidence.
     """
     root = Path(results_root)
     pending: list[Task] = []
+    done: dict[str, ExitClass] = {}
     for task in plan.tasks:
         out_dir = root / task.output_dir
         try:
             marker = read_done_marker(out_dir)
         except CorruptMarkerError:
             _archive_stale(out_dir)
-            pending.append(task)
-            continue
+            marker = None
         if marker is None:
             pending.append(task)
-            continue
-        marked_hash, marked_digest, _ = marker
-        if marked_hash == task.contract.content_hash and marked_digest == plan.args_digest:
-            continue
-        _archive_stale(out_dir)
-        pending.append(task)
-    return pending
+        elif marker[:2] == (task.contract.content_hash, plan.args_digest):
+            done[task.output_dir] = ExitClass(marker[2])
+        else:
+            _archive_stale(out_dir)
+            pending.append(task)
+    return pending, done
 
 
 def _randbelow(rng: random.Random, n: int) -> int:
@@ -240,6 +241,8 @@ class Runner:
         self._stop = threading.Event()
         self._in_flight: set[str] = set()
         self._tally: Counter[ExitClass | str] = Counter()
+        # output dir -> (exit class, report); no report for a task done before this run
+        self.finished: dict[str, tuple[ExitClass, ParsedReport | None]] = {}
 
     def request_stop(self) -> None:
         """Stop dispatching; in-flight tasks run to completion (or timeout)."""
@@ -274,6 +277,8 @@ class Runner:
                     self._in_flight.discard(task.output_dir)
             with self._lock:
                 self._tally[result.tally_key] += 1
+                if result.exit_class is not None:
+                    self.finished[task.output_dir] = (result.exit_class, result.report)
                 done, progress = self._tally.total(), self.on_progress
             if progress is not None:
                 progress(done, pending_total)
@@ -281,8 +286,8 @@ class Runner:
     def run(self) -> RunSummary:
         if not self.executor.available():
             raise ExecutorUnavailableError("container backend is not available")
-        pending = resume_filter(self.plan, self.results_root)
-        skipped = len(self.plan.tasks) - len(pending)
+        pending, done = resume_filter(self.plan, self.results_root)
+        self.finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
         self._queue = deque(permute(pending, self.plan.seed))
         self._tally = Counter()
         threads = [
@@ -303,6 +308,6 @@ class Runner:
             timeouts=tally[ExitClass.TIMEOUT],
             oom=tally[ExitClass.OUT_OF_MEMORY],
             infra_errors=tally["infra_error"],
-            skipped_as_done=skipped,
+            skipped_as_done=len(done),
             aborted=tally["aborted"],
         )

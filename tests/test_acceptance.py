@@ -278,10 +278,11 @@ def test_criterion_5_sarif_valid_and_versioned_runs(env, full_run, tmp_path, rel
     root = tmp_path / "results"
     write_plan_lock(plan, root)
     executor = TaskExecutor(backend, registry, env.cache, plan.image_digests, plan.args_digest)
-    Runner(plan, executor, root, workers=2).run()
+    runner = Runner(plan, executor, root, workers=2)
+    runner.run()
 
     taxonomy = TaxonomyMap.load(bundled_taxonomy())
-    outcomes, incomplete = collect_outcomes(root, taxonomy)
+    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], runner.finished, taxonomy)
     assert incomplete == []
     two_version_doc = emit_sarif(outcomes, taxonomy)
     validate_sarif(two_version_doc)
@@ -372,9 +373,10 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     root = tmp_path / "binned"
     write_plan_lock(plan, root)
     executor = TaskExecutor(backend, registry, cache, plan.image_digests, plan.args_digest)
-    assert Runner(plan, executor, root, workers=4).run().executed == 101
+    runner = Runner(plan, executor, root, workers=4)
+    assert runner.run().executed == 101
 
-    outcomes, incomplete = collect_outcomes(root, taxonomy)
+    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], runner.finished, taxonomy)
     assert incomplete == []
     series = error_rate_series(series_records(outcomes, keys), 100_000)
     points = dict(series["probe:1.0"])
@@ -397,9 +399,10 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     root2 = tmp_path / "crash"
     write_plan_lock(plan2, root2)
     executor2 = TaskExecutor(backend2, registry, cache, plan2.image_digests, plan2.args_digest)
-    assert Runner(plan2, executor2, root2, workers=2).run().executed == 4
+    runner2 = Runner(plan2, executor2, root2, workers=2)
+    assert runner2.run().executed == 4
 
-    outcomes2, _ = collect_outcomes(root2, taxonomy)
+    outcomes2, _ = collect_outcomes(root2, read_plan_lock(root2)["tasks"], runner2.finished, taxonomy)
     classes = sorted(o.exit_class.value for o in outcomes2)
     assert classes.count("tool_failure") == 1
     summary = build_summary(outcomes2)

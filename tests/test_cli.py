@@ -299,6 +299,45 @@ class TestRunCommand:
         doc = json.loads((results / "report.sarif").read_text())
         assert sum(len(run["results"]) for run in doc["runs"]) == 3  # delta: 2 solidity + 1 runtime
 
+    def test_each_task_is_read_about_once(self, tmp_path, mock_registry_dir):
+        # 4 sol x 3 tools + 2 creation x 2 + 2 runtime x 4; every task writes stdout and stderr only
+        corpus = write_corpus(tmp_path / "contracts", n_sol=4, n_creation=2, n_runtime=2)
+        results = tmp_path / "results"
+        argv = run_argv(corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
+        script = (
+            "import json, os, sys\n"
+            "import scanmux.cli\n"
+            "root, argv = sys.argv[1], sys.argv[2:]\n"
+            "counts = {}\n"
+            "def hook(event, args):\n"
+            "    if event not in ('open', 'os.scandir') or not isinstance(args[0], str):\n"
+            "        return\n"
+            "    if args[0].startswith(root):\n"
+            "        reading = event == 'open' and args[2] & os.O_ACCMODE == os.O_RDONLY\n"
+            "        key = 'read' if reading else 'scandir' if event == 'os.scandir' else 'write'\n"
+            "        counts[phase][key] = counts[phase].get(key, 0) + 1\n"
+            "sys.addaudithook(hook)\n"
+            "for phase, phase_argv in [('run', argv), ('resume', argv),\n"
+            "                          ('reparse', ['reparse', root, '--sarif'])]:\n"
+            "    counts[phase] = {}\n"
+            "    if scanmux.cli.main(phase_argv) != 0:\n"
+            "        sys.exit(phase + ' failed')\n"
+            "print(json.dumps(counts))\n"
+        )
+        src = Path(scanmux.__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(results), *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.strip().splitlines()[-1])
+        n = len(json.loads((results / "plan.lock").read_text())["tasks"])
+        assert n == 24
+        assert counts["resume"].get("read", 0) <= 2 * n + 10, counts
+        assert counts["reparse"].get("read", 0) <= 4 * n + 10, counts
+        assert counts["reparse"].get("scandir", 0) == 0, counts
+
 
 class TestReparseCommand:
     def test_reproduces_results_byte_for_byte(self, tmp_path, capsys, small_corpus, mock_registry_dir):
@@ -379,6 +418,47 @@ class TestReparseCommand:
         summary = json.loads((results / "summary.json").read_text())
         assert summary["incomplete"] == []
         assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda task: (task / "meta.json").write_bytes((task / "meta.json").read_bytes()[:40]),
+            lambda task: (task / "raw" / "stdout").unlink(),
+        ],
+        ids=["torn-meta", "deleted-stdout"],
+    )
+    def test_unreadable_stored_output_keeps_its_result(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, damage
+    ):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")) == 0
+        task = sorted(results.rglob("done"))[0].parent
+        kept = {name: (task / name).read_bytes() for name in ("done", "result.json")}
+        damage(task)
+        for report in ("summary.json", "findings.csv", "report.sarif"):
+            (results / report).unlink()
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"]) == 0
+        assert f"reparsed {TestRunCommand.EXPECTED_TASKS - 1} tasks" in capsys.readouterr().out
+        assert {name: (task / name).read_bytes() for name in kept} == kept
+        summary = json.loads((results / "summary.json").read_text())
+        assert summary["incomplete"] == []
+        assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS
+        assert (results / "findings.csv").exists()
+        assert (results / "report.sarif").exists()
+
+    def test_torn_plan_lock_is_an_error_naming_it(self, tmp_path, capsys, small_corpus, mock_registry_dir):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        assert main(argv) == 0
+        lock = results / "plan.lock"
+        lock.write_bytes(lock.read_bytes()[:300])
+        for command in (argv, ["reparse", str(results), "--registry", str(mock_registry_dir)]):
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert f"{lock}: not valid JSON" in err
+            assert "Traceback" not in err
 
     def test_after_killed_run_finalizes_only_marked_tasks(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch

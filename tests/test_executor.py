@@ -445,7 +445,7 @@ class TestExecute:
         task, root, record, raw, _ = self._run(
             tmp_path, behavior, result_sources=("stdout", "stderr", "output/*.json")
         )
-        back = read_raw(root / task.output_dir)
+        back = read_raw(root / task.output_dir, record.result_files)
         assert back == raw
 
     def test_volume_cleaned_up(self, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scanmux.executor import MockBackend
-from scanmux.model import ContractFormat, ResourceLimits
+from scanmux.model import ContractFormat, HarnessError, ResourceLimits
 from scanmux.plan import (
     DEFAULT_SCHEME,
     NoMatchesError,
@@ -328,6 +329,39 @@ def test_plan_lock_refuses_foreign_root(
     (root / "plan.lock").write_text(json.dumps({"args_digest": "feedfacefeedface"}))
     with pytest.raises(PlanningError):
         write_plan_lock(plan, root)
+
+
+def test_plan_lock_interrupted_rewrite_keeps_the_previous_lock(
+    tmp_path, monkeypatch, corpus_dir, mock_registry, compiler_cache, release_index
+):
+    contracts = discover_corpus(corpus_dir)
+    plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
+    root = tmp_path / "results"
+    before = write_plan_lock(plan, root).read_bytes()
+
+    def killed(src, dst):
+        raise OSError("killed during the rewrite")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(OSError, match="killed"):
+        write_plan_lock(plan, root)
+    monkeypatch.undo()
+    assert (root / "plan.lock").read_bytes() == before
+    assert [p.name for p in root.iterdir()] == ["plan.lock"]
+
+
+def test_plan_lock_torn_is_an_error_naming_it(
+    tmp_path, corpus_dir, mock_registry, compiler_cache, release_index
+):
+    contracts = discover_corpus(corpus_dir)
+    plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
+    root = tmp_path / "results"
+    path = write_plan_lock(plan, root)
+    path.write_bytes(path.read_bytes()[:300])
+    for call in (lambda: read_plan_lock(root), lambda: write_plan_lock(plan, root)):
+        with pytest.raises(HarnessError, match=re.escape(f"{path}: not valid JSON")):
+            call()
+    assert len(path.read_bytes()) == 300
 
 
 def test_plan_lock_missing(tmp_path):

@@ -728,8 +728,8 @@ class TestCollectOutcomes:
     def test_roundtrip_through_disk(
         self, tmp_path, corpus_dir, mock_registry, compiler_cache, release_index
     ):
-        from scanmux.plan import write_plan_lock
-        from scanmux.runner import Runner, TaskExecutor
+        from scanmux.plan import read_plan_lock, write_plan_lock
+        from scanmux.runner import Runner, TaskExecutor, resume_filter
 
         from helpers import discover_corpus, plan_for
 
@@ -742,10 +742,12 @@ class TestCollectOutcomes:
         root = tmp_path / "results"
         write_plan_lock(plan, root)
         executor = TaskExecutor(backend, mock_registry, compiler_cache, plan.image_digests, plan.args_digest)
-        Runner(plan, executor, root, workers=2).run()
+        runner = Runner(plan, executor, root, workers=2)
+        runner.run()
 
         taxonomy = TaxonomyMap.load(bundled_taxonomy())
-        outcomes, incomplete = collect_outcomes(root, taxonomy)
+        entries = read_plan_lock(root)["tasks"]
+        outcomes, incomplete = collect_outcomes(root, entries, runner.finished, taxonomy)
         assert incomplete == []
         assert len(outcomes) == 12
         assert [o.output_dir for o in outcomes] == sorted(o.output_dir for o in outcomes)
@@ -756,6 +758,8 @@ class TestCollectOutcomes:
         # strip one marker: that task turns incomplete, the rest still collect
         victim = outcomes[0].output_dir
         (root / victim / "done").unlink()
-        outcomes2, incomplete2 = collect_outcomes(root, taxonomy)
+        _, done = resume_filter(plan, root)
+        finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
+        outcomes2, incomplete2 = collect_outcomes(root, entries, finished, taxonomy)
         assert incomplete2 == [victim]
         assert len(outcomes2) == 11

@@ -94,7 +94,8 @@ IMG = {t: f"example.io/mock/{t}:{v}" for t, v in
 class TestResumeFilter:
     def test_everything_pending_on_fresh_root(self, wired, tmp_path):
         plan, _, _ = wired()
-        assert len(resume_filter(plan, tmp_path)) == len(plan.tasks)
+        pending, _ = resume_filter(plan, tmp_path)
+        assert len(pending) == len(plan.tasks)
 
     def test_matching_marker_skips(self, wired, tmp_path):
         plan, _, _ = wired()
@@ -102,7 +103,7 @@ class TestResumeFilter:
         out = tmp_path / task.output_dir
         out.mkdir(parents=True)
         write_done_marker(out, task.contract.content_hash, plan.args_digest, "success")
-        pending = resume_filter(plan, tmp_path)
+        pending, _ = resume_filter(plan, tmp_path)
         assert len(pending) == len(plan.tasks) - 1
         assert task not in pending
 
@@ -112,7 +113,7 @@ class TestResumeFilter:
         out = tmp_path / task.output_dir
         out.mkdir(parents=True)
         write_done_marker(out, task.contract.content_hash, "f" * 16, "success")
-        pending = resume_filter(plan, tmp_path)
+        pending, _ = resume_filter(plan, tmp_path)
         assert task in pending
         assert not out.exists()
         assert out.with_name(out.name + ".stale.1").is_dir()
@@ -134,7 +135,7 @@ class TestResumeFilter:
         out = tmp_path / task.output_dir
         out.mkdir(parents=True)
         (out / "done").write_text("garbage")
-        pending = resume_filter(plan, tmp_path)
+        pending, _ = resume_filter(plan, tmp_path)
         assert task in pending
         assert out.with_name(out.name + ".stale.1").is_dir()
 
