@@ -24,7 +24,6 @@ from .plan import (
     PlanningError,
     SchemeError,
     build_plan,
-    canonicalize_args,
     discover_contracts,
     plan_to_doc,
     read_plan_lock,
@@ -36,6 +35,7 @@ from .reporting import (
     FINDINGS_FILENAME,
     SARIF_FILENAME,
     SUMMARY_FILENAME,
+    MissingKeyError,
     TaxonomyMap,
     build_summary,
     collect_outcomes,
@@ -91,6 +91,16 @@ def split_results(value: str) -> tuple[Path, str]:
     return Path(value), "{filename}/{toolid}"
 
 
+def _positive(convert):
+    """argparse type: ``convert`` the text, then refuse a value that is not > 0."""
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+    return parse
+
+
 def _split_tool_args(raw: list[str] | None) -> list[str]:
     items: list[str] = []
     for chunk in raw or ["all"]:
@@ -109,10 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="contract file pattern; repeatable")
     run_p.add_argument("--format", choices=[f.value for f in ContractFormat],
                        help="force the contract format instead of inferring it from extensions")
-    run_p.add_argument("--processes", type=int, default=1, metavar="N")
-    run_p.add_argument("--timeout", type=float, default=600.0, metavar="S")
-    run_p.add_argument("--mem", default="4g", metavar="SIZE", help="per-task memory limit, e.g. 32g")
-    run_p.add_argument("--cpu", type=float, default=1.0, metavar="Q")
+    run_p.add_argument("--processes", type=_positive(int), default=1, metavar="N")
+    run_p.add_argument("--timeout", type=_positive(float), default=600.0, metavar="S")
+    run_p.add_argument("--mem", type=_positive(parse_memory), default="4g", metavar="SIZE",
+                       help="per-task memory limit, e.g. 32g")
+    run_p.add_argument("--cpu", type=_positive(float), default=1.0, metavar="Q")
     run_p.add_argument("--seed", type=int, default=0, metavar="N")
     run_p.add_argument("--results", default=DEFAULT_RESULTS, metavar="DIR/SCHEME",
                        help="results root plus output-folder scheme "
@@ -120,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--backend", choices=["engine", "mock"], default="engine")
     run_p.add_argument("--sarif", action="store_true", help="also write report.sarif")
     run_p.add_argument("--keys", metavar="FILE", help="contract-to-key csv for binned error series")
-    run_p.add_argument("--bin-size", type=int, default=DEFAULT_BIN_SIZE, metavar="N")
+    run_p.add_argument("--bin-size", type=_positive(int), default=DEFAULT_BIN_SIZE, metavar="N")
     run_p.add_argument("--registry", default=None, metavar="DIR")
     run_p.add_argument("--compiler-cache", default=None, metavar="DIR")
     run_p.add_argument("--mock-fixtures", default=None, metavar="FILE",
@@ -131,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep_p.add_argument("--registry", default=None, metavar="DIR")
     rep_p.add_argument("--sarif", action="store_true")
     rep_p.add_argument("--keys", metavar="FILE")
-    rep_p.add_argument("--bin-size", type=int, default=DEFAULT_BIN_SIZE, metavar="N")
+    rep_p.add_argument("--bin-size", type=_positive(int), default=DEFAULT_BIN_SIZE, metavar="N")
 
     tools_p = sub.add_parser("tools", help="list the registry's tools and format support")
     tools_p.add_argument("--registry", default=None, metavar="DIR")
@@ -146,12 +157,26 @@ def _default_cache_dir() -> Path:
     return Path.home() / ".cache" / "scanmux" / "compilers"
 
 
-def _emit_reports(results_root: Path, lock: dict, finished: dict, args) -> None:
+def _read_series_keys(args) -> dict[str, int] | None:
+    """The ``--keys`` mapping, or None; an unreadable file is a usage error."""
+    try:
+        return read_keys(args.keys) if args.keys else None
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read --keys file: {exc}") from exc
+
+
+def _check_series_keys(keys: dict[str, int] | None, contract_ids) -> None:
+    """Refuse, before any task runs, a ``--keys`` file that misses a planned contract."""
+    missing = sorted(set(contract_ids) - keys.keys()) if keys is not None else []
+    if missing:
+        raise MissingKeyError(f"--keys has no key for {len(missing)} planned contract(s), e.g. {missing[0]!r}")
+
+
+def _emit_reports(results_root: Path, lock: dict, finished: dict, keys: dict[str, int] | None, args) -> None:
     taxonomy = TaxonomyMap.load(bundled_taxonomy())
     outcomes, incomplete = collect_outcomes(results_root, lock["tasks"], finished, taxonomy)
     series = None
-    if args.keys:
-        keys = read_keys(args.keys)
+    if keys is not None:
         series = error_rate_series(series_records(outcomes, keys), args.bin_size)
     summary = build_summary(outcomes, skips=lock["skips"], incomplete=incomplete, series=series)
     write_summary(results_root / SUMMARY_FILENAME, summary)
@@ -163,15 +188,13 @@ def _emit_reports(results_root: Path, lock: dict, finished: dict, args) -> None:
 def cmd_run(args) -> int:
     tools = _split_tool_args(args.tools)
     fmt = ContractFormat(args.format) if args.format else None
-    memory = parse_memory(args.mem)
-    if args.processes < 1:
-        raise UsageError("--processes must be >= 1")
     results_root, scheme = split_results(args.results)
     try:
         validate_scheme(scheme)
     except SchemeError as exc:
         raise UsageError(str(exc)) from exc
-    limits = ResourceLimits(wall_timeout=args.timeout, memory_bytes=memory, cpu_quota=args.cpu)
+    limits = ResourceLimits(wall_timeout=args.timeout, memory_bytes=args.mem, cpu_quota=args.cpu)
+    keys = _read_series_keys(args)
 
     registry_dir = _registry_dir(args)
     registry = load_registry(registry_dir)
@@ -189,34 +212,13 @@ def cmd_run(args) -> int:
         raise ExecutorUnavailableError("container engine is not available")
 
     cache = CompilerCache(args.compiler_cache or _default_cache_dir())
-    release_index = ReleaseIndex.load(bundled_release_index())
-    canonical = canonicalize_args(
-        tools=tools,
-        files=args.files,
-        format_override=fmt,
-        wall_timeout=limits.wall_timeout,
-        memory_bytes=limits.memory_bytes,
-        cpu_quota=limits.cpu_quota,
-        seed=args.seed,
-        scheme=scheme,
-        backend=args.backend,
-        registry_digest=registry.content_digest,
-    )
     plan = build_plan(
-        contracts,
-        registry,
-        tools,
-        scheme,
-        limits,
-        args.seed,
-        cache=cache,
-        fetcher=fetcher,
-        release_index=release_index,
-        backend=backend,
-        created_with_args=canonical,
-        registry_path=str(registry_dir),
-        pin_digests=args.backend == "mock",
+        contracts, registry, tools, scheme, limits, args.seed,
+        files=args.files, format_override=fmt, backend_name=args.backend,
+        cache=cache, fetcher=fetcher, release_index=ReleaseIndex.load(bundled_release_index()),
+        backend=backend, registry_path=str(registry_dir),
     )
+    _check_series_keys(keys, (t.contract.id for t in plan.tasks))
     write_plan_lock(plan, results_root)
     print(
         f"planned {len(plan.tasks)} tasks ({len(plan.skips)} skips) into {results_root}",
@@ -249,16 +251,17 @@ def cmd_run(args) -> int:
     finally:
         signal.signal(signal.SIGINT, previous)
 
-    _emit_reports(results_root, plan_to_doc(plan), runner.finished, args)
+    _emit_reports(results_root, plan_to_doc(plan), runner.finished, keys, args)
 
+    tally = summary.tally
     print(
         f"executed {summary.executed} of {summary.total} tasks: "
-        f"{summary.succeeded} ok, {summary.tool_errors} tool errors, "
-        f"{summary.tool_failures} failures, {summary.timeouts} timeouts, "
-        f"{summary.oom} oom, {summary.skipped_as_done} already done"
+        f"{tally[ExitClass.SUCCESS]} ok, {tally[ExitClass.TOOL_ERROR]} tool errors, "
+        f"{tally[ExitClass.TOOL_FAILURE]} failures, {tally[ExitClass.TIMEOUT]} timeouts, "
+        f"{tally[ExitClass.OUT_OF_MEMORY]} oom, {summary.skipped_as_done} already done"
     )
-    if summary.infra_errors:
-        print(f"{summary.infra_errors} tasks hit infrastructure errors", file=sys.stderr)
+    if tally["infra_error"]:
+        print(f"{tally['infra_error']} tasks hit infrastructure errors", file=sys.stderr)
         return EXIT_EXECUTOR
     if interrupts["count"] > 0 or summary.remaining > 0:
         return EXIT_INTERRUPTED
@@ -268,12 +271,10 @@ def cmd_run(args) -> int:
 def cmd_reparse(args) -> int:
     results_root = Path(args.results_root)
     lock = read_plan_lock(results_root)
-    registry_dir = (
-        Path(args.registry) if args.registry
-        else Path(lock["registry_path"]) if lock.get("registry_path")
-        else bundled_registry()
-    )
+    registry_dir = Path(args.registry or lock.get("registry_path") or bundled_registry())
     registry = load_registry(registry_dir)
+    keys = _read_series_keys(args)
+    _check_series_keys(keys, (entry["contract"] for entry in lock["tasks"]))
 
     finished = {}
     for entry in lock["tasks"]:
@@ -301,7 +302,7 @@ def cmd_reparse(args) -> int:
         )
     reparsed = sum(report is not None for _, report in finished.values())
 
-    _emit_reports(results_root, lock, finished, args)
+    _emit_reports(results_root, lock, finished, keys, args)
     print(f"reparsed {reparsed} tasks under {results_root}")
     return EXIT_OK
 

@@ -106,7 +106,7 @@ class ContainerBackend(abc.ABC):
         all_files = sorted(
             p.relative_to(volume_dir).as_posix()
             for p in volume_dir.rglob("*")
-            if p.is_file()
+            if p.is_file() and not p.is_symlink()  # a link may point at a host file
         )
         for pattern in patterns:
             for rel in all_files:
@@ -401,7 +401,6 @@ def execute(
     cache: CompilerCache,
     results_root: Path,
     image_digest: str,
-    clock=time,
 ) -> tuple[ExecutionRecord, RawResult, bool]:
     """Stage, run and harvest one task.
 
@@ -412,9 +411,9 @@ def execute(
     volume = stage_volume(task, cache)
     command = render_command(task)
     try:
-        started = clock.time()
+        started = time.time()
         outcome = backend.run(image_digest, volume, command, task.limits)
-        finished = clock.time()
+        finished = time.time()
 
         out_dir = results_root / task.output_dir
         raw_dir = out_dir / RAW_DIRNAME

@@ -261,27 +261,36 @@ def build_plan(
     limits: ResourceLimits,
     seed: int,
     *,
+    files: Sequence[str],
+    format_override: ContractFormat | None = None,
+    backend_name: str,
     cache: CompilerCache,
     fetcher: Fetcher | None = None,
     release_index: ReleaseIndex | None = None,
     backend=None,
-    created_with_args: str,
     registry_path: str = "",
-    pin_digests: bool = True,
 ) -> RunPlan:
     """Pair every contract with every compatible requested tool, then prefetch.
 
-    Compiler versions are resolved once per distinct constraint and fetched
-    once per distinct version; every image referenced by at least one task is
-    pulled up front. Any problem aborts planning with the full list, so
-    nothing fails mid-analysis for a predictable reason.
+    The run-defining arguments, ``files`` and ``backend_name`` as given on the
+    command line, name the plan through ``canonicalize_args``. Compiler
+    versions are resolved once per distinct constraint and fetched once per
+    distinct version; every image referenced by at least one task is pulled up
+    front. Any problem aborts planning with the full list, so nothing fails
+    mid-analysis for a predictable reason.
     """
     validate_scheme(scheme)
     ordered = sorted(contracts, key=lambda c: c.id)
     if len({c.id for c in ordered}) != len(ordered):
         raise PlanningError(["duplicate contract ids in input"])
 
-    digest = args_digest(created_with_args)
+    canonical = canonicalize_args(
+        tools=requested_tools, files=files, format_override=format_override,
+        wall_timeout=limits.wall_timeout, memory_bytes=limits.memory_bytes,
+        cpu_quota=limits.cpu_quota, seed=seed, scheme=scheme, backend=backend_name,
+        registry_digest=registry.content_digest,
+    )
+    digest = args_digest(canonical)
     runid = f"run-{digest[:8]}"
 
     problems: list[str] = []
@@ -338,9 +347,9 @@ def build_plan(
             )
 
     needed = {SemVer.parse(t.compiler_version) for t in tasks if t.compiler_version}
-    # pin_digests=False skips verification against the index (binaries from a
-    # channel the index does not pin); the cache still records its own digests.
-    pin_index = release_index if pin_digests else None
+    # The index pins the mock fetcher's placeholder binaries; engine runs fetch
+    # real ones and rely on the cache's own digests.
+    pin_index = release_index if backend_name == "mock" else None
     for error in prefetch_compilers(needed, cache, fetcher, pin_index):
         problems.append(str(error))
 
@@ -359,7 +368,7 @@ def build_plan(
         tasks=tuple(tasks),
         skips=tuple(skips),
         seed=seed,
-        created_with_args=created_with_args,
+        created_with_args=canonical,
         args_digest=digest,
         runid=runid,
         scheme=scheme,

@@ -436,15 +436,6 @@ def pct(numerator: int, denominator: int) -> float:
     return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
 
 
-_CLASS_FIELDS = {
-    ExitClass.SUCCESS: "success",
-    ExitClass.TOOL_ERROR: "tool_error",
-    ExitClass.TOOL_FAILURE: "tool_failure",
-    ExitClass.TIMEOUT: "timeout",
-    ExitClass.OUT_OF_MEMORY: "oom",
-}
-
-
 def build_summary(
     outcomes: Sequence[TaskOutcome],
     skips: Sequence[Mapping] = (),
@@ -456,15 +447,15 @@ def build_summary(
     for outcome in sorted(outcomes, key=lambda o: (o.tool_key, o.output_dir)):
         stats = per_tool.setdefault(
             outcome.tool_key,
-            {field: 0 for field in _CLASS_FIELDS.values()} | {"total": 0, "findings": 0},
+            {c.value: 0 for c in ExitClass} | {"total": 0, "findings": 0},
         )
         stats["total"] += 1
-        stats[_CLASS_FIELDS[outcome.exit_class]] += 1
+        stats[outcome.exit_class.value] += 1
         stats["findings"] += len(outcome.report.findings)
     for stats in per_tool.values():
         stats["error_rate"] = pct(stats["tool_error"], stats["total"])
         stats["failure_rate"] = pct(stats["tool_failure"], stats["total"])
-    totals = {field: 0 for field in _CLASS_FIELDS.values()} | {"total": 0, "findings": 0}
+    totals = {c.value: 0 for c in ExitClass} | {"total": 0, "findings": 0}
     for stats in per_tool.values():
         for field in totals:
             totals[field] += stats[field]

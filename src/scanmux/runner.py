@@ -134,7 +134,6 @@ class TaskResult:
 
     task: Task
     exit_class: ExitClass | None = None
-    record: ExecutionRecord | None = None
     report: ParsedReport | None = None
     error: str | None = None
     aborted: bool = False
@@ -151,16 +150,15 @@ class TaskResult:
 
 @dataclass(frozen=True)
 class RunSummary:
+    """Task counts of one run; ``tally`` counts the tasks it executed by ``TaskResult.tally_key``."""
+
     total: int
-    executed: int
-    succeeded: int
-    tool_errors: int
-    tool_failures: int
-    timeouts: int
-    oom: int
-    infra_errors: int
     skipped_as_done: int
-    aborted: int
+    tally: Counter[ExitClass | str]
+
+    @property
+    def executed(self) -> int:
+        return self.tally.total()
 
     @property
     def remaining(self) -> int:
@@ -184,12 +182,6 @@ class TaskExecutor:
         self.image_digests = dict(image_digests)
         self.args_digest = args_digest
 
-    def available(self) -> bool:
-        return self.backend.available()
-
-    def request_abort(self) -> None:
-        self.backend.request_abort()
-
     def run_task(self, task: Task, results_root: Path) -> TaskResult:
         digest = self.image_digests.get(task.tool.image_ref)
         if digest is None:
@@ -206,7 +198,7 @@ class TaskExecutor:
             return TaskResult(task, error=str(exc))
         if aborted:
             # No done marker: the task must rerun on resume.
-            return TaskResult(task, record=record, aborted=True)
+            return TaskResult(task, aborted=True)
         exit_class, report = finalize(
             results_root / task.output_dir,
             record,
@@ -215,7 +207,7 @@ class TaskExecutor:
             task.contract.content_hash,
             self.args_digest,
         )
-        return TaskResult(task, exit_class=exit_class, record=record, report=report)
+        return TaskResult(task, exit_class=exit_class, report=report)
 
 
 class Runner:
@@ -251,7 +243,7 @@ class Runner:
     def request_kill(self) -> None:
         """Stop dispatching and kill in-flight containers; their tasks stay pending."""
         self._stop.set()
-        self.executor.request_abort()
+        self.executor.backend.request_abort()
 
     def _next_task(self) -> Task | None:
         with self._lock:
@@ -272,19 +264,16 @@ class Runner:
                 result = self.executor.run_task(task, self.results_root)
             except Exception as exc:  # defensive: a worker crash must not hang the pool
                 result = TaskResult(task, error=f"unexpected: {exc!r}")
-            finally:
-                with self._lock:
-                    self._in_flight.discard(task.output_dir)
             with self._lock:
+                self._in_flight.discard(task.output_dir)
                 self._tally[result.tally_key] += 1
                 if result.exit_class is not None:
                     self.finished[task.output_dir] = (result.exit_class, result.report)
-                done, progress = self._tally.total(), self.on_progress
-            if progress is not None:
-                progress(done, pending_total)
+                if self.on_progress is not None:  # under the lock: calls never overlap
+                    self.on_progress(self._tally.total(), pending_total)
 
     def run(self) -> RunSummary:
-        if not self.executor.available():
+        if not self.executor.backend.available():
             raise ExecutorUnavailableError("container backend is not available")
         pending, done = resume_filter(self.plan, self.results_root)
         self.finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
@@ -298,16 +287,4 @@ class Runner:
             t.start()
         for t in threads:
             t.join()
-        tally = self._tally
-        return RunSummary(
-            total=len(self.plan.tasks),
-            executed=tally.total(),
-            succeeded=tally[ExitClass.SUCCESS],
-            tool_errors=tally[ExitClass.TOOL_ERROR],
-            tool_failures=tally[ExitClass.TOOL_FAILURE],
-            timeouts=tally[ExitClass.TIMEOUT],
-            oom=tally[ExitClass.OUT_OF_MEMORY],
-            infra_errors=tally["infra_error"],
-            skipped_as_done=len(done),
-            aborted=tally["aborted"],
-        )
+        return RunSummary(total=len(self.plan.tasks), skipped_as_done=len(done), tally=self._tally)

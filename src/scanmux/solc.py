@@ -368,12 +368,14 @@ class CompilerCache:
         return path
 
 
+FETCH_ATTEMPTS = 3  # per compiler version, before planning reports it as failed
+
+
 def ensure_compiler(
     version: SemVer,
     cache: CompilerCache,
     fetcher: Fetcher | None,
     expected_digest: str | None = None,
-    retries: int = 3,
 ) -> Path:
     """Idempotently provision one compiler binary into the cache.
 
@@ -386,7 +388,7 @@ def ensure_compiler(
     if fetcher is None:
         raise DownloadFailedError(f"compiler {version} not cached and no fetcher configured", 0)
     last_error: Exception | None = None
-    for attempt in range(1, retries + 1):
+    for _ in range(FETCH_ATTEMPTS):
         try:
             data = fetcher(version)
         except Exception as exc:  # fetcher failures are retried, digest errors are not
@@ -399,7 +401,7 @@ def ensure_compiler(
                     f"compiler {version}: digest {actual[:12]}… does not match pinned {expected_digest[:12]}…"
                 )
         return cache.store(version, data)
-    raise DownloadFailedError(f"could not fetch compiler {version}: {last_error}", retries)
+    raise DownloadFailedError(f"could not fetch compiler {version}: {last_error}", FETCH_ATTEMPTS)
 
 
 def prefetch_compilers(

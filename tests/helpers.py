@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from scanmux.model import ResourceLimits
-from scanmux.plan import build_plan, canonicalize_args, discover_contracts
+from scanmux.plan import build_plan, discover_contracts
 from scanmux.solc import MockCompilerFetcher
 
 
@@ -146,30 +146,19 @@ def plan_for(
     timeout: float = 600.0,
 ):
     """Build a plan the way the CLI does, minus the argument parsing."""
-    limits = ResourceLimits(wall_timeout=timeout)
-    canonical = canonicalize_args(
-        tools=tools if isinstance(tools, str) else list(tools),
-        files=[c.id for c in contracts],
-        wall_timeout=limits.wall_timeout,
-        memory_bytes=limits.memory_bytes,
-        cpu_quota=limits.cpu_quota,
-        seed=seed,
-        scheme=scheme,
-        backend="mock",
-        registry_digest=registry.content_digest,
-    )
     return build_plan(
         contracts,
         registry,
         tools,
         scheme,
-        limits,
+        ResourceLimits(wall_timeout=timeout),
         seed,
+        files=[c.id for c in contracts],
+        backend_name="mock",
         cache=cache,
         fetcher=MockCompilerFetcher(),
         release_index=release_index,
         backend=backend,
-        created_with_args=canonical,
     )
 
 

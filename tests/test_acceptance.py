@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from scanmux import cli
-from scanmux.executor import ContainerBackend, MockBackend, MockToolBehavior, RunOutcome
+from scanmux.executor import ContainerBackend, MockBackend, MockToolBehavior, RunOutcome, read_meta
 from scanmux.parsing import ExitClass
 from scanmux.paths import bundled_taxonomy, sarif_schema_path
 from scanmux.plan import read_plan_lock, write_plan_lock
@@ -426,8 +426,9 @@ def test_criterion_7_timeout_enforced(tmp_path, release_index):
     result = executor.run_task(plan.tasks[0], root)
     assert result.exit_class is ExitClass.TIMEOUT
     # cut off near the 1s limit; a broken timeout would run the full 3s sleep
-    assert 0.9 <= result.record.duration <= 2.5
-    marker = read_done_marker(root / plan.tasks[0].output_dir)
+    out_dir = root / plan.tasks[0].output_dir
+    assert 0.9 <= read_meta(out_dir / "meta.json").duration <= 2.5
+    marker = read_done_marker(out_dir)
     assert marker is not None and marker[2] == "timeout"
 
 

@@ -121,6 +121,22 @@ def run_argv(corpus: Path, registry: Path, results: Path, cache: Path, *extra: s
     ]
 
 
+def bad_arguments(tmp_path: Path, corpus: Path, trigger: str) -> tuple[list[str], int]:
+    """Arguments that break one promise about --keys, --bin-size or the limits, and the exit code."""
+    keys, partial = tmp_path / "keys.csv", tmp_path / "partial.csv"
+    rows = [f"{p.as_posix()},{i}" for i, p in enumerate(sorted(corpus.iterdir()))]
+    keys.write_text("\n".join(rows) + "\n")
+    partial.write_text("\n".join(rows[1:]) + "\n")
+    return {
+        "missing-keys-file": (["--keys", str(tmp_path / "missing.csv")], 1),
+        "zero-bin-size": (["--keys", str(keys), "--bin-size", "0"], 1),
+        "contract-without-key": (["--keys", str(partial)], 2),
+        "zero-timeout": (["--timeout", "0"], 1),
+        "zero-cpu": (["--cpu", "0"], 1),
+        "zero-mem": (["--mem", "0"], 1),
+    }[trigger]
+
+
 @pytest.fixture
 def small_corpus(tmp_path):
     return write_corpus(tmp_path / "contracts", n_sol=2, n_creation=1, n_runtime=1)
@@ -197,6 +213,20 @@ class TestRunCommand:
         assert set(summary["error_rate_series"]) == {
             "alpha:1.0", "bravo:2.1", "charlie:0.9", "delta:1.2", "echo:5.0"
         }
+
+    @pytest.mark.parametrize("trigger", [
+        "missing-keys-file", "zero-bin-size", "contract-without-key", "zero-timeout", "zero-cpu", "zero-mem",
+    ])
+    def test_argument_error_fails_before_any_task(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, trigger
+    ):
+        extra, code = bad_arguments(tmp_path, small_corpus, trigger)
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", *extra)) == code
+        err = capsys.readouterr().err
+        assert ("usage error" if code == 1 else "error: --keys has no key") in err
+        assert "Traceback" not in err
+        assert not list(results.rglob("done"))
 
     def test_zero_processes_rejected(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc")
@@ -446,6 +476,24 @@ class TestReparseCommand:
         assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS
         assert (results / "findings.csv").exists()
         assert (results / "report.sarif").exists()
+
+    @pytest.mark.parametrize("trigger", ["missing-keys-file", "zero-bin-size", "contract-without-key"])
+    def test_argument_error_rewrites_no_result(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, trigger
+    ):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        stored = sorted(results.rglob("result.json"))
+        for path in stored:
+            path.write_bytes(b"")  # a reparse would write them again
+        extra, code = bad_arguments(tmp_path, small_corpus, trigger)
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir), *extra]) == code
+        err = capsys.readouterr().err
+        assert ("usage error" if code == 1 else "error: --keys has no key") in err
+        assert "Traceback" not in err
+        assert len(stored) == TestRunCommand.EXPECTED_TASKS
+        assert all(path.read_bytes() == b"" for path in stored)
 
     def test_torn_plan_lock_is_an_error_naming_it(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         results = tmp_path / "results"

@@ -334,6 +334,19 @@ class TestCopyOut:
         got = backend.copy_out(tmp_path, ["*.json", "r.*"])
         assert got == {"r.json": b"x"}
 
+    def test_symlinks_are_not_followed(self, tmp_path):
+        host = tmp_path / "host"
+        (host / "dir").mkdir(parents=True)
+        (host / "secret.json").write_text("host file")
+        (host / "dir" / "inner.json").write_text("host dir")
+        volume = tmp_path / "volume"
+        (volume / "output").mkdir(parents=True)
+        (volume / "output" / "real.json").write_text("ok")
+        (volume / "output" / "x.json").symlink_to(host / "secret.json")
+        (volume / "output" / "d").symlink_to(host / "dir", target_is_directory=True)
+        got = MockBackend().copy_out(volume, ["output/*.json", "output/d/*", "output/d"])
+        assert got == {"output/real.json": b"ok"}
+
 
 class TestMeta:
     def test_roundtrip(self, tmp_path):
@@ -406,6 +419,28 @@ class TestExecute:
         )
         doc = json.loads((root / task.output_dir / "meta.json").read_text())
         assert doc["missing_results"] == ["output/*.json"]
+
+    def test_symlink_left_by_the_tool_is_not_harvested(self, tmp_path):
+        host_file = tmp_path / "host.json"
+        host_file.write_text('{"from": "host"}')
+
+        class LinkingBackend(MockBackend):
+            def run(self, image_digest, volume_dir, command, limits):
+                (volume_dir / "output" / "x.json").symlink_to(host_file)
+                return super().run(image_digest, volume_dir, command, limits)
+
+        backend = LinkingBackend()
+        digest = backend.pull("example.io/x:1")
+        task = make_task(tmp_path / "src", result_sources=("stdout", "output/*.json"))
+        root = tmp_path / "results"
+        record, raw, _ = execute(
+            task, backend, cache=CompilerCache(tmp_path / "cc"), results_root=root, image_digest=digest
+        )
+        out = root / task.output_dir
+        assert raw.files == {}
+        assert record.result_files == ("stdout", "stderr")
+        assert json.loads((out / "meta.json").read_text())["missing_results"] == ["output/*.json"]
+        assert not (out / "raw" / "output").exists()
 
     def test_stale_raw_dir_replaced(self, tmp_path):
         behavior = MockToolBehavior(stdout="fresh\n")

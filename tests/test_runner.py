@@ -197,12 +197,12 @@ class TestRunner:
         summary = Runner(plan, executor, tmp_path, workers=4).run()
         assert summary.total == 60
         assert summary.executed == 60
-        assert summary.succeeded == 12 + 16  # alpha + delta
-        assert summary.tool_errors == 20  # bravo everywhere
-        assert summary.tool_failures == 4  # charlie
-        assert summary.oom == 8  # echo
-        assert summary.timeouts == 0
-        assert summary.infra_errors == 0
+        assert summary.tally[ExitClass.SUCCESS] == 12 + 16  # alpha + delta
+        assert summary.tally[ExitClass.TOOL_ERROR] == 20  # bravo everywhere
+        assert summary.tally[ExitClass.TOOL_FAILURE] == 4  # charlie
+        assert summary.tally[ExitClass.OUT_OF_MEMORY] == 8  # echo
+        assert summary.tally[ExitClass.TIMEOUT] == 0
+        assert summary.tally["infra_error"] == 0
         assert summary.remaining == 0
 
     def test_rerun_skips_everything(self, wired, tmp_path):
@@ -260,9 +260,26 @@ class TestRunner:
         assert finished.wait(timeout=10), "runner did not wind down after kill"
         thread.join()
         summary = summary_box["s"]
-        assert summary.aborted >= 1
+        assert summary.tally["aborted"] >= 1
         assert summary.executed < summary.total
         assert not list(Path(tmp_path).rglob("done"))
+
+    def test_progress_calls_never_overlap(self, wired, tmp_path):
+        plan, executor, _ = wired()
+        guard, active, overlaps, seen = threading.Lock(), [0], [], []
+
+        def progress(done, total):
+            with guard:
+                active[0] += 1
+                overlaps.append(active[0] > 1)
+            time.sleep(0.005)  # a slow writer, e.g. a blocked stderr
+            seen.append((done, total))
+            with guard:
+                active[0] -= 1
+
+        Runner(plan, executor, tmp_path, workers=4, on_progress=progress).run()
+        assert not any(overlaps)
+        assert seen == [(k, 60) for k in range(1, 61)]
 
     def test_unavailable_backend_refuses(self, wired, tmp_path):
         class DownBackend(MockBackend):

@@ -345,7 +345,7 @@ def test_ensure_compiler_retries_then_gives_up(tmp_path: Path):
 
     cache = CompilerCache(tmp_path / "cc")
     with pytest.raises(DownloadFailedError) as info:
-        ensure_compiler(SemVer.parse("0.6.0"), cache, flaky, retries=3)
+        ensure_compiler(SemVer.parse("0.6.0"), cache, flaky)
     assert len(calls) == 3
     assert info.value.attempts == 3
 
