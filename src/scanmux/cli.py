@@ -42,7 +42,6 @@ from .reporting import (
     emit_sarif,
     error_rate_series,
     read_keys,
-    series_records,
     write_findings_csv,
     write_sarif,
     write_summary,
@@ -175,9 +174,7 @@ def _check_series_keys(keys: dict[str, int] | None, contract_ids) -> None:
 def _emit_reports(results_root: Path, lock: dict, finished: dict, keys: dict[str, int] | None, args) -> None:
     taxonomy = TaxonomyMap.load(bundled_taxonomy())
     outcomes, incomplete = collect_outcomes(results_root, lock["tasks"], finished, taxonomy)
-    series = None
-    if keys is not None:
-        series = error_rate_series(series_records(outcomes, keys), args.bin_size)
+    series = error_rate_series(outcomes, keys, args.bin_size) if keys is not None else None
     summary = build_summary(outcomes, skips=lock["skips"], incomplete=incomplete, series=series)
     write_summary(results_root / SUMMARY_FILENAME, summary)
     write_findings_csv(results_root / FINDINGS_FILENAME, outcomes)
@@ -275,6 +272,12 @@ def cmd_reparse(args) -> int:
     registry = load_registry(registry_dir)
     keys = _read_series_keys(args)
     _check_series_keys(keys, (entry["contract"] for entry in lock["tasks"]))
+    locked = sorted({(entry["tool"], entry["tool_version"]) for entry in lock["tasks"]})
+    tools = {key: registry.find(*key) for key in locked}
+    missing = [f"registry at {registry_dir} no longer defines {tool_id}:{version}"
+               for (tool_id, version), tool in tools.items() if tool is None]
+    if missing:  # checked before the loop, so a refused reparse rewrites nothing
+        raise PlanningError(missing)
 
     finished = {}
     for entry in lock["tasks"]:
@@ -292,11 +295,7 @@ def cmd_reparse(args) -> int:
             raw = read_raw(out_dir, record.result_files)
         except (OSError, ValueError, KeyError, TypeError):
             continue
-        tool = registry.find(entry["tool"], entry["tool_version"])
-        if tool is None:
-            raise PlanningError(
-                [f"registry at {registry_dir} no longer defines {entry['tool']}:{entry['tool_version']}"]
-            )
+        tool = tools[entry["tool"], entry["tool_version"]]
         finished[entry["output_dir"]] = finalize(
             out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest
         )

@@ -22,7 +22,7 @@ from .model import (
     detect_format,
 )
 from .paths import dump_json, write_atomically
-from .registry import Registry, select_tools
+from .registry import Registry, resolve_tools
 from .solc import (
     CompilerCache,
     Fetcher,
@@ -158,35 +158,20 @@ def plan_output_dir(
             runid=runid,
         )
 
-    candidate = render(stem)
-    if candidate not in taken:
-        taken.add(candidate)
-        return candidate
-    k = 1
-    if "{filename}" in scheme:
-        while True:
-            candidate = render(f"{stem}_{k}")
-            if candidate not in taken:
-                taken.add(candidate)
-                return candidate
-            k += 1
-    base = render(stem)
-    while True:
-        candidate = f"{base}_{k}"
-        if candidate not in taken:
-            taken.add(candidate)
-            return candidate
+    candidate, k = render(stem), 0
+    while candidate in taken:
         k += 1
+        candidate = render(f"{stem}_{k}") if "{filename}" in scheme else f"{render(stem)}_{k}"
+    taken.add(candidate)
+    return candidate
 
 
 def canonicalize_args(
     *,
-    tools: Sequence[str] | str = "all",
+    tools: Sequence[str] = ("all",),
     files: Sequence[str] = (),
     format_override: ContractFormat | None = None,
-    wall_timeout: float = 600.0,
-    memory_bytes: int = 4 * 2**30,
-    cpu_quota: float = 1.0,
+    limits: ResourceLimits = ResourceLimits(),
     seed: int = 0,
     scheme: str = DEFAULT_SCHEME,
     backend: str = "engine",
@@ -198,22 +183,19 @@ def canonicalize_args(
     absent: they do not change what a task computes, and resume must work
     when only those vary.
     """
-    if isinstance(tools, str):
-        tool_list = [tools.strip().lower()]
-    else:
-        tool_list = sorted({t.strip().lower() for t in tools})
+    tool_list = sorted({t.strip().lower() for t in tools})
     if "all" in tool_list:
         tool_list = ["all"]
     doc = {
         "backend": backend,
-        "cpu": float(cpu_quota),
+        "cpu": float(limits.cpu_quota),
         "files": sorted(set(files)),
         "format": format_override.value if format_override else None,
-        "memory": int(memory_bytes),
+        "memory": int(limits.memory_bytes),
         "registry": registry_digest,
         "scheme": scheme,
         "seed": int(seed),
-        "timeout": float(wall_timeout),
+        "timeout": float(limits.wall_timeout),
         "tools": tool_list,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -256,7 +238,7 @@ class RunPlan:
 def build_plan(
     contracts: Sequence[ContractInput],
     registry: Registry,
-    requested_tools: Sequence[str] | str,
+    requested_tools: Sequence[str],
     scheme: str,
     limits: ResourceLimits,
     seed: int,
@@ -285,10 +267,8 @@ def build_plan(
         raise PlanningError(["duplicate contract ids in input"])
 
     canonical = canonicalize_args(
-        tools=requested_tools, files=files, format_override=format_override,
-        wall_timeout=limits.wall_timeout, memory_bytes=limits.memory_bytes,
-        cpu_quota=limits.cpu_quota, seed=seed, scheme=scheme, backend=backend_name,
-        registry_digest=registry.content_digest,
+        tools=requested_tools, files=files, format_override=format_override, limits=limits,
+        seed=seed, scheme=scheme, backend=backend_name, registry_digest=registry.content_digest,
     )
     digest = args_digest(canonical)
     runid = f"run-{digest[:8]}"
@@ -320,14 +300,15 @@ def build_plan(
             return str(version), (f"no pragma; defaulting to compiler {version}",)
         return str(version), ()
 
+    tools = resolve_tools(registry, requested_tools)
     tasks: list[Task] = []
     skips: list[SkipRecord] = []
     taken: set[str] = set()
     for contract in ordered:
-        selected, dropped = select_tools(contract.format, registry, requested_tools)
-        for tool, reason in dropped:
-            skips.append(SkipRecord(contract.id, tool.key, reason))
-        for tool in selected:
+        for tool in tools:
+            if contract.format not in tool.supported_formats:
+                skips.append(SkipRecord(contract.id, tool.key, f"does not support {contract.format.value}"))
+                continue
             compiler = None
             warnings: tuple[str, ...] = ()
             if tool.needs_compiler and contract.format is ContractFormat.SOLIDITY:

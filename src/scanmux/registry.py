@@ -6,9 +6,9 @@ import functools
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import yaml
 
@@ -106,15 +106,11 @@ class ParserSpec:
     def fingerprint(self) -> str:
         payload = {
             "kind": self.kind,
-            "findings": [(r.pattern, r.label) for r in self.finding_rules],
+            "findings": [astuple(r) for r in self.finding_rules],
             "errors": list(self.error_rules),
             "failures": list(self.failure_rules),
             "documents": list(self.documents),
-            "document_rules": [
-                (r.path, r.label, r.label_from, r.message_from, r.file_from,
-                 r.line_from, r.offset_from, r.severity_from)
-                for r in self.document_rules
-            ],
+            "document_rules": [astuple(r) for r in self.document_rules],
             "default_failure_rules": self.default_failure_rules,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
@@ -188,18 +184,8 @@ def _parse_parser_spec(name: str, raw: dict, path: Path) -> ParserSpec:
     for entry in raw.get("document_paths", []) or []:
         if not isinstance(entry, dict) or "path" not in entry:
             _fail(path, f"parser {name!r}: each document path rule needs a path")
-        document_rules.append(
-            DocumentRule(
-                path=str(entry["path"]),
-                label=entry.get("label"),
-                label_from=entry.get("label_from"),
-                message_from=entry.get("message_from"),
-                file_from=entry.get("file_from"),
-                line_from=entry.get("line_from"),
-                offset_from=entry.get("offset_from"),
-                severity_from=entry.get("severity_from"),
-            )
-        )
+        optional = {f.name: entry.get(f.name) for f in fields(DocumentRule) if f.name != "path"}
+        document_rules.append(DocumentRule(path=str(entry["path"]), **optional))
     try:
         return ParserSpec(
             name=name,
@@ -309,43 +295,24 @@ def load_registry(registry_dir: str | Path) -> Registry:
     return Registry(tools=tuple(tools), parsers=parsers, content_digest=hasher.hexdigest())
 
 
-def select_tools(
-    fmt: ContractFormat,
-    registry: Registry,
-    requested: list[str] | str = "all",
-) -> tuple[list[ToolSpec], list[tuple[ToolSpec, str]]]:
-    """Pick the requested tools that can analyze ``fmt``.
+def resolve_tools(registry: Registry, requested: Sequence[str]) -> list[ToolSpec]:
+    """The registry's tools that ``requested`` names, in registry order.
 
-    Returns (selected, skipped): requested-but-incompatible tools are never
-    dropped silently, they come back with a reason for the plan's skip records.
-    Unknown names fail fast, before any execution.
+    A name is ``id`` or ``id:version``, in any case; ``all`` anywhere in the
+    request selects the whole registry. Unknown names fail fast, before any
+    execution, naming the first one as it was given.
     """
-    if requested == "all" or requested == ["all"]:
-        candidates = list(registry.tools)
-    else:
-        candidates = []
-        for name in requested:
-            wanted = name.strip().lower()
-            if ":" in wanted:
-                tool_id, _, version = wanted.partition(":")
-                matches = [
-                    t for t in registry.tools
-                    if t.tool_id == tool_id and t.version_label.lower() == version
-                ]
-            else:
-                matches = [t for t in registry.tools if t.tool_id == wanted]
-            if not matches:
-                raise UnknownToolError(f"tool {name!r} is not in the registry")
-            candidates.extend(matches)
-        deduped = []
-        for tool in candidates:
-            if tool not in deduped:
-                deduped.append(tool)
-        candidates = sorted(deduped, key=lambda t: (t.tool_id, t.version_label))
-    selected = [t for t in candidates if fmt in t.supported_formats]
-    skipped = [
-        (t, f"does not support {fmt.value}")
-        for t in candidates
-        if fmt not in t.supported_formats
-    ]
-    return selected, skipped
+    wanted = {name: name.strip().lower() for name in requested}
+    if "all" in wanted.values():
+        return list(registry.tools)
+    chosen: set[str] = set()
+    for name, lowered in wanted.items():
+        tool_id, colon, version = lowered.partition(":")
+        hits = {
+            t.key for t in registry.tools
+            if t.tool_id == tool_id and (not colon or t.version_label.lower() == version)
+        }
+        if not hits:
+            raise UnknownToolError(f"tool {name!r} is not in the registry")
+        chosen |= hits
+    return [t for t in registry.tools if t.key in chosen]

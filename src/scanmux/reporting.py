@@ -386,41 +386,20 @@ def write_sarif(path: str | Path, doc: dict) -> None:
     write_atomically(Path(path), dump_json(doc).encode("utf-8"), 0o644)
 
 
-@dataclass(frozen=True)
-class SeriesRecord:
-    """One task outcome pinned to an external integer key (e.g. block height)."""
-
-    tool: str
-    exit_class: ExitClass
-    key: int | None = None
-
-
-def series_records(
-    outcomes: Iterable[TaskOutcome], keys: Mapping[str, int]
-) -> list[SeriesRecord]:
-    records = []
-    for outcome in outcomes:
-        key = keys.get(outcome.contract_id)
-        if key is None:
-            raise MissingKeyError(f"no key for contract {outcome.contract_id!r}")
-        records.append(SeriesRecord(outcome.tool_key, outcome.exit_class, key))
-    return records
-
-
 def error_rate_series(
-    records: Sequence[SeriesRecord], bin_size: int
+    outcomes: Iterable[TaskOutcome], keys: Mapping[str, int], bin_size: int
 ) -> dict[str, list[tuple[int, float]]]:
-    """Per-tool (bin index, error percentage) pairs; empty bins are omitted."""
-    if bin_size <= 0:
-        raise ValueError("bin_size must be positive")
+    """Per-tool (bin index, error percentage) pairs, binned by each contract's key.
+
+    Empty bins are omitted. ``keys`` must hold every outcome's contract and
+    ``bin_size`` must be positive; the CLI checks both before any task runs.
+    """
     per_tool: dict[str, dict[int, list[int]]] = {}
-    for record in records:
-        if record.key is None:
-            raise MissingKeyError(f"record for {record.tool!r} has no key")
-        bin_index = record.key // bin_size
-        bucket = per_tool.setdefault(record.tool, {}).setdefault(bin_index, [0, 0])
+    for outcome in outcomes:
+        bin_index = keys[outcome.contract_id] // bin_size
+        bucket = per_tool.setdefault(outcome.tool_key, {}).setdefault(bin_index, [0, 0])
         bucket[1] += 1
-        if record.exit_class is ExitClass.TOOL_ERROR:
+        if outcome.exit_class is ExitClass.TOOL_ERROR:
             bucket[0] += 1
     return {
         tool: [(b, 100.0 * err / total) for b, (err, total) in sorted(bins.items())]

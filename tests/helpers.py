@@ -140,7 +140,7 @@ def plan_for(
     cache,
     release_index,
     backend,
-    tools="all",
+    tools=("all",),
     seed: int = 0,
     scheme: str = "{runid}/{filename}/{toolid}",
     timeout: float = 600.0,

@@ -27,7 +27,6 @@ from scanmux.reporting import (
     compile_schema,
     emit_sarif,
     error_rate_series,
-    series_records,
     validate_sarif,
 )
 from scanmux.runner import Runner, TaskExecutor, permute, read_done_marker
@@ -378,7 +377,7 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
 
     outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], runner.finished, taxonomy)
     assert incomplete == []
-    series = error_rate_series(series_records(outcomes, keys), 100_000)
+    series = error_rate_series(outcomes, keys, 100_000)
     points = dict(series["probe:1.0"])
     assert set(points) == set(range(101))
     for bin_index, rate in points.items():

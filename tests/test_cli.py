@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -246,6 +247,17 @@ class TestRunCommand:
         assert main(argv + ["--tools", "nosuchtool"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("request_", ["ALL", "all,alpha"])
+    def test_all_anywhere_selects_the_whole_registry(self, tmp_path, small_corpus, mock_registry_dir, request_):
+        planned = {}
+        for name, tools in (("all", "all"), ("other", request_)):
+            results = tmp_path / name
+            assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "-t", tools)) == 0
+            lock = json.loads((results / "plan.lock").read_text())
+            planned[name] = (lock["runid"], lock["tasks"])
+        assert planned["other"] == planned["all"]
+        assert len(planned["all"][1]) == self.EXPECTED_TASKS
+
     def test_no_matching_files_is_planning_error(self, tmp_path, capsys, mock_registry_dir):
         argv = [
             "run", "-f", f"{tmp_path}/empty/*", "--registry", str(mock_registry_dir),
@@ -399,6 +411,27 @@ class TestReparseCommand:
         write_tool_dir(other, "unrelated", "1.0", ["runtime"], {"runtime": "x {contract}"})
         assert main(["reparse", str(results), "--registry", str(other)]) == 2
         assert "no longer defines" in capsys.readouterr().err
+
+    def test_missing_locked_tools_rewrite_nothing(self, tmp_path, capsys, small_corpus, mock_registry_dir):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        partial = tmp_path / "partial-registry"
+        shutil.copytree(mock_registry_dir, partial)
+        for tool_id in ("charlie", "echo"):  # locked after tasks of the tools that remain
+            shutil.rmtree(partial / tool_id)
+        stored = sorted(results.rglob("result.json"))
+        for path in stored:
+            path.write_bytes(b"")  # a reparse would write them again
+        markers = {path: path.read_bytes() for path in results.rglob("done")}
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--registry", str(partial)]) == 2
+        err = capsys.readouterr().err
+        assert "no longer defines charlie:0.9" in err
+        assert "no longer defines echo:5.0" in err
+        assert "Traceback" not in err
+        assert len(stored) == TestRunCommand.EXPECTED_TASKS
+        assert all(path.read_bytes() == b"" for path in stored)
+        assert {path: path.read_bytes() for path in results.rglob("done")} == markers
 
     @pytest.mark.parametrize("garbage", [b"garbage", b"v1 abc def nonsense\n", b"\xff\xfe"])
     def test_corrupt_marker_is_incomplete_not_fatal(

@@ -138,9 +138,9 @@ def test_output_dir_collision_suffixes():
     tool = _stub_tool()
     dirs = [
         plan_output_dir("{filename}/{toolid}", _stub_contract(cid), tool, taken)
-        for cid in ("x/a.sol", "y/a.sol", "z/a.sol")
+        for cid in ("x/a.sol", "w/a_1.sol", "y/a.sol", "z/a.sol")
     ]
-    assert dirs == ["a/t", "a_1/t", "a_2/t"]
+    assert dirs == ["a/t", "a_1/t", "a_2/t", "a_3/t"]
 
 
 def test_output_dir_suffix_goes_on_filename_segment():
@@ -156,8 +156,10 @@ def test_output_dir_without_filename_placeholder_suffixes_whole_path():
     taken: set[str] = set()
     a = plan_output_dir("{toolid}", _stub_contract("a.sol"), _stub_tool(), taken)
     b = plan_output_dir("{toolid}", _stub_contract("b.sol"), _stub_tool(), taken)
+    c = plan_output_dir("{toolid}", _stub_contract("c.sol"), _stub_tool(), taken)
     assert a == "t"
     assert b == "t_1"
+    assert c == "t_2"
 
 
 def test_canonicalize_args_is_order_independent():
@@ -168,14 +170,14 @@ def test_canonicalize_args_is_order_independent():
 
 def test_canonicalize_args_all_collapses():
     a = canonicalize_args(tools=["all", "oyente"])
-    b = canonicalize_args(tools="all")
+    b = canonicalize_args(tools=["all"])
     assert a == b
 
 
 def test_canonicalize_args_sensitive_to_run_shape():
     base = canonicalize_args(seed=0)
     assert canonicalize_args(seed=1) != base
-    assert canonicalize_args(wall_timeout=1.0) != base
+    assert canonicalize_args(limits=ResourceLimits(wall_timeout=1.0)) != base
     assert canonicalize_args(scheme="{filename}") != base
     assert canonicalize_args(registry_digest="abc") != base
 
@@ -231,7 +233,7 @@ def test_build_plan_resolves_compilers_once_per_constraint(
     contracts = discover_corpus(corpus_dir)
     fetcher = MockCompilerFetcher()
     plan = build_plan(
-        contracts, mock_registry, "all", DEFAULT_SCHEME, ResourceLimits(), 0,
+        contracts, mock_registry, ("all",), DEFAULT_SCHEME, ResourceLimits(), 0,
         cache=compiler_cache, fetcher=fetcher, release_index=release_index,
         backend=MockBackend(), files=[c.id for c in contracts], backend_name="mock",
     )
@@ -374,7 +376,7 @@ def test_build_plan_rejects_duplicate_ids(mock_registry, compiler_cache, release
     contracts = discover_contracts([str(src)])
     with pytest.raises(PlanningError):
         build_plan(
-            contracts + contracts, mock_registry, "all", DEFAULT_SCHEME,
+            contracts + contracts, mock_registry, ("all",), DEFAULT_SCHEME,
             ResourceLimits(), 0, cache=compiler_cache,
             files=[c.id for c in contracts], backend_name="mock",
         )

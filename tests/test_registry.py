@@ -17,7 +17,7 @@ from scanmux.registry import (
     FindingRule,
     UnknownToolError,
     load_registry,
-    select_tools,
+    resolve_tools,
 )
 
 from helpers import MOCK_PARSER, write_tool_dir
@@ -222,34 +222,29 @@ def test_parser_spec_needs_rules():
         ParserSpec(name="p", kind="csv", finding_rules=(FindingRule("x", "X"),))
 
 
-def test_select_all_tools(mock_registry):
-    selected, skipped = select_tools(ContractFormat.SOLIDITY, mock_registry, "all")
-    assert [t.tool_id for t in selected] == ["alpha", "bravo", "delta"]
-    assert sorted(t.tool_id for t, _ in skipped) == ["charlie", "echo"]
-    for _, reason in skipped:
-        assert "solidity" in reason
+@pytest.mark.parametrize("requested", [["all"], ["ALL", "alpha"], ["alpha", " All "]])
+def test_resolve_all_tools(mock_registry, requested):
+    tools = resolve_tools(mock_registry, requested)
+    assert [t.tool_id for t in tools] == ["alpha", "bravo", "charlie", "delta", "echo"]
 
 
-def test_select_named_tools(mock_registry):
-    selected, skipped = select_tools(
-        ContractFormat.RUNTIME_CODE, mock_registry, ["charlie", "ALPHA"]
-    )
-    assert [t.tool_id for t in selected] == ["charlie"]
-    assert [t.tool_id for t, _ in skipped] == ["alpha"]
+def test_resolve_named_tools(mock_registry):
+    tools = resolve_tools(mock_registry, ["charlie", "ALPHA"])
+    assert [t.tool_id for t in tools] == ["alpha", "charlie"]
 
 
-def test_select_by_id_and_version(mock_registry):
-    selected, _ = select_tools(ContractFormat.SOLIDITY, mock_registry, ["bravo:2.1"])
-    assert [t.key for t in selected] == ["bravo:2.1"]
-    with pytest.raises(UnknownToolError):
-        select_tools(ContractFormat.SOLIDITY, mock_registry, ["bravo:9.9"])
+def test_resolve_by_id_and_version(mock_registry):
+    assert [t.key for t in resolve_tools(mock_registry, ["bravo:2.1"])] == ["bravo:2.1"]
+    for name in ("bravo:9.9", "bravo:"):
+        with pytest.raises(UnknownToolError, match=repr(name)):
+            resolve_tools(mock_registry, ["alpha", name])
 
 
-def test_select_unknown_tool(mock_registry):
-    with pytest.raises(UnknownToolError):
-        select_tools(ContractFormat.SOLIDITY, mock_registry, ["nosuchtool"])
+def test_resolve_unknown_tool(mock_registry):
+    with pytest.raises(UnknownToolError, match="'NoSuchTool'"):
+        resolve_tools(mock_registry, ["alpha", "NoSuchTool", "other"])
 
 
-def test_select_request_dedup(mock_registry):
-    selected, _ = select_tools(ContractFormat.SOLIDITY, mock_registry, ["alpha", "alpha"])
-    assert [t.tool_id for t in selected] == ["alpha"]
+def test_resolve_request_dedup(mock_registry):
+    tools = resolve_tools(mock_registry, ["alpha", "alpha", "ALPHA:1.0"])
+    assert [t.tool_id for t in tools] == ["alpha"]

@@ -28,8 +28,6 @@ from scanmux.paths import bundled_registry, bundled_taxonomy, sarif_schema_path
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     CatalogEntry,
-    MissingKeyError,
-    SeriesRecord,
     TaskOutcome,
     TaxonomyEntry,
     TaxonomyError,
@@ -42,7 +40,6 @@ from scanmux.reporting import (
     normalize,
     pct,
     read_keys,
-    series_records,
     unmapped_labels,
     validate_sarif,
     write_findings_csv,
@@ -602,50 +599,43 @@ class TestAtomicReports:
 
 
 class TestSeries:
-    def test_records_pick_up_keys(self):
-        outcomes = [outcome(contract_id="a.sol"), outcome(output_dir="x", contract_id="b.sol")]
-        records = series_records(outcomes, {"a.sol": 100, "b.sol": 200})
-        assert [r.key for r in records] == [100, 200]
-        assert records[0].tool == "mytool:1.0"
-
-    def test_missing_key_raises(self):
-        with pytest.raises(MissingKeyError):
-            series_records([outcome(contract_id="a.sol")], {})
+    @staticmethod
+    def keyed(*rows):
+        """Outcomes and their keys from (tool key, exit class, contract key) rows."""
+        outcomes, keys = [], {}
+        for i, (tool_key, exit_class, key) in enumerate(rows):
+            tool, _, version = tool_key.partition(":")
+            outcomes.append(outcome(output_dir=f"o{i}", contract_id=f"c{i}.sol", tool=tool,
+                                    version=version, exit_class=exit_class))
+            keys[f"c{i}.sol"] = key
+        return outcomes, keys
 
     def test_bin_assignment_and_rates(self):
-        records = [
-            SeriesRecord("t:1", ExitClass.TOOL_ERROR, 50),
-            SeriesRecord("t:1", ExitClass.SUCCESS, 99_999),
-            SeriesRecord("t:1", ExitClass.SUCCESS, 100_000),
-            SeriesRecord("t:1", ExitClass.TOOL_ERROR, 250_000),
-        ]
-        series = error_rate_series(records, 100_000)
+        outcomes, keys = self.keyed(
+            ("t:1", ExitClass.TOOL_ERROR, 50),
+            ("t:1", ExitClass.SUCCESS, 99_999),
+            ("t:1", ExitClass.SUCCESS, 100_000),
+            ("t:1", ExitClass.TOOL_ERROR, 250_000),
+        )
+        series = error_rate_series(outcomes, keys, 100_000)
         assert series == {"t:1": [(0, 50.0), (1, 0.0), (2, 100.0)]}
 
     def test_rates_are_plain_ratio_percentages(self):
-        records = [
-            SeriesRecord("t:1", ExitClass.TOOL_ERROR, 10),
-            SeriesRecord("t:1", ExitClass.SUCCESS, 11),
-            SeriesRecord("t:1", ExitClass.SUCCESS, 12),
-        ]
-        series = error_rate_series(records, 100)
+        outcomes, keys = self.keyed(
+            ("t:1", ExitClass.TOOL_ERROR, 10),
+            ("t:1", ExitClass.SUCCESS, 11),
+            ("t:1", ExitClass.SUCCESS, 12),
+        )
+        series = error_rate_series(outcomes, keys, 100)
         assert series["t:1"] == [(0, 100.0 * 1 / 3)]
 
     def test_tools_kept_apart_and_sorted(self):
-        records = [
-            SeriesRecord("b:1", ExitClass.SUCCESS, 5),
-            SeriesRecord("a:1", ExitClass.TOOL_ERROR, 5),
-        ]
-        series = error_rate_series(records, 10)
+        outcomes, keys = self.keyed(
+            ("b:1", ExitClass.SUCCESS, 5),
+            ("a:1", ExitClass.TOOL_ERROR, 5),
+        )
+        series = error_rate_series(outcomes, keys, 10)
         assert list(series) == ["a:1", "b:1"]
-
-    def test_bad_bin_size(self):
-        with pytest.raises(ValueError):
-            error_rate_series([], 0)
-
-    def test_keyless_record_rejected(self):
-        with pytest.raises(MissingKeyError):
-            error_rate_series([SeriesRecord("t:1", ExitClass.SUCCESS)], 10)
 
 
 class TestSummary:
@@ -703,7 +693,8 @@ class TestFindingsCsv:
         ]
         path = tmp_path / "findings.csv"
         write_findings_csv(path, outcomes)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["task", "tool", "version", "label", "swc", "dasp", "location"]
         assert rows[1] == ["run/a/t", "mytool", "1.0", "Mystery", "", "", "offset:9"]
         assert rows[2] == ["run/a/t", "mytool", "1.0", "Oddity", "", "10", ""]

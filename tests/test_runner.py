@@ -72,7 +72,7 @@ def test_done_marker_corrupt(tmp_path, text):
 def wired(corpus_dir, mock_registry, compiler_cache, release_index):
     """Plan + executor over the five-tool registry, with scripted behaviors."""
 
-    def build(behaviors=None, tools="all", backend=None, timeout=600.0, seed=0):
+    def build(behaviors=None, tools=("all",), backend=None, timeout=600.0, seed=0):
         backend = backend or MockBackend(behaviors or {})
         contracts = discover_corpus(corpus_dir)
         plan = plan_for(
