@@ -8,6 +8,8 @@ import signal
 import sys
 from pathlib import Path, PurePosixPath
 
+import yaml
+
 from .executor import (
     DockerCliBackend,
     ExecutorUnavailableError,
@@ -119,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=[f.value for f in ContractFormat],
                        help="force the contract format instead of inferring it from extensions")
     run_p.add_argument("--processes", type=_positive(int), default=1, metavar="N")
-    run_p.add_argument("--timeout", type=_positive(float), default=600.0, metavar="S")
-    run_p.add_argument("--mem", type=_positive(parse_memory), default="4g", metavar="SIZE",
+    run_p.add_argument("--timeout", type=_positive(float), default=ResourceLimits.wall_timeout, metavar="S")
+    run_p.add_argument("--mem", type=_positive(parse_memory), default=ResourceLimits.memory_bytes, metavar="SIZE",
                        help="per-task memory limit, e.g. 32g")
-    run_p.add_argument("--cpu", type=_positive(float), default=1.0, metavar="Q")
+    run_p.add_argument("--cpu", type=_positive(float), default=ResourceLimits.cpu_quota, metavar="Q")
     run_p.add_argument("--seed", type=int, default=0, metavar="N")
     run_p.add_argument("--results", default=DEFAULT_RESULTS, metavar="DIR/SCHEME",
                        help="results root plus output-folder scheme "
@@ -198,9 +200,10 @@ def cmd_run(args) -> int:
     contracts = discover_contracts(args.files, fmt)
 
     if args.backend == "mock":
-        backend = (
-            MockBackend.from_fixtures(args.mock_fixtures) if args.mock_fixtures else MockBackend()
-        )
+        try:  # before planning, like --keys: a malformed fixtures file is a usage error
+            backend = MockBackend.from_fixtures(args.mock_fixtures) if args.mock_fixtures else MockBackend()
+        except (OSError, ValueError, TypeError, yaml.YAMLError) as exc:
+            raise UsageError(f"cannot read --mock-fixtures file: {exc}") from exc
         fetcher = MockCompilerFetcher()
     else:
         backend = DockerCliBackend()
@@ -258,6 +261,8 @@ def cmd_run(args) -> int:
         f"{tally[ExitClass.OUT_OF_MEMORY]} oom, {summary.skipped_as_done} already done"
     )
     if tally["infra_error"]:
+        for output_dir, message in sorted(runner.infra_errors.items()):
+            print(f"infra error: {output_dir}: {message}", file=sys.stderr)
         print(f"{tally['infra_error']} tasks hit infrastructure errors", file=sys.stderr)
         return EXIT_EXECUTOR
     if interrupts["count"] > 0 or summary.remaining > 0:
@@ -308,13 +313,13 @@ def cmd_reparse(args) -> int:
 
 def cmd_tools(args) -> int:
     registry = load_registry(_registry_dir(args))
-    columns = [ContractFormat.SOLIDITY, ContractFormat.CREATION_BYTECODE, ContractFormat.RUNTIME_CODE]
+    columns = list(ContractFormat)
     rows = [
         (t.tool_id, t.version_label, *("x" if f in t.supported_formats else "-" for f in columns))
         for t in registry.tools
     ]
     totals = [sum(1 for t in registry.tools if f in t.supported_formats) for f in columns]
-    header = ("tool", "version", "solidity", "creation", "runtime")
+    header = ("tool", "version", *(f.value for f in columns))
     footer = ("total", f"{len(registry.tools)} tools", *map(str, totals))
     widths = [
         max(len(str(row[i])) for row in [header, footer, *rows]) for i in range(len(header))

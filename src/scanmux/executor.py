@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .model import (
+    _EXTENSION_FORMATS,
     KILLED,
-    ContractFormat,
     ExecutionRecord,
     HarnessError,
     LimitHit,
@@ -34,11 +34,7 @@ from .solc import CompilerCache, SemVer
 # Fixed mount point of the per-task volume inside the container.
 MOUNT_POINT = "/work"
 
-CONTRACT_FILENAMES = {
-    ContractFormat.SOLIDITY: "contract.sol",
-    ContractFormat.CREATION_BYTECODE: "contract.hex",
-    ContractFormat.RUNTIME_CODE: "contract.rt.hex",
-}
+CONTRACT_FILENAMES = {fmt: "contract" + ext for ext, fmt in _EXTENSION_FORMATS}
 
 COMPILER_FILENAME = "solc"
 OUTPUT_DIRNAME = "output"
@@ -131,6 +127,8 @@ class MockToolBehavior:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MockToolBehavior":
+        if not isinstance(raw.get("files") or {}, Mapping):
+            raise ValueError(f"files must map paths to contents, got {raw['files']!r}")
         return cls(
             stdout=str(raw.get("stdout", "")),
             stderr=str(raw.get("stderr", "")),
@@ -163,8 +161,10 @@ class MockBackend(ContainerBackend):
 
     @classmethod
     def from_fixtures(cls, path: str | Path, **kwargs) -> "MockBackend":
-        """Load image behaviors from a YAML mapping image_ref -> behavior fields."""
+        """Load image behaviors from a YAML mapping image_ref -> behavior fields; refuse any other document."""
         doc = load_yaml(Path(path).read_text(encoding="utf-8")) or {}
+        if not isinstance(doc, dict) or not all(isinstance(raw or {}, dict) for raw in doc.values()):
+            raise ValueError(f"{path}: expected a mapping of image refs to behavior mappings")
         behaviors = {str(ref): MockToolBehavior.from_dict(raw or {}) for ref, raw in doc.items()}
         return cls(behaviors=behaviors, **kwargs)
 

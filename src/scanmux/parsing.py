@@ -54,8 +54,11 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8", errors="replace")
 
 
-def _parse_int(text: str) -> int | None:
-    text = text.strip()
+def _parse_int(value) -> int | None:
+    """``value`` as a decimal or ``0x`` hex integer, or None when it is neither."""
+    if value is None:  # most findings lack a line or an offset; a caught ValueError here doubles parse time
+        return None
+    text = str(value).strip()
     try:
         if text.lower().startswith("0x"):
             return int(text, 16)
@@ -64,18 +67,12 @@ def _parse_int(text: str) -> int | None:
         return None
 
 
-def _location_from_groups(groups: dict) -> Location | None:
-    line = groups.get("line")
-    if line is not None:
-        parsed = _parse_int(line)
-        if parsed is not None:
-            return SourceLocation(line=parsed, file=groups.get("file"))
-    offset = groups.get("offset")
-    if offset is not None:
-        parsed = _parse_int(offset)
-        if parsed is not None:
-            return BytecodeLocation(offset=parsed)
-    return None
+def _location(line, offset, file) -> Location | None:
+    """A source location when ``line`` parses, else a bytecode location when ``offset`` does."""
+    if (parsed := _parse_int(line)) is not None:
+        return SourceLocation(line=parsed, file=None if file is None else str(file))
+    parsed = _parse_int(offset)
+    return None if parsed is None else BytecodeLocation(offset=parsed)
 
 
 def _failure_patterns(spec: ParserSpec) -> tuple[str, ...]:
@@ -107,7 +104,7 @@ def _scan_lines(
                         Finding(
                             native_label=groups.get("label") or rule.label,
                             message=line.strip(),
-                            location=_location_from_groups(groups),
+                            location=_location(groups.get("line"), groups.get("offset"), groups.get("file")),
                         )
                     )
                     matched = True
@@ -167,20 +164,9 @@ def _apply_document_rule(rule: DocumentRule, doc, findings: list[Finding]) -> No
             continue
         message = _get(node, rule.message_from)
         severity = _get(node, rule.severity_from)
-        location: Location | None = None
-        line = _get(node, rule.line_from)
-        offset = _get(node, rule.offset_from)
-        if line is not None:
-            parsed = _parse_int(str(line))
-            if parsed is not None:
-                file_value = _get(node, rule.file_from)
-                location = SourceLocation(
-                    line=parsed, file=str(file_value) if file_value is not None else None
-                )
-        elif offset is not None:
-            parsed = _parse_int(str(offset))
-            if parsed is not None:
-                location = BytecodeLocation(offset=parsed)
+        location = _location(
+            _get(node, rule.line_from), _get(node, rule.offset_from), _get(node, rule.file_from)
+        )
         findings.append(
             Finding(
                 native_label=label,

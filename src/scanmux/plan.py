@@ -183,9 +183,6 @@ def canonicalize_args(
     absent: they do not change what a task computes, and resume must work
     when only those vary.
     """
-    tool_list = sorted({t.strip().lower() for t in tools})
-    if "all" in tool_list:
-        tool_list = ["all"]
     doc = {
         "backend": backend,
         "cpu": float(limits.cpu_quota),
@@ -196,7 +193,7 @@ def canonicalize_args(
         "scheme": scheme,
         "seed": int(seed),
         "timeout": float(limits.wall_timeout),
-        "tools": tool_list,
+        "tools": sorted(set(tools)),
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -254,11 +251,11 @@ def build_plan(
 ) -> RunPlan:
     """Pair every contract with every compatible requested tool, then prefetch.
 
-    The run-defining arguments, ``files`` and ``backend_name`` as given on the
-    command line, name the plan through ``canonicalize_args``. Compiler
-    versions are resolved once per distinct constraint and fetched once per
-    distinct version; every image referenced by at least one task is pulled up
-    front. Any problem aborts planning with the full list, so nothing fails
+    ``canonicalize_args`` names the plan by the tools as resolved, so every
+    spelling of one selection names one run, and the other run-defining
+    arguments as given. Compilers are resolved once per distinct constraint
+    and fetched once per version; every image a task uses is pulled up front.
+    Any problem aborts planning with the full list, so nothing fails
     mid-analysis for a predictable reason.
     """
     validate_scheme(scheme)
@@ -266,8 +263,12 @@ def build_plan(
     if len({c.id for c in ordered}) != len(ordered):
         raise PlanningError(["duplicate contract ids in input"])
 
+    tools = resolve_tools(registry, requested_tools)
+    chosen = {t.key for t in tools}
+    partial = {t.tool_id for t in registry.tools if t.key not in chosen}  # ids with a version left out
+    names = [t.key if t.tool_id in partial else t.tool_id for t in tools] if partial else ["all"]
     canonical = canonicalize_args(
-        tools=requested_tools, files=files, format_override=format_override, limits=limits,
+        tools=names, files=files, format_override=format_override, limits=limits,
         seed=seed, scheme=scheme, backend=backend_name, registry_digest=registry.content_digest,
     )
     digest = args_digest(canonical)
@@ -300,7 +301,6 @@ def build_plan(
             return str(version), (f"no pragma; defaulting to compiler {version}",)
         return str(version), ()
 
-    tools = resolve_tools(registry, requested_tools)
     tasks: list[Task] = []
     skips: list[SkipRecord] = []
     taken: set[str] = set()

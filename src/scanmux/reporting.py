@@ -22,7 +22,6 @@ from .model import (
     NormalizedFinding,
     ParsedReport,
     SourceLocation,
-    ToolSpec,
 )
 from .parsing import RESULT_FILENAME, ExitClass, read_report
 from .paths import dump_json, load_yaml, sarif_schema_path, write_atomically
@@ -107,11 +106,8 @@ class TaxonomyMap:
         return self.entries.get((tool_id.lower(), native_label))
 
 
-def normalize(
-    report: ParsedReport, tool: ToolSpec | str, taxonomy: TaxonomyMap
-) -> list[NormalizedFinding]:
+def normalize(report: ParsedReport, tool_id: str, taxonomy: TaxonomyMap) -> list[NormalizedFinding]:
     """Attach SWC/DASP labels to every finding; unknown labels stay unmapped."""
-    tool_id = tool.tool_id if isinstance(tool, ToolSpec) else tool
     out = []
     for finding in report.findings:
         entry = taxonomy.lookup(tool_id, finding.native_label)

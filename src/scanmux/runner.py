@@ -231,10 +231,10 @@ class Runner:
         self._queue: deque[Task] = deque()
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._in_flight: set[str] = set()
         self._tally: Counter[ExitClass | str] = Counter()
         # output dir -> (exit class, report); no report for a task done before this run
         self.finished: dict[str, tuple[ExitClass, ParsedReport | None]] = {}
+        self.infra_errors: dict[str, str] = {}  # output dir -> message, for tasks this run could not finish
 
     def request_stop(self) -> None:
         """Stop dispatching; in-flight tasks run to completion (or timeout)."""
@@ -249,11 +249,7 @@ class Runner:
         with self._lock:
             if self._stop.is_set() or not self._queue:
                 return None
-            task = self._queue.popleft()
-            if task.output_dir in self._in_flight:
-                raise AssertionError(f"output dir dispatched twice: {task.output_dir}")
-            self._in_flight.add(task.output_dir)
-            return task
+            return self._queue.popleft()
 
     def _worker(self, pending_total: int) -> None:
         while True:
@@ -265,8 +261,9 @@ class Runner:
             except Exception as exc:  # defensive: a worker crash must not hang the pool
                 result = TaskResult(task, error=f"unexpected: {exc!r}")
             with self._lock:
-                self._in_flight.discard(task.output_dir)
                 self._tally[result.tally_key] += 1
+                if result.error is not None:
+                    self.infra_errors[task.output_dir] = result.error
                 if result.exit_class is not None:
                     self.finished[task.output_dir] = (result.exit_class, result.report)
                 if self.on_progress is not None:  # under the lock: calls never overlap
@@ -279,6 +276,7 @@ class Runner:
         self.finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
         self._queue = deque(permute(pending, self.plan.seed))
         self._tally = Counter()
+        self.infra_errors = {}
         threads = [
             threading.Thread(target=self._worker, args=(len(pending),), name=f"scanmux-worker-{i}")
             for i in range(min(self.workers, max(len(pending), 1)))

@@ -22,6 +22,7 @@ from scanmux.cli import (
     split_results,
     _split_tool_args,
 )
+from scanmux.executor import BackendFailureError, MockBackend
 from scanmux.runner import Runner
 
 from helpers import write_corpus, write_tool_dir
@@ -122,13 +123,25 @@ def run_argv(corpus: Path, registry: Path, results: Path, cache: Path, *extra: s
     ]
 
 
+BAD_FIXTURES = {
+    "fixtures-invalid-yaml": "x: [unclosed\n",
+    "fixtures-bad-field": "img: {exit_code: abc}\n",
+    "fixtures-not-a-mapping": "- img\n- other\n",
+    "fixtures-files-not-a-mapping": "img: {files: [a]}\n",
+}
+
+
 def bad_arguments(tmp_path: Path, corpus: Path, trigger: str) -> tuple[list[str], int]:
-    """Arguments that break one promise about --keys, --bin-size or the limits, and the exit code."""
+    """Arguments that break one promise about --keys, --bin-size, the limits or --mock-fixtures, and the exit code."""
     keys, partial = tmp_path / "keys.csv", tmp_path / "partial.csv"
     rows = [f"{p.as_posix()},{i}" for i, p in enumerate(sorted(corpus.iterdir()))]
     keys.write_text("\n".join(rows) + "\n")
     partial.write_text("\n".join(rows[1:]) + "\n")
+    for name, text in BAD_FIXTURES.items():
+        (tmp_path / f"{name}.yaml").write_text(text)
     return {
+        **{name: (["--mock-fixtures", str(tmp_path / f"{name}.yaml")], 1) for name in BAD_FIXTURES},
+        "fixtures-missing-file": (["--mock-fixtures", str(tmp_path / "missing.yaml")], 1),
         "missing-keys-file": (["--keys", str(tmp_path / "missing.csv")], 1),
         "zero-bin-size": (["--keys", str(keys), "--bin-size", "0"], 1),
         "contract-without-key": (["--keys", str(partial)], 2),
@@ -217,6 +230,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("trigger", [
         "missing-keys-file", "zero-bin-size", "contract-without-key", "zero-timeout", "zero-cpu", "zero-mem",
+        "fixtures-invalid-yaml", "fixtures-bad-field", "fixtures-not-a-mapping", "fixtures-missing-file",
+        "fixtures-files-not-a-mapping",
     ])
     def test_argument_error_fails_before_any_task(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, trigger
@@ -226,6 +241,8 @@ class TestRunCommand:
         assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", *extra)) == code
         err = capsys.readouterr().err
         assert ("usage error" if code == 1 else "error: --keys has no key") in err
+        if trigger.startswith("fixtures-"):
+            assert "usage error: cannot read --mock-fixtures file: " in err
         assert "Traceback" not in err
         assert not list(results.rglob("done"))
 
@@ -247,16 +264,44 @@ class TestRunCommand:
         assert main(argv + ["--tools", "nosuchtool"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("request_", ["ALL", "all,alpha"])
-    def test_all_anywhere_selects_the_whole_registry(self, tmp_path, small_corpus, mock_registry_dir, request_):
+    @pytest.mark.parametrize("reference,spelling,n_tasks", [
+        ("all", "ALL", EXPECTED_TASKS),
+        ("all", "all,alpha", EXPECTED_TASKS),
+        ("alpha", "alpha:1.0", 2),
+        ("alpha", "ALPHA", 2),
+        ("all", "alpha,bravo,charlie,delta,echo", EXPECTED_TASKS),
+    ])
+    def test_spellings_of_one_selection_name_one_run(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, reference, spelling, n_tasks
+    ):
         planned = {}
-        for name, tools in (("all", "all"), ("other", request_)):
-            results = tmp_path / name
+        for tools in (reference, spelling):
+            results = tmp_path / tools
             assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "-t", tools)) == 0
             lock = json.loads((results / "plan.lock").read_text())
-            planned[name] = (lock["runid"], lock["tasks"])
-        assert planned["other"] == planned["all"]
-        assert len(planned["all"][1]) == self.EXPECTED_TASKS
+            planned[tools] = (lock["runid"], lock["tasks"])
+        assert planned[spelling] == planned[reference]
+        assert len(planned[reference][1]) == n_tasks
+        capsys.readouterr()  # a resume with the other spelling finds every task done
+        argv = run_argv(small_corpus, mock_registry_dir, tmp_path / reference, tmp_path / "cc", "-t", spelling)
+        assert main(argv) == 0
+        assert f"executed 0 of {n_tasks} tasks" in capsys.readouterr().out
+
+    def test_infra_error_messages_are_kept(self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch):
+        run = MockBackend.run
+
+        def run_or_fail(self, image_digest, volume_dir, command, limits):
+            if self.digest_of("example.io/mock/charlie:0.9") == image_digest:
+                raise BackendFailureError("engine went away")
+            return run(self, image_digest, volume_dir, command, limits)
+
+        monkeypatch.setattr(MockBackend, "run", run_or_fail)
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 3
+        err = capsys.readouterr().err
+        [charlie] = [t["output_dir"] for t in json.loads((results / "plan.lock").read_text())["tasks"]
+                     if t["tool"] == "charlie"]
+        assert f"infra error: {charlie}: engine went away\n1 tasks hit infrastructure errors" in err
 
     def test_no_matching_files_is_planning_error(self, tmp_path, capsys, mock_registry_dir):
         argv = [
@@ -524,6 +569,8 @@ class TestReparseCommand:
         assert main(["reparse", str(results), "--registry", str(mock_registry_dir), *extra]) == code
         err = capsys.readouterr().err
         assert ("usage error" if code == 1 else "error: --keys has no key") in err
+        if trigger.startswith("fixtures-"):
+            assert "usage error: cannot read --mock-fixtures file: " in err
         assert "Traceback" not in err
         assert len(stored) == TestRunCommand.EXPECTED_TASKS
         assert all(path.read_bytes() == b"" for path in stored)

@@ -212,13 +212,16 @@ class TestDocumentMode:
     def test_fixed_label_and_offset(self):
         spec = ParserSpec(
             name="t/doc5", kind="structured_document", documents=("stdout",),
-            document_rules=(DocumentRule(path="hits.*", label="Assert", offset_from="pc"),),
+            document_rules=(
+                DocumentRule(path="hits.*", label="Assert", line_from="line", offset_from="pc"),
+            ),
         )
-        report = run_lines(json.dumps({"hits": [{"pc": "0x20"}]}), spec=spec)
-        f = report.findings[0]
-        assert f.native_label == "Assert"
-        assert f.location == BytecodeLocation(offset=32)
-        assert f.message == "Assert"
+        # a line that does not parse falls through to the offset, as in line mode
+        for hit in ({"pc": "0x20"}, {"pc": "0x20", "line": "n/a"}):
+            [f] = run_lines(json.dumps({"hits": [hit]}), spec=spec).findings
+            assert f.native_label == "Assert"
+            assert f.location == BytecodeLocation(offset=32)
+            assert f.message == "Assert"
 
 
 def record(exit_code=0, limit=LimitHit.NONE):

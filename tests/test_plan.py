@@ -28,9 +28,10 @@ from scanmux.plan import (
     validate_scheme,
     write_plan_lock,
 )
+from scanmux.registry import load_registry
 from scanmux.solc import PragmaSyntaxError
 
-from helpers import discover_corpus, plan_for, write_corpus
+from helpers import discover_corpus, plan_for, write_corpus, write_tool_dir
 
 
 def test_discover_sorted_and_typed(corpus_dir):
@@ -164,14 +165,26 @@ def test_output_dir_without_filename_placeholder_suffixes_whole_path():
 
 def test_canonicalize_args_is_order_independent():
     a = canonicalize_args(tools=["oyente", "mythril"], files=["b.sol", "a.sol"])
-    b = canonicalize_args(tools=["Mythril", "oyente"], files=["a.sol", "b.sol"])
+    b = canonicalize_args(tools=["mythril", "oyente"], files=["a.sol", "b.sol"])
     assert a == b
 
 
-def test_canonicalize_args_all_collapses():
-    a = canonicalize_args(tools=["all", "oyente"])
-    b = canonicalize_args(tools=["all"])
-    assert a == b
+@pytest.mark.parametrize("request_,names", [
+    (["alpha"], ["alpha"]),
+    (["alpha:1.0"], ["alpha:1.0"]),
+    (["alpha:1.0", "alpha:2.0"], ["alpha"]),
+], ids=["id", "one-version", "every-version"])
+def test_build_plan_names_the_run_by_its_resolved_tools(tmp_path, compiler_cache, release_index, request_, names):
+    # alpha in two versions next to bravo: an id names a tool only when all its versions are chosen
+    reg = tmp_path / "registry"
+    for version in ("1.0", "2.0"):
+        write_tool_dir(reg, "alpha", version, ["creation"], {"creation": "alpha {contract}"}).rename(
+            reg / f"alpha-{version}"
+        )
+    write_tool_dir(reg, "bravo", "2.1", ["creation"], {"creation": "bravo {contract}"})
+    contracts = discover_corpus(write_corpus(tmp_path / "c", n_sol=0, n_creation=1, n_runtime=0))
+    plan = plan_for(contracts, load_registry(reg), compiler_cache, release_index, MockBackend(), tools=request_)
+    assert json.loads(plan.created_with_args)["tools"] == names
 
 
 def test_canonicalize_args_sensitive_to_run_shape():
