@@ -225,10 +225,8 @@ def cmd_run(args) -> int:
         flush=True,
     )
 
-    executor = TaskExecutor(backend, registry, cache, plan.image_digests, plan.args_digest)
     runner = Runner(
-        plan,
-        executor,
+        TaskExecutor(plan, backend, registry, cache),
         results_root,
         workers=args.processes,
         on_progress=lambda done, total: print(f"[{done}/{total}] tasks finished", file=sys.stderr),
@@ -251,7 +249,7 @@ def cmd_run(args) -> int:
     finally:
         signal.signal(signal.SIGINT, previous)
 
-    _emit_reports(results_root, plan_to_doc(plan), runner.finished, keys, args)
+    _emit_reports(results_root, plan_to_doc(plan), summary.finished, keys, args)
 
     tally = summary.tally
     print(
@@ -261,7 +259,7 @@ def cmd_run(args) -> int:
         f"{tally[ExitClass.OUT_OF_MEMORY]} oom, {summary.skipped_as_done} already done"
     )
     if tally["infra_error"]:
-        for output_dir, message in sorted(runner.infra_errors.items()):
+        for output_dir, message in sorted(summary.infra_errors.items()):
             print(f"infra error: {output_dir}: {message}", file=sys.stderr)
         print(f"{tally['infra_error']} tasks hit infrastructure errors", file=sys.stderr)
         return EXIT_EXECUTOR

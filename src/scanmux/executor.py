@@ -15,7 +15,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Mapping, Sequence
 
 from .model import (
@@ -127,15 +127,23 @@ class MockToolBehavior:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MockToolBehavior":
-        if not isinstance(raw.get("files") or {}, Mapping):
-            raise ValueError(f"files must map paths to contents, got {raw['files']!r}")
+        files = raw.get("files") or {}
+        oom = raw.get("oom", False)
+        if not isinstance(files, Mapping):
+            raise ValueError(f"files must map paths to contents, got {files!r}")
+        if not isinstance(oom, bool):
+            raise ValueError(f"oom must be a boolean, got {oom!r}")
+        for name in map(str, files):
+            path = PurePosixPath(name)
+            if path.is_absolute() or ".." in path.parts:
+                raise ValueError(f"file {name!r} is not inside the task volume")
         return cls(
             stdout=str(raw.get("stdout", "")),
             stderr=str(raw.get("stderr", "")),
             exit_code=int(raw.get("exit_code", 0)),
             sleep_s=float(raw.get("sleep_s", 0.0)),
-            files={str(k): str(v) for k, v in (raw.get("files") or {}).items()},
-            oom=bool(raw.get("oom", False)),
+            files={str(k): str(v) for k, v in files.items()},
+            oom=oom,
         )
 
 

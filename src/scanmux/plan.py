@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 from typing import Mapping, Sequence
 
+from .executor import ContainerBackend
 from .model import (
     _EXTENSION_FORMATS,
     ContractFormat,
@@ -244,9 +245,9 @@ def build_plan(
     format_override: ContractFormat | None = None,
     backend_name: str,
     cache: CompilerCache,
-    fetcher: Fetcher | None = None,
-    release_index: ReleaseIndex | None = None,
-    backend=None,
+    fetcher: Fetcher,
+    release_index: ReleaseIndex,
+    backend: ContainerBackend,
     registry_path: str = "",
 ) -> RunPlan:
     """Pair every contract with every compatible requested tool, then prefetch.
@@ -281,10 +282,7 @@ def build_plan(
         """(compiler version, warnings) for one Solidity contract."""
         key = str(contract.pragma_constraint) if contract.pragma_constraint else ""
         if key not in resolved:
-            if release_index is None or len(release_index) == 0:
-                problems.append(f"{contract.id}: no compiler release index available")
-                resolved[key] = None
-            elif contract.pragma_constraint is None:
+            if contract.pragma_constraint is None:
                 resolved[key] = max(release_index.versions)
             else:
                 try:
@@ -335,12 +333,11 @@ def build_plan(
         problems.append(str(error))
 
     image_digests: dict[str, str] = {}
-    if backend is not None:
-        for ref in sorted({t.tool.image_ref for t in tasks}):
-            try:
-                image_digests[ref] = backend.pull(ref)
-            except HarnessError as exc:
-                problems.append(str(exc))
+    for ref in sorted({t.tool.image_ref for t in tasks}):
+        try:
+            image_digests[ref] = backend.pull(ref)
+        except HarnessError as exc:
+            problems.append(str(exc))
 
     if problems:
         raise PlanningError(problems)

@@ -487,7 +487,7 @@ def read_keys(path: str | Path) -> dict[str, int]:
     """contract id -> integer key. Lines with a non-integer key column are
     treated as headers or comments and skipped."""
     out: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):
             if len(row) < 2 or row[0].lstrip().startswith("#"):
                 continue

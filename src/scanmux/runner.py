@@ -5,15 +5,11 @@ from __future__ import annotations
 import random
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .executor import (
-    ContainerBackend,
-    ExecutorUnavailableError,
-    execute,
-)
+from .executor import ContainerBackend, execute
 from .model import ExecutionRecord, HarnessError, ParsedReport, RawResult, Task
 from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, write_report
 from .plan import RunPlan
@@ -150,11 +146,14 @@ class TaskResult:
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Task counts of one run; ``tally`` counts the tasks it executed by ``TaskResult.tally_key``."""
+    """The record of one run; ``tally`` counts the tasks it executed by ``TaskResult.tally_key``."""
 
     total: int
     skipped_as_done: int
-    tally: Counter[ExitClass | str]
+    tally: Counter[ExitClass | str] = field(default_factory=Counter)
+    # output dir -> (exit class, report) of every done task; no report for one done before this run
+    finished: dict[str, tuple[ExitClass, ParsedReport | None]] = field(default_factory=dict)
+    infra_errors: dict[str, str] = field(default_factory=dict)  # output dir -> message, per unfinished task
 
     @property
     def executed(self) -> int:
@@ -168,31 +167,20 @@ class RunSummary:
 class TaskExecutor:
     """Run one task end to end: container, parse, result file, done marker."""
 
-    def __init__(
-        self,
-        backend: ContainerBackend,
-        registry: Registry,
-        cache: CompilerCache,
-        image_digests,
-        args_digest: str,
-    ):
+    def __init__(self, plan: RunPlan, backend: ContainerBackend, registry: Registry, cache: CompilerCache):
+        self.plan = plan
         self.backend = backend
         self.registry = registry
         self.cache = cache
-        self.image_digests = dict(image_digests)
-        self.args_digest = args_digest
 
     def run_task(self, task: Task, results_root: Path) -> TaskResult:
-        digest = self.image_digests.get(task.tool.image_ref)
-        if digest is None:
-            return TaskResult(task, error=f"image {task.tool.image_ref!r} was not prefetched")
         try:
             record, raw, aborted = execute(
                 task,
                 self.backend,
                 cache=self.cache,
                 results_root=results_root,
-                image_digest=digest,
+                image_digest=self.plan.image_digests[task.tool.image_ref],
             )
         except HarnessError as exc:
             return TaskResult(task, error=str(exc))
@@ -205,7 +193,7 @@ class TaskExecutor:
             raw,
             self.registry.parser_for(task.tool),
             task.contract.content_hash,
-            self.args_digest,
+            self.plan.args_digest,
         )
         return TaskResult(task, exit_class=exit_class, report=report)
 
@@ -215,7 +203,6 @@ class Runner:
 
     def __init__(
         self,
-        plan: RunPlan,
         executor: TaskExecutor,
         results_root: str | Path,
         workers: int = 1,
@@ -223,7 +210,6 @@ class Runner:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.plan = plan
         self.executor = executor
         self.results_root = Path(results_root)
         self.workers = workers
@@ -231,10 +217,6 @@ class Runner:
         self._queue: deque[Task] = deque()
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._tally: Counter[ExitClass | str] = Counter()
-        # output dir -> (exit class, report); no report for a task done before this run
-        self.finished: dict[str, tuple[ExitClass, ParsedReport | None]] = {}
-        self.infra_errors: dict[str, str] = {}  # output dir -> message, for tasks this run could not finish
 
     def request_stop(self) -> None:
         """Stop dispatching; in-flight tasks run to completion (or timeout)."""
@@ -251,7 +233,7 @@ class Runner:
                 return None
             return self._queue.popleft()
 
-    def _worker(self, pending_total: int) -> None:
+    def _worker(self, summary: RunSummary, pending_total: int) -> None:
         while True:
             task = self._next_task()
             if task is None:
@@ -261,28 +243,26 @@ class Runner:
             except Exception as exc:  # defensive: a worker crash must not hang the pool
                 result = TaskResult(task, error=f"unexpected: {exc!r}")
             with self._lock:
-                self._tally[result.tally_key] += 1
+                summary.tally[result.tally_key] += 1
                 if result.error is not None:
-                    self.infra_errors[task.output_dir] = result.error
+                    summary.infra_errors[task.output_dir] = result.error
                 if result.exit_class is not None:
-                    self.finished[task.output_dir] = (result.exit_class, result.report)
+                    summary.finished[task.output_dir] = (result.exit_class, result.report)
                 if self.on_progress is not None:  # under the lock: calls never overlap
-                    self.on_progress(self._tally.total(), pending_total)
+                    self.on_progress(summary.executed, pending_total)
 
     def run(self) -> RunSummary:
-        if not self.executor.backend.available():
-            raise ExecutorUnavailableError("container backend is not available")
-        pending, done = resume_filter(self.plan, self.results_root)
-        self.finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
-        self._queue = deque(permute(pending, self.plan.seed))
-        self._tally = Counter()
-        self.infra_errors = {}
+        plan = self.executor.plan
+        pending, done = resume_filter(plan, self.results_root)
+        finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
+        summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=finished)
+        self._queue = deque(permute(pending, plan.seed))
         threads = [
-            threading.Thread(target=self._worker, args=(len(pending),), name=f"scanmux-worker-{i}")
+            threading.Thread(target=self._worker, args=(summary, len(pending)), name=f"scanmux-worker-{i}")
             for i in range(min(self.workers, max(len(pending), 1)))
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        return RunSummary(total=len(self.plan.tasks), skipped_as_done=len(done), tally=self._tally)
+        return summary

@@ -374,7 +374,7 @@ FETCH_ATTEMPTS = 3  # per compiler version, before planning reports it as failed
 def ensure_compiler(
     version: SemVer,
     cache: CompilerCache,
-    fetcher: Fetcher | None,
+    fetcher: Fetcher,
     expected_digest: str | None = None,
 ) -> Path:
     """Idempotently provision one compiler binary into the cache.
@@ -385,8 +385,6 @@ def ensure_compiler(
     cached = cache.lookup(version)
     if cached is not None:
         return cached
-    if fetcher is None:
-        raise DownloadFailedError(f"compiler {version} not cached and no fetcher configured", 0)
     last_error: Exception | None = None
     for _ in range(FETCH_ATTEMPTS):
         try:
@@ -407,7 +405,7 @@ def ensure_compiler(
 def prefetch_compilers(
     versions: Iterable[SemVer],
     cache: CompilerCache,
-    fetcher: Fetcher | None,
+    fetcher: Fetcher,
     index: ReleaseIndex | None = None,
 ) -> list[HarnessError]:
     """Ensure every distinct version once; returns collected errors instead of raising."""

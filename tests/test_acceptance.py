@@ -149,25 +149,25 @@ def test_criterion_2_interrupt_resume_converges(env, tmp_path, release_index):
     backend = MockBackend(behaviors)
     contracts = discover_corpus(env.corpus)
     plan = plan_for(contracts, env.registry, env.cache, release_index, backend)
-    executor = TaskExecutor(backend, env.registry, env.cache, plan.image_digests, plan.args_digest)
+    executor = TaskExecutor(plan, backend, env.registry, env.cache)
 
     interrupted_root = tmp_path / "interrupted"
     reference_root = tmp_path / "reference"
     write_plan_lock(plan, interrupted_root)
     write_plan_lock(plan, reference_root)
 
-    runner = Runner(plan, executor, interrupted_root, workers=4)
+    runner = Runner(executor, interrupted_root, workers=4)
     runner.on_progress = lambda done, total: done >= 18 and runner.request_stop()
     partial = runner.run()
     assert partial.executed >= 18  # stop fired at 30% or later
     assert partial.remaining > 0
 
-    resumed = Runner(plan, executor, interrupted_root, workers=4).run()
+    resumed = Runner(executor, interrupted_root, workers=4).run()
     assert resumed.executed == partial.remaining
     assert resumed.skipped_as_done == partial.executed
     assert resumed.remaining == 0
 
-    reference = Runner(plan, executor, reference_root, workers=4).run()
+    reference = Runner(executor, reference_root, workers=4).run()
     assert reference.executed == 60
     assert tree_digest(interrupted_root) == tree_digest(reference_root)
 
@@ -192,13 +192,13 @@ def test_criterion_3_determinism(env, tmp_path, release_index):
     behaviors = {"example.io/mock/bravo:2.1": MockToolBehavior(stdout="VULN: Locked Ether\n")}
     backend = MockBackend(behaviors)
     plan = plan_for(contracts, env.registry, env.cache, release_index, backend)
-    executor = TaskExecutor(backend, env.registry, env.cache, plan.image_digests, plan.args_digest)
+    executor = TaskExecutor(plan, backend, env.registry, env.cache)
     serial_root = tmp_path / "serial"
     parallel_root = tmp_path / "parallel"
     write_plan_lock(plan, serial_root)
     write_plan_lock(plan, parallel_root)
-    assert Runner(plan, executor, serial_root, workers=1).run().executed == 60
-    assert Runner(plan, executor, parallel_root, workers=4).run().executed == 60
+    assert Runner(executor, serial_root, workers=1).run().executed == 60
+    assert Runner(executor, parallel_root, workers=4).run().executed == 60
     assert tree_digest(serial_root) == tree_digest(parallel_root)
 
 
@@ -276,12 +276,11 @@ def test_criterion_5_sarif_valid_and_versioned_runs(env, full_run, tmp_path, rel
     assert len(plan.tasks) == 2
     root = tmp_path / "results"
     write_plan_lock(plan, root)
-    executor = TaskExecutor(backend, registry, env.cache, plan.image_digests, plan.args_digest)
-    runner = Runner(plan, executor, root, workers=2)
-    runner.run()
+    executor = TaskExecutor(plan, backend, registry, env.cache)
+    run = Runner(executor, root, workers=2).run()
 
     taxonomy = TaxonomyMap.load(bundled_taxonomy())
-    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], runner.finished, taxonomy)
+    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], run.finished, taxonomy)
     assert incomplete == []
     two_version_doc = emit_sarif(outcomes, taxonomy)
     validate_sarif(two_version_doc)
@@ -371,11 +370,11 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     plan = plan_for(contracts, registry, cache, release_index, backend)
     root = tmp_path / "binned"
     write_plan_lock(plan, root)
-    executor = TaskExecutor(backend, registry, cache, plan.image_digests, plan.args_digest)
-    runner = Runner(plan, executor, root, workers=4)
-    assert runner.run().executed == 101
+    executor = TaskExecutor(plan, backend, registry, cache)
+    run = Runner(executor, root, workers=4).run()
+    assert run.executed == 101
 
-    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], runner.finished, taxonomy)
+    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], run.finished, taxonomy)
     assert incomplete == []
     series = error_rate_series(outcomes, keys, 100_000)
     points = dict(series["probe:1.0"])
@@ -397,11 +396,11 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     plan2 = plan_for(contracts2, registry, cache, release_index, backend2)
     root2 = tmp_path / "crash"
     write_plan_lock(plan2, root2)
-    executor2 = TaskExecutor(backend2, registry, cache, plan2.image_digests, plan2.args_digest)
-    runner2 = Runner(plan2, executor2, root2, workers=2)
-    assert runner2.run().executed == 4
+    executor2 = TaskExecutor(plan2, backend2, registry, cache)
+    run2 = Runner(executor2, root2, workers=2).run()
+    assert run2.executed == 4
 
-    outcomes2, _ = collect_outcomes(root2, read_plan_lock(root2)["tasks"], runner2.finished, taxonomy)
+    outcomes2, _ = collect_outcomes(root2, read_plan_lock(root2)["tasks"], run2.finished, taxonomy)
     classes = sorted(o.exit_class.value for o in outcomes2)
     assert classes.count("tool_failure") == 1
     summary = build_summary(outcomes2)
@@ -421,7 +420,7 @@ def test_criterion_7_timeout_enforced(tmp_path, release_index):
     plan = plan_for(contracts, registry, cache, release_index, backend, timeout=1.0)
     root = tmp_path / "results"
     write_plan_lock(plan, root)
-    executor = TaskExecutor(backend, registry, cache, plan.image_digests, plan.args_digest)
+    executor = TaskExecutor(plan, backend, registry, cache)
     result = executor.run_task(plan.tasks[0], root)
     assert result.exit_class is ExitClass.TIMEOUT
     # cut off near the 1s limit; a broken timeout would run the full 3s sleep

@@ -128,6 +128,8 @@ BAD_FIXTURES = {
     "fixtures-bad-field": "img: {exit_code: abc}\n",
     "fixtures-not-a-mapping": "- img\n- other\n",
     "fixtures-files-not-a-mapping": "img: {files: [a]}\n",
+    "fixtures-oom-not-bool": "img: {oom: 'false'}\n",
+    "fixtures-file-outside-volume": "img:\n  files:\n    ../escaped.txt: x\n    /tmp/escaped.txt: y\n",
 }
 
 
@@ -231,7 +233,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("trigger", [
         "missing-keys-file", "zero-bin-size", "contract-without-key", "zero-timeout", "zero-cpu", "zero-mem",
         "fixtures-invalid-yaml", "fixtures-bad-field", "fixtures-not-a-mapping", "fixtures-missing-file",
-        "fixtures-files-not-a-mapping",
+        "fixtures-files-not-a-mapping", "fixtures-oom-not-bool", "fixtures-file-outside-volume",
     ])
     def test_argument_error_fails_before_any_task(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, trigger
@@ -330,8 +332,8 @@ class TestRunCommand:
     def test_interrupted_run_exits_130_and_resumes(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
     ):
-        def stopping_runner(plan, executor, results_root, workers=1, on_progress=None):
-            runner = Runner(plan, executor, results_root, workers=workers)
+        def stopping_runner(executor, results_root, workers=1, on_progress=None):
+            runner = Runner(executor, results_root, workers=workers)
             runner.on_progress = lambda done, total: runner.request_stop()
             return runner
 
@@ -597,8 +599,8 @@ class TestReparseCommand:
         killed = tmp_path / "killed"
         argv = run_argv(small_corpus, mock_registry_dir, killed, tmp_path / "cc")
 
-        def killing_runner(plan, executor, results_root, workers=1, on_progress=None):
-            runner = Runner(plan, executor, results_root, workers=workers)
+        def killing_runner(executor, results_root, workers=1, on_progress=None):
+            runner = Runner(executor, results_root, workers=workers)
             timer = threading.Timer(0.5, runner.request_kill)
             timer.daemon = True
             timer.start()

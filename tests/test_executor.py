@@ -317,6 +317,17 @@ class TestMockBackend:
         assert backend.behaviors["img:a"].exit_code == 1
         assert backend.behaviors["img:b"].oom
 
+    @pytest.mark.parametrize("raw", [
+        {"oom": "false"},
+        {"oom": 1},
+        {"files": {"../escaped.txt": "x"}},
+        {"files": {"output/../../escaped.txt": "x"}},
+        {"files": {"/tmp/escaped.txt": "x"}},
+    ])
+    def test_from_dict_refuses_accidental_oom_and_escaping_files(self, raw):
+        with pytest.raises(ValueError):
+            MockToolBehavior.from_dict(raw)
+
 
 class TestCopyOut:
     def test_patterns_and_nesting(self, tmp_path):

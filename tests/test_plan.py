@@ -29,7 +29,7 @@ from scanmux.plan import (
     write_plan_lock,
 )
 from scanmux.registry import load_registry
-from scanmux.solc import PragmaSyntaxError
+from scanmux.solc import MockCompilerFetcher, PragmaSyntaxError
 
 from helpers import discover_corpus, plan_for, write_corpus, write_tool_dir
 
@@ -390,6 +390,7 @@ def test_build_plan_rejects_duplicate_ids(mock_registry, compiler_cache, release
     with pytest.raises(PlanningError):
         build_plan(
             contracts + contracts, mock_registry, ("all",), DEFAULT_SCHEME,
-            ResourceLimits(), 0, cache=compiler_cache,
+            ResourceLimits(), 0, cache=compiler_cache, fetcher=MockCompilerFetcher(),
+            release_index=release_index, backend=MockBackend(),
             files=[c.id for c in contracts], backend_name="mock",
         )

@@ -714,6 +714,12 @@ class TestReadKeys:
         )
         assert read_keys(path) == {"a.sol": 123, "b.sol": 0}
 
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        # spreadsheets that save "CSV UTF-8" start the file with a BOM
+        path = tmp_path / "keys.csv"
+        path.write_bytes("\ufeffa.sol,5\nb.sol,6\n".encode("utf-8"))
+        assert read_keys(path) == {"a.sol": 5, "b.sol": 6}
+
 
 class TestCollectOutcomes:
     def test_roundtrip_through_disk(
@@ -732,13 +738,12 @@ class TestCollectOutcomes:
         plan = plan_for(contracts, mock_registry, compiler_cache, release_index, backend, tools=["delta"])
         root = tmp_path / "results"
         write_plan_lock(plan, root)
-        executor = TaskExecutor(backend, mock_registry, compiler_cache, plan.image_digests, plan.args_digest)
-        runner = Runner(plan, executor, root, workers=2)
-        runner.run()
+        executor = TaskExecutor(plan, backend, mock_registry, compiler_cache)
+        summary = Runner(executor, root, workers=2).run()
 
         taxonomy = TaxonomyMap.load(bundled_taxonomy())
         entries = read_plan_lock(root)["tasks"]
-        outcomes, incomplete = collect_outcomes(root, entries, runner.finished, taxonomy)
+        outcomes, incomplete = collect_outcomes(root, entries, summary.finished, taxonomy)
         assert incomplete == []
         assert len(outcomes) == 12
         assert [o.output_dir for o in outcomes] == sorted(o.output_dir for o in outcomes)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scanmux.executor import ExecutorUnavailableError, MockBackend, MockToolBehavior
+from scanmux.executor import MockBackend, MockToolBehavior
 from scanmux.parsing import ExitClass
 from scanmux.runner import (
     CorruptMarkerError,
@@ -79,9 +79,7 @@ def wired(corpus_dir, mock_registry, compiler_cache, release_index):
             contracts, mock_registry, compiler_cache, release_index, backend,
             tools=tools, timeout=timeout, seed=seed,
         )
-        executor = TaskExecutor(
-            backend, mock_registry, compiler_cache, plan.image_digests, plan.args_digest
-        )
+        executor = TaskExecutor(plan, backend, mock_registry, compiler_cache)
         return plan, executor, backend
 
     return build
@@ -155,14 +153,6 @@ class TestTaskExecutor:
         assert marker == (task.contract.content_hash, plan.args_digest, "success")
         assert len(result.report.findings) == 1
 
-    def test_missing_image_digest_is_infra_error(self, wired, tmp_path):
-        plan, _, backend = wired(tools=["delta"])
-        executor = TaskExecutor(backend, plan_registry(), None, {}, plan.args_digest)
-        result = executor.run_task(plan.tasks[0], tmp_path)
-        assert result.error is not None
-        assert "not prefetched" in result.error
-        assert not (tmp_path / plan.tasks[0].output_dir).exists()
-
     def test_aborted_task_leaves_no_marker(self, wired, tmp_path):
         behaviors = {IMG["delta"]: MockToolBehavior(sleep_s=60)}
         plan, executor, backend = wired(behaviors, tools=["delta"])
@@ -172,16 +162,6 @@ class TestTaskExecutor:
         out = tmp_path / plan.tasks[0].output_dir
         assert read_done_marker(out) is None
         assert (out / "meta.json").exists()  # evidence of the attempt stays
-
-
-def plan_registry():
-    # run_task only touches the registry on the parse path, which the
-    # missing-digest test never reaches
-    class _Stub:
-        def parser_for(self, tool):
-            raise AssertionError("parser_for should not be called")
-
-    return _Stub()
 
 
 class TestRunner:
@@ -194,7 +174,7 @@ class TestRunner:
             # delta falls through to the quiet default
         }
         plan, executor, _ = wired(behaviors)
-        summary = Runner(plan, executor, tmp_path, workers=4).run()
+        summary = Runner(executor, tmp_path, workers=4).run()
         assert summary.total == 60
         assert summary.executed == 60
         assert summary.tally[ExitClass.SUCCESS] == 12 + 16  # alpha + delta
@@ -207,9 +187,9 @@ class TestRunner:
 
     def test_rerun_skips_everything(self, wired, tmp_path):
         plan, executor, _ = wired()
-        first = Runner(plan, executor, tmp_path, workers=4).run()
+        first = Runner(executor, tmp_path, workers=4).run()
         assert first.executed == 60
-        second = Runner(plan, executor, tmp_path, workers=4).run()
+        second = Runner(executor, tmp_path, workers=4).run()
         assert second.executed == 0
         assert second.skipped_as_done == 60
         assert second.remaining == 0
@@ -217,8 +197,8 @@ class TestRunner:
     def test_single_worker_matches_parallel_artifacts(self, wired, tmp_path):
         behaviors = {IMG["delta"]: MockToolBehavior(stdout="VULN: Overflow at line 7\n")}
         plan, executor, _ = wired(behaviors, tools=["delta"])
-        Runner(plan, executor, tmp_path / "serial", workers=1).run()
-        Runner(plan, executor, tmp_path / "parallel", workers=4).run()
+        Runner(executor, tmp_path / "serial", workers=1).run()
+        Runner(executor, tmp_path / "parallel", workers=4).run()
         serial = sorted(p.relative_to(tmp_path / "serial").as_posix()
                         for p in (tmp_path / "serial").rglob("*") if p.is_file())
         parallel = sorted(p.relative_to(tmp_path / "parallel").as_posix()
@@ -233,7 +213,7 @@ class TestRunner:
     def test_stop_request_halts_dispatch(self, wired, tmp_path):
         behaviors = {img: MockToolBehavior(sleep_s=0.02) for img in IMG.values()}
         plan, executor, _ = wired(behaviors)
-        runner = Runner(plan, executor, tmp_path, workers=2)
+        runner = Runner(executor, tmp_path, workers=2)
         runner.on_progress = lambda done, total: runner.request_stop()
         summary = runner.run()
         assert 1 <= summary.executed < summary.total
@@ -245,7 +225,7 @@ class TestRunner:
     def test_kill_aborts_in_flight(self, wired, tmp_path):
         behaviors = {img: MockToolBehavior(sleep_s=30) for img in IMG.values()}
         plan, executor, _ = wired(behaviors)
-        runner = Runner(plan, executor, tmp_path, workers=2)
+        runner = Runner(executor, tmp_path, workers=2)
         finished = threading.Event()
         summary_box = {}
 
@@ -277,34 +257,43 @@ class TestRunner:
             with guard:
                 active[0] -= 1
 
-        Runner(plan, executor, tmp_path, workers=4, on_progress=progress).run()
+        Runner(executor, tmp_path, workers=4, on_progress=progress).run()
         assert not any(overlaps)
         assert seen == [(k, 60) for k in range(1, 61)]
 
-    def test_unavailable_backend_refuses(self, wired, tmp_path):
-        class DownBackend(MockBackend):
-            def available(self) -> bool:
-                return False
+    def test_worker_crash_is_kept_and_the_run_goes_on(self, wired, tmp_path, monkeypatch):
+        plan, executor, _ = wired()
+        victim = plan.tasks[7]
+        run_task = TaskExecutor.run_task
 
-        plan, _, _ = wired(tools=["delta"])
-        backend = DownBackend()
-        executor = TaskExecutor(backend, plan_registry(), None, {}, plan.args_digest)
-        with pytest.raises(ExecutorUnavailableError):
-            Runner(plan, executor, tmp_path).run()
+        def crash_on_victim(self, task, results_root):
+            if task == victim:
+                raise RuntimeError("worker crashed")
+            return run_task(self, task, results_root)
+
+        monkeypatch.setattr(TaskExecutor, "run_task", crash_on_victim)
+        summary = Runner(executor, tmp_path, workers=4).run()
+        assert summary.executed == summary.total == 60
+        assert summary.tally["infra_error"] == 1
+        assert list(summary.infra_errors) == [victim.output_dir]
+        assert summary.infra_errors[victim.output_dir].startswith("unexpected: RuntimeError")
+        assert victim.output_dir not in summary.finished
+        for task in plan.tasks:
+            assert (read_done_marker(tmp_path / task.output_dir) is None) == (task == victim), task.output_dir
 
     def test_workers_validated(self, wired, tmp_path):
         plan, executor, _ = wired(tools=["delta"])
         with pytest.raises(ValueError):
-            Runner(plan, executor, tmp_path, workers=0)
+            Runner(executor, tmp_path, workers=0)
 
     def test_resume_completes_after_stop(self, wired, tmp_path):
         behaviors = {img: MockToolBehavior(sleep_s=0.01) for img in IMG.values()}
         plan, executor, _ = wired(behaviors)
-        runner = Runner(plan, executor, tmp_path, workers=2)
+        runner = Runner(executor, tmp_path, workers=2)
         runner.on_progress = lambda done, total: runner.request_stop()
         partial = runner.run()
         assert partial.remaining > 0
-        final = Runner(plan, executor, tmp_path, workers=2).run()
+        final = Runner(executor, tmp_path, workers=2).run()
         assert final.skipped_as_done == partial.executed
         assert final.executed == partial.remaining
         assert final.remaining == 0

@@ -330,12 +330,6 @@ def test_ensure_compiler_fetches_exactly_once(tmp_path: Path):
     assert fetcher.calls == [v]
 
 
-def test_ensure_compiler_no_fetcher(tmp_path: Path):
-    cache = CompilerCache(tmp_path / "cc")
-    with pytest.raises(DownloadFailedError):
-        ensure_compiler(SemVer.parse("0.6.0"), cache, None)
-
-
 def test_ensure_compiler_retries_then_gives_up(tmp_path: Path):
     calls = []
 
@@ -390,7 +384,10 @@ def test_prefetch_dedupes_versions(tmp_path: Path):
 
 def test_prefetch_collects_errors_instead_of_raising(tmp_path: Path):
     cache = CompilerCache(tmp_path / "cc")
-    errors = prefetch_compilers([SemVer.parse("0.5.0")], cache, None)
+    def unreachable(version):
+        raise OSError("network is unreachable")
+
+    errors = prefetch_compilers([SemVer.parse("0.5.0")], cache, unreachable)
     assert len(errors) == 1
     assert isinstance(errors[0], DownloadFailedError)
 
