@@ -27,7 +27,6 @@ from .plan import (
     SchemeError,
     build_plan,
     discover_contracts,
-    plan_to_doc,
     read_plan_lock,
     validate_scheme,
     write_plan_lock,
@@ -219,7 +218,7 @@ def cmd_run(args) -> int:
         backend=backend, registry_path=str(registry_dir),
     )
     _check_series_keys(keys, (t.contract.id for t in plan.tasks))
-    write_plan_lock(plan, results_root)
+    lock = write_plan_lock(plan, results_root)
     print(
         f"planned {len(plan.tasks)} tasks ({len(plan.skips)} skips) into {results_root}",
         flush=True,
@@ -249,7 +248,7 @@ def cmd_run(args) -> int:
     finally:
         signal.signal(signal.SIGINT, previous)
 
-    _emit_reports(results_root, plan_to_doc(plan), summary.finished, keys, args)
+    _emit_reports(results_root, lock, summary.finished, keys, args)
 
     tally = summary.tally
     print(

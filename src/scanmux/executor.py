@@ -173,7 +173,12 @@ class MockBackend(ContainerBackend):
         doc = load_yaml(Path(path).read_text(encoding="utf-8")) or {}
         if not isinstance(doc, dict) or not all(isinstance(raw or {}, dict) for raw in doc.values()):
             raise ValueError(f"{path}: expected a mapping of image refs to behavior mappings")
-        behaviors = {str(ref): MockToolBehavior.from_dict(raw or {}) for ref, raw in doc.items()}
+        behaviors = {}
+        for ref, raw in doc.items():
+            try:
+                behaviors[str(ref)] = MockToolBehavior.from_dict(raw or {})
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}: {ref}: {exc}") from exc
         return cls(behaviors=behaviors, **kwargs)
 
     @staticmethod

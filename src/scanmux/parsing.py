@@ -60,8 +60,8 @@ def _parse_int(value) -> int | None:
         return None
     text = str(value).strip()
     try:
-        if text.lower().startswith("0x"):
-            return int(text, 16)
+        if text.lower().startswith("0x"):  # via decimal text, so a value too long to write back raises
+            return int(str(int(text, 16)))
         return int(text)
     except ValueError:
         return None
@@ -198,7 +198,7 @@ def parse(raw: RawResult, spec: ParserSpec) -> ParsedReport:
                 continue
             try:
                 doc = json.loads(_decode(data))
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # malformed, too deep, or an integer too long to convert
                 failures.append(f"unparseable tool output: {name}")
                 continue
             for rule in spec.document_rules:

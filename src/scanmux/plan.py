@@ -356,9 +356,12 @@ def build_plan(
 
 
 def plan_to_doc(plan: RunPlan) -> dict:
-    """JSON-ready view of a plan; no timestamps, so rebuilds are byte-identical."""
+    """JSON-ready view of a plan; no timestamps, so rebuilds are byte-identical.
+
+    A task entry holds only the keys that resume, reparse and the reports read.
+    """
     return {
-        "version": 1,
+        "version": 2,
         "args": plan.created_with_args,
         "args_digest": plan.args_digest,
         "seed": plan.seed,
@@ -371,19 +374,9 @@ def plan_to_doc(plan: RunPlan) -> dict:
                 "output_dir": t.output_dir,
                 "contract": t.contract.id,
                 "source_path": str(t.contract.source_path),
-                "format": t.contract.format.value,
-                "content_hash": t.contract.content_hash,
-                "pragma": str(t.contract.pragma_constraint) if t.contract.pragma_constraint else None,
                 "tool": t.tool.tool_id,
                 "tool_version": t.tool.version_label,
-                "image": t.tool.image_ref,
                 "compiler": t.compiler_version,
-                "warnings": list(t.warnings),
-                "limits": {
-                    "timeout_s": t.limits.wall_timeout,
-                    "memory_bytes": t.limits.memory_bytes,
-                    "cpu": t.limits.cpu_quota,
-                },
             }
             for t in plan.tasks
         ],
@@ -394,8 +387,8 @@ def plan_to_doc(plan: RunPlan) -> dict:
     }
 
 
-def write_plan_lock(plan: RunPlan, results_root: str | Path) -> Path:
-    """Serialize the plan into the results root.
+def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
+    """Serialize the plan into the results root and return the document written.
 
     Refuses to overwrite a lock created with different arguments: such a root
     belongs to another invocation and mixing the two would corrupt resume.
@@ -415,8 +408,9 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> Path:
                 "use a fresh results root or rerun with the original arguments"
             ]
         )
-    write_atomically(path, dump_json(plan_to_doc(plan)).encode("utf-8"), 0o644)
-    return path
+    doc = plan_to_doc(plan)
+    write_atomically(path, dump_json(doc).encode("utf-8"), 0o644)
+    return doc
 
 
 def read_plan_lock(results_root: str | Path) -> dict:

@@ -16,7 +16,6 @@ import yaml
 
 from .model import (
     BytecodeLocation,
-    ContractFormat,
     Finding,
     HarnessError,
     NormalizedFinding,
@@ -135,7 +134,6 @@ class TaskOutcome:
     output_dir: str
     contract_id: str
     source_path: str
-    format: ContractFormat
     tool_id: str
     version_label: str
     exit_class: ExitClass
@@ -181,7 +179,6 @@ def collect_outcomes(
                 output_dir=output_dir,
                 contract_id=entry["contract"],
                 source_path=entry["source_path"],
-                format=ContractFormat(entry["format"]),
                 tool_id=entry["tool"],
                 version_label=entry["tool_version"],
                 exit_class=exit_class,

@@ -215,9 +215,6 @@ class ReleaseIndex:
         release = self._by_version.get(version)
         return release.digest if release else None
 
-    def __len__(self) -> int:
-        return len(self._releases)
-
 
 def resolve_version(constraint: VersionConstraint, releases: Sequence[SemVer]) -> SemVer:
     """Highest release satisfying the constraint.

@@ -18,7 +18,7 @@ from scanmux import cli
 from scanmux.executor import ContainerBackend, MockBackend, MockToolBehavior, RunOutcome, read_meta
 from scanmux.parsing import ExitClass
 from scanmux.paths import bundled_taxonomy, sarif_schema_path
-from scanmux.plan import read_plan_lock, write_plan_lock
+from scanmux.plan import PLAN_LOCK_FILENAME, read_plan_lock, write_plan_lock
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     TaxonomyMap,
@@ -182,7 +182,8 @@ def test_criterion_3_determinism(env, tmp_path, release_index):
         plan = plan_for(contracts, env.registry, env.cache, release_index, backend)
         plans.append(plan)
         root = tmp_path / f"rebuild{i}"
-        lock_blobs.append(write_plan_lock(plan, root).read_bytes())
+        write_plan_lock(plan, root)
+        lock_blobs.append((root / PLAN_LOCK_FILENAME).read_bytes())
     assert lock_blobs[0] == lock_blobs[1] == lock_blobs[2]
 
     order_a = [t.output_dir for t in permute(plans[0].tasks, plans[0].seed)]

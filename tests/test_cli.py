@@ -22,11 +22,16 @@ from scanmux.cli import (
     split_results,
     _split_tool_args,
 )
-from scanmux.executor import BackendFailureError, MockBackend
+from scanmux.executor import RAW_DIRNAME, STDOUT_FILENAME, BackendFailureError, MockBackend
+from scanmux.model import ResourceLimits
+from scanmux.paths import bundled_registry, dump_json
+from scanmux.plan import PLAN_LOCK_FILENAME, discover_contracts
+from scanmux.registry import load_registry
 from scanmux.runner import Runner
 
 from helpers import write_corpus, write_tool_dir
 from test_acceptance import tree_digest
+from test_parsing import BUNDLED, HOSTILE
 
 
 class TestParseMemory:
@@ -132,6 +137,11 @@ BAD_FIXTURES = {
     "fixtures-file-outside-volume": "img:\n  files:\n    ../escaped.txt: x\n    /tmp/escaped.txt: y\n",
 }
 
+# Triggers whose file parses but one image ref's behavior is refused.
+ENTRY_LEVEL_FIXTURES = (
+    "fixtures-bad-field", "fixtures-files-not-a-mapping", "fixtures-oom-not-bool", "fixtures-file-outside-volume",
+)
+
 
 def bad_arguments(tmp_path: Path, corpus: Path, trigger: str) -> tuple[list[str], int]:
     """Arguments that break one promise about --keys, --bin-size, the limits or --mock-fixtures, and the exit code."""
@@ -151,6 +161,18 @@ def bad_arguments(tmp_path: Path, corpus: Path, trigger: str) -> tuple[list[str]
         "zero-cpu": (["--cpu", "0"], 1),
         "zero-mem": (["--mem", "0"], 1),
     }[trigger]
+
+
+MYTHRIL_IMAGE = next(t.image_ref for t in BUNDLED.tools if t.tool_id == "mythril")
+
+# Documents that json.loads refuses with RecursionError or ValueError, not JSONDecodeError.
+HOSTILE_DOCUMENTS = ("deep-nesting", "long-integer")
+
+
+def mythril_fixtures(tmp_path: Path, stdout: str) -> Path:
+    fixtures = tmp_path / "mythril.yaml"
+    fixtures.write_text(json.dumps({MYTHRIL_IMAGE: {"stdout": stdout}}))  # JSON is YAML
+    return fixtures
 
 
 @pytest.fixture
@@ -245,8 +267,21 @@ class TestRunCommand:
         assert ("usage error" if code == 1 else "error: --keys has no key") in err
         if trigger.startswith("fixtures-"):
             assert "usage error: cannot read --mock-fixtures file: " in err
+        if trigger in ENTRY_LEVEL_FIXTURES:
+            assert f"{tmp_path / (trigger + '.yaml')}: img: " in err
         assert "Traceback" not in err
         assert not list(results.rglob("done"))
+
+    @pytest.mark.parametrize("hostile", HOSTILE_DOCUMENTS)
+    def test_hostile_document_is_a_tool_failure(self, tmp_path, capsys, small_corpus, hostile):
+        results = tmp_path / "results"
+        code = main(run_argv(
+            small_corpus, bundled_registry(), results, tmp_path / "cc",
+            "--tools", "mythril", "--mock-fixtures", str(mythril_fixtures(tmp_path, HOSTILE[hostile].decode())),
+        ))
+        assert code == 0, capsys.readouterr().err
+        totals = json.loads((results / "summary.json").read_text())["totals"]
+        assert totals["tool_failure"] == totals["total"] == 4
 
     def test_zero_processes_rejected(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc")
@@ -446,6 +481,64 @@ class TestReparseCommand:
             for p in results.rglob("result.json")
         }
         assert before == after
+
+    @pytest.mark.parametrize("hostile", HOSTILE_DOCUMENTS)
+    def test_hostile_stored_document_is_a_tool_failure(self, tmp_path, capsys, small_corpus, hostile):
+        results = tmp_path / "results"
+        fixtures = mythril_fixtures(tmp_path, '{"issues": []}')
+        argv = run_argv(small_corpus, bundled_registry(), results, tmp_path / "cc",
+                        "--tools", "mythril", "--mock-fixtures", str(fixtures))
+        assert main(argv) == 0
+        tasks = sorted(p.parent for p in results.rglob("done"))
+        (tasks[0] / RAW_DIRNAME / STDOUT_FILENAME).write_bytes(HOSTILE[hostile])
+        assert main(["reparse", str(results)]) == 0, capsys.readouterr().err
+        assert json.loads((tasks[0] / "result.json").read_text())["failures"] == ["unparseable tool output: stdout"]
+        totals = json.loads((results / "summary.json").read_text())["totals"]
+        assert (totals["tool_failure"], totals["success"]) == (1, 3)
+
+    def test_lock_in_the_version_1_shape_resumes_and_reparses(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir
+    ):
+        (small_corpus / "bare.sol").write_text("contract Bare {}\n")  # no pragma: its tasks carry warnings
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        assert main(argv) == 0
+        # put back the six per-task keys that version 1 repeated from elsewhere
+        contracts = {c.id: c for c in discover_contracts([f"{small_corpus}/*"])}
+        registry, limits = load_registry(mock_registry_dir), ResourceLimits()
+        lock_path = results / PLAN_LOCK_FILENAME
+        lock = json.loads(lock_path.read_text())
+        for entry in lock["tasks"]:
+            contract = contracts[entry["contract"]]
+            meta = json.loads((results / entry["output_dir"] / "meta.json").read_text())
+            entry |= {
+                "format": contract.format.value,
+                "content_hash": contract.content_hash,
+                "pragma": str(contract.pragma_constraint) if contract.pragma_constraint else None,
+                "image": registry.find(entry["tool"], entry["tool_version"]).image_ref,
+                "warnings": meta.get("warnings", []),
+                "limits": {"timeout_s": limits.wall_timeout, "memory_bytes": limits.memory_bytes,
+                           "cpu": limits.cpu_quota},
+            }
+        lock["version"] = 1
+        lock_path.write_text(dump_json(lock))
+        assert any(entry["warnings"] for entry in lock["tasks"])
+
+        def files():
+            return {p.relative_to(results).as_posix(): p.read_bytes() for p in results.rglob("*") if p.is_file()}
+
+        before = files()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "executed 0 of" in capsys.readouterr().out
+        resumed = files()
+        assert json.loads(resumed.pop(PLAN_LOCK_FILENAME))["version"] == 2
+        before.pop(PLAN_LOCK_FILENAME)
+        assert resumed == before
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
+        reparsed = files()
+        reparsed.pop(PLAN_LOCK_FILENAME)
+        assert reparsed == before
 
     def test_missing_root_fails(self, tmp_path, capsys):
         assert main(["reparse", str(tmp_path / "nothing")]) == 2

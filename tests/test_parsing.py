@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 from hypothesis import given
@@ -26,7 +27,8 @@ from scanmux.parsing import (
     report_to_doc,
     write_report,
 )
-from scanmux.registry import DocumentRule, FindingRule, ParserSpec
+from scanmux.paths import bundled_registry, dump_json
+from scanmux.registry import DocumentRule, FindingRule, ParserSpec, load_registry
 
 LINE_SPEC = ParserSpec(
     name="t/default",
@@ -309,3 +311,31 @@ class TestReportFile:
         assert doc["findings"][0] == {
             "label": "x", "message": "m", "location": None, "severity": None
         }
+
+
+BUNDLED = load_registry(bundled_registry())
+
+HOSTILE = {
+    "deep-nesting": b"[" * 100_000,
+    "long-integer": b'{"issues": [{"title": "x", "lineno": ' + b"9" * 5_000 + b"}]}",
+    # valid JSON whose hex offset has more than 4,300 decimal digits; line patterns see it too
+    "long-hex": b'{"issues": [{"title": "destroyable integer overflow at 0x' + b"f" * 5_000
+    + b'", "address": "0x' + b"f" * 5_000 + b'"}]}',
+    "invalid-utf8": b'{"issues": [{"title": "\xff\xc3\x28", "lineno": 3}]}',
+    "random-bytes": random.Random(11).randbytes(4_096),
+}
+
+
+@pytest.mark.parametrize("tool", BUNDLED.tools, ids=lambda t: t.key)
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_bundled_parsers_survive_hostile_output(tool, name):
+    """Whatever a tool prints or writes, parse returns a report that serialises."""
+    spec = BUNDLED.parser_for(tool)
+    data = HOSTILE[name]
+    declared = {*tool.result_sources, *spec.documents} - {"stdout", "stderr"}
+    files = {source.replace("*", "hostile"): data for source in declared}
+    report = parse(RawResult(stdout=data, stderr=data, files=files), spec)
+    dump_json(report_to_doc(report))
+    if spec.kind == "structured_document":  # undecodable bytes are replaced, so only two inputs decode as JSON
+        readable = name in ("invalid-utf8", "long-hex")
+        assert ("unparseable tool output: stdout" in report.failures) != readable

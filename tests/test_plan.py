@@ -15,6 +15,7 @@ from scanmux.executor import MockBackend
 from scanmux.model import ContractFormat, HarnessError, ResourceLimits
 from scanmux.plan import (
     DEFAULT_SCHEME,
+    PLAN_LOCK_FILENAME,
     NoMatchesError,
     PlanningError,
     SchemeError,
@@ -309,13 +310,26 @@ def test_plan_lock_roundtrip(tmp_path, corpus_dir, mock_registry, compiler_cache
     contracts = discover_corpus(corpus_dir)
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     root = tmp_path / "results"
-    path = write_plan_lock(plan, root)
+    write_plan_lock(plan, root)
     doc = read_plan_lock(root)
     assert doc["args_digest"] == plan.args_digest
     assert doc["runid"] == plan.runid
     assert len(doc["tasks"]) == 60
     assert len(doc["skips"]) == 40
-    assert path.read_text().endswith("\n")
+    assert (root / PLAN_LOCK_FILENAME).read_text().endswith("\n")
+
+
+def test_plan_lock_task_entries_hold_only_what_readers_use(
+    tmp_path, corpus_dir, mock_registry, compiler_cache, release_index
+):
+    contracts = discover_corpus(corpus_dir)
+    plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
+    written = write_plan_lock(plan, tmp_path)
+    assert written == read_plan_lock(tmp_path)
+    assert written["version"] == 2
+    assert {frozenset(entry) for entry in written["tasks"]} == {
+        frozenset({"output_dir", "contract", "source_path", "tool", "tool_version", "compiler"})
+    }
 
 
 def test_plan_lock_byte_identical_across_rebuilds(
@@ -326,7 +340,8 @@ def test_plan_lock_byte_identical_across_rebuilds(
     for i in range(3):
         plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
         root = tmp_path / f"root{i}"
-        blobs.append(write_plan_lock(plan, root).read_bytes())
+        write_plan_lock(plan, root)
+        blobs.append((root / PLAN_LOCK_FILENAME).read_bytes())
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -349,7 +364,8 @@ def test_plan_lock_interrupted_rewrite_keeps_the_previous_lock(
     contracts = discover_corpus(corpus_dir)
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     root = tmp_path / "results"
-    before = write_plan_lock(plan, root).read_bytes()
+    write_plan_lock(plan, root)
+    before = (root / PLAN_LOCK_FILENAME).read_bytes()
 
     def killed(src, dst):
         raise OSError("killed during the rewrite")
@@ -368,7 +384,8 @@ def test_plan_lock_torn_is_an_error_naming_it(
     contracts = discover_corpus(corpus_dir)
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     root = tmp_path / "results"
-    path = write_plan_lock(plan, root)
+    write_plan_lock(plan, root)
+    path = root / PLAN_LOCK_FILENAME
     path.write_bytes(path.read_bytes()[:300])
     for call in (lambda: read_plan_lock(root), lambda: write_plan_lock(plan, root)):
         with pytest.raises(HarnessError, match=re.escape(f"{path}: not valid JSON")):

@@ -162,7 +162,6 @@ def outcome(
     version="1.0",
     exit_class=ExitClass.SUCCESS,
     findings=(),
-    fmt=ContractFormat.SOLIDITY,
     taxonomy=None,
 ):
     report = ParsedReport(findings=tuple(findings))
@@ -175,7 +174,6 @@ def outcome(
         output_dir=output_dir,
         contract_id=contract_id,
         source_path=f"/src/{contract_id}",
-        format=fmt,
         tool_id=tool,
         version_label=version,
         exit_class=exit_class,
@@ -271,7 +269,6 @@ class TestSarif:
     def test_bytecode_location(self, taxonomy):
         outcomes = [outcome(
             contract_id="c.rt.hex",
-            fmt=ContractFormat.RUNTIME_CODE,
             findings=[Finding("Mystery", "m", BytecodeLocation(0x40))],
             taxonomy=taxonomy,
         )]
@@ -334,7 +331,6 @@ EMITTED_OUTCOMES = {
     "clamped-line": [outcome(findings=[Finding("Mystery", "m", SourceLocation(0))], taxonomy=SARIF_TAXONOMY)],
     "bytecode": [outcome(
         contract_id="c.rt.hex",
-        fmt=ContractFormat.RUNTIME_CODE,
         findings=[Finding("Mystery", "m", BytecodeLocation(0x40))],
         taxonomy=SARIF_TAXONOMY,
     )],
@@ -749,7 +745,6 @@ class TestCollectOutcomes:
         assert [o.output_dir for o in outcomes] == sorted(o.output_dir for o in outcomes)
         assert all(o.exit_class is ExitClass.SUCCESS for o in outcomes)
         assert all(len(o.report.findings) == 1 for o in outcomes)
-        assert all(o.format is ContractFormat.SOLIDITY for o in outcomes)
 
         # strip one marker: that task turns incomplete, the rest still collect
         victim = outcomes[0].output_dir

@@ -144,7 +144,7 @@ def test_release_index_load_format(tmp_path: Path):
     p = tmp_path / "releases.txt"
     p.write_text("# comment\n\n0.4.11 abc123\n0.5.0 -\n0.8.0\n")
     idx = ReleaseIndex.load(p)
-    assert len(idx) == 3
+    assert len(idx.versions) == 3
     assert idx.digest_for(SemVer.parse("0.4.11")) == "abc123"
     assert idx.digest_for(SemVer.parse("0.5.0")) is None
     assert idx.digest_for(SemVer.parse("0.8.0")) is None
@@ -411,7 +411,7 @@ def test_bundled_index_pins_mock_payloads():
     from scanmux.paths import bundled_release_index
 
     idx = ReleaseIndex.load(bundled_release_index())
-    assert len(idx) >= 60
+    assert len(idx.versions) >= 60
     for v in (SemVer.parse("0.4.11"), SemVer.parse("0.8.26")):
         expected = hashlib.sha256(MockCompilerFetcher.payload(v)).hexdigest()
         assert idx.digest_for(v) == expected
