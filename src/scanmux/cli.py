@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
+import os
 import re
 import signal
 import sys
@@ -172,6 +175,24 @@ def _check_series_keys(keys: dict[str, int] | None, contract_ids) -> None:
         raise MissingKeyError(f"--keys has no key for {len(missing)} planned contract(s), e.g. {missing[0]!r}")
 
 
+@contextlib.contextmanager
+def _own_results_root(results_root: Path):
+    """Hold an exclusive ``flock`` on the results root directory, or refuse at once.
+
+    The lock lives on a descriptor of the directory itself, so no file is
+    added to the tree, and it is released when the command ends or dies.
+    """
+    fd = os.open(results_root, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise HarnessError(f"{results_root}: another scanmux command holds this results root") from None
+        yield
+    finally:
+        os.close(fd)
+
+
 def _emit_reports(results_root: Path, lock: dict, finished: dict, keys: dict[str, int] | None, args) -> None:
     taxonomy = TaxonomyMap.load(bundled_taxonomy())
     outcomes, incomplete = collect_outcomes(results_root, lock["tasks"], finished, taxonomy)
@@ -218,94 +239,97 @@ def cmd_run(args) -> int:
         backend=backend, registry_path=str(registry_dir),
     )
     _check_series_keys(keys, (t.contract.id for t in plan.tasks))
-    lock = write_plan_lock(plan, results_root)
-    print(
-        f"planned {len(plan.tasks)} tasks ({len(plan.skips)} skips) into {results_root}",
-        flush=True,
-    )
+    results_root.mkdir(parents=True, exist_ok=True)
+    with _own_results_root(results_root):
+        lock = write_plan_lock(plan, results_root)
+        print(
+            f"planned {len(plan.tasks)} tasks ({len(plan.skips)} skips) into {results_root}",
+            flush=True,
+        )
 
-    runner = Runner(
-        TaskExecutor(plan, backend, registry, cache),
-        results_root,
-        workers=args.processes,
-        on_progress=lambda done, total: print(f"[{done}/{total}] tasks finished", file=sys.stderr),
-    )
+        runner = Runner(
+            TaskExecutor(plan, backend, registry, cache),
+            results_root,
+            workers=args.processes,
+            on_progress=lambda done, total: print(f"[{done}/{total}] tasks finished", file=sys.stderr),
+        )
 
-    interrupts = {"count": 0}
+        interrupts = {"count": 0}
 
-    def on_interrupt(signum, frame):
-        interrupts["count"] += 1
-        if interrupts["count"] == 1:
-            print("interrupt: letting in-flight tasks finish; press again to kill", file=sys.stderr)
-            runner.request_stop()
-        else:
-            print("interrupt: killing in-flight tasks", file=sys.stderr)
-            runner.request_kill()
+        def on_interrupt(signum, frame):
+            interrupts["count"] += 1
+            if interrupts["count"] == 1:
+                print("interrupt: letting in-flight tasks finish; press again to kill", file=sys.stderr)
+                runner.request_stop()
+            else:
+                print("interrupt: killing in-flight tasks", file=sys.stderr)
+                runner.request_kill()
 
-    previous = signal.signal(signal.SIGINT, on_interrupt)
-    try:
-        summary = runner.run()
-    finally:
-        signal.signal(signal.SIGINT, previous)
+        previous = signal.signal(signal.SIGINT, on_interrupt)
+        try:
+            summary = runner.run()
+        finally:
+            signal.signal(signal.SIGINT, previous)
 
-    _emit_reports(results_root, lock, summary.finished, keys, args)
+        _emit_reports(results_root, lock, summary.finished, keys, args)
 
-    tally = summary.tally
-    print(
-        f"executed {summary.executed} of {summary.total} tasks: "
-        f"{tally[ExitClass.SUCCESS]} ok, {tally[ExitClass.TOOL_ERROR]} tool errors, "
-        f"{tally[ExitClass.TOOL_FAILURE]} failures, {tally[ExitClass.TIMEOUT]} timeouts, "
-        f"{tally[ExitClass.OUT_OF_MEMORY]} oom, {summary.skipped_as_done} already done"
-    )
-    if tally["infra_error"]:
-        for output_dir, message in sorted(summary.infra_errors.items()):
-            print(f"infra error: {output_dir}: {message}", file=sys.stderr)
-        print(f"{tally['infra_error']} tasks hit infrastructure errors", file=sys.stderr)
-        return EXIT_EXECUTOR
-    if interrupts["count"] > 0 or summary.remaining > 0:
-        return EXIT_INTERRUPTED
-    return EXIT_OK
+        tally = summary.tally
+        print(
+            f"executed {summary.executed} of {summary.total} tasks: "
+            f"{tally[ExitClass.SUCCESS]} ok, {tally[ExitClass.TOOL_ERROR]} tool errors, "
+            f"{tally[ExitClass.TOOL_FAILURE]} failures, {tally[ExitClass.TIMEOUT]} timeouts, "
+            f"{tally[ExitClass.OUT_OF_MEMORY]} oom, {summary.skipped_as_done} already done"
+        )
+        if tally["infra_error"]:
+            for output_dir, message in sorted(summary.infra_errors.items()):
+                print(f"infra error: {output_dir}: {message}", file=sys.stderr)
+            print(f"{tally['infra_error']} tasks hit infrastructure errors", file=sys.stderr)
+            return EXIT_EXECUTOR
+        if interrupts["count"] > 0 or summary.remaining > 0:
+            return EXIT_INTERRUPTED
+        return EXIT_OK
 
 
 def cmd_reparse(args) -> int:
     results_root = Path(args.results_root)
     lock = read_plan_lock(results_root)
-    registry_dir = Path(args.registry or lock.get("registry_path") or bundled_registry())
-    registry = load_registry(registry_dir)
-    keys = _read_series_keys(args)
-    _check_series_keys(keys, (entry["contract"] for entry in lock["tasks"]))
-    locked = sorted({(entry["tool"], entry["tool_version"]) for entry in lock["tasks"]})
-    tools = {key: registry.find(*key) for key in locked}
-    missing = [f"registry at {registry_dir} no longer defines {tool_id}:{version}"
-               for (tool_id, version), tool in tools.items() if tool is None]
-    if missing:  # checked before the loop, so a refused reparse rewrites nothing
-        raise PlanningError(missing)
+    with _own_results_root(results_root):
+        registry_dir = Path(args.registry or lock.get("registry_path") or bundled_registry())
+        registry = load_registry(registry_dir)
+        keys = _read_series_keys(args)
+        _check_series_keys(keys, (entry["contract"] for entry in lock["tasks"]))
+        locked = sorted({(entry["tool"], entry["tool_version"]) for entry in lock["tasks"]})
+        tools = {key: registry.find(*key) for key in locked}
+        missing = [f"registry at {registry_dir} no longer defines {tool_id}:{version}"
+                   for (tool_id, version), tool in tools.items() if tool is None]
+        if missing:  # checked before the loop, so a refused reparse rewrites nothing
+            raise PlanningError(missing)
 
-    finished = {}
-    for entry in lock["tasks"]:
-        out_dir = results_root / entry["output_dir"]
-        try:
-            marker = read_done_marker(out_dir)
-        except CorruptMarkerError:
-            marker = None
-        if marker is None:  # collect_outcomes reports it as incomplete
-            continue
-        content_hash, args_digest, exit_class = marker
-        finished[entry["output_dir"]] = (ExitClass(exit_class), None)
-        try:  # unreadable stored output: the task keeps its result.json
-            record = read_meta(out_dir / META_FILENAME)
-            raw = read_raw(out_dir, record.result_files)
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-        tool = tools[entry["tool"], entry["tool_version"]]
-        finished[entry["output_dir"]] = finalize(
-            out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest
-        )
-    reparsed = sum(report is not None for _, report in finished.values())
+        finished = {}
+        for entry in lock["tasks"]:
+            out_dir = results_root / entry["output_dir"]
+            try:
+                marker = read_done_marker(out_dir)
+            except CorruptMarkerError:
+                marker = None
+            if marker is None:  # collect_outcomes reports it as incomplete
+                continue
+            content_hash, args_digest, exit_class = marker
+            finished[entry["output_dir"]] = (ExitClass(exit_class), None)
+            try:  # unreadable stored output: the task keeps its result.json
+                record = read_meta(out_dir / META_FILENAME)
+                raw = read_raw(out_dir, record.result_files)
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+            tool = tools[entry["tool"], entry["tool_version"]]
+            finished[entry["output_dir"]] = finalize(
+                out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest
+            )
+        reparsed = sum(report is not None for _, report in finished.values())
 
-    _emit_reports(results_root, lock, finished, keys, args)
-    print(f"reparsed {reparsed} tasks under {results_root}")
-    return EXIT_OK
+        _emit_reports(results_root, lock, finished, keys, args)
+        print(f"reparsed {reparsed} tasks under {results_root}")
+        return EXIT_OK
 
 
 def cmd_tools(args) -> int:

@@ -388,27 +388,30 @@ def plan_to_doc(plan: RunPlan) -> dict:
 
 
 def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
-    """Serialize the plan into the results root and return the document written.
+    """Serialize the plan into the results root and return its document.
 
+    A lock on disk that already holds this document is left as it is.
     Refuses to overwrite a lock created with different arguments: such a root
     belongs to another invocation and mixing the two would corrupt resume.
     """
     root = Path(results_root)
     root.mkdir(parents=True, exist_ok=True)
+    doc = plan_to_doc(plan)
     try:
-        existing = read_plan_lock(root).get("args_digest")
+        existing = read_plan_lock(root)
     except PlanLockMissingError:
-        existing = plan.args_digest
+        existing = None
+    if existing == doc:
+        return doc
     path = root / PLAN_LOCK_FILENAME
-    if existing != plan.args_digest:
+    if existing is not None and existing.get("args_digest") != plan.args_digest:
         raise PlanningError(
             [
                 f"{path}: created by a different invocation "
-                f"(args digest {existing!r} != {plan.args_digest!r}); "
+                f"(args digest {existing.get('args_digest')!r} != {plan.args_digest!r}); "
                 "use a fresh results root or rerun with the original arguments"
             ]
         )
-    doc = plan_to_doc(plan)
     write_atomically(path, dump_json(doc).encode("utf-8"), 0o644)
     return doc
 

@@ -477,7 +477,8 @@ def write_findings_csv(path: str | Path, outcomes: Sequence[TaskOutcome]) -> Non
                     _location_text(outcome, nf.finding),
                 ]
             )
-    write_atomically(Path(path), buf.getvalue().encode("utf-8"), 0o644)
+    # A tool's JSON can escape a lone surrogate into a label; UTF-8 cannot hold it.
+    write_atomically(Path(path), buf.getvalue().encode("utf-8", errors="backslashreplace"), 0o644)
 
 
 def read_keys(path: str | Path) -> dict[str, int]:

@@ -12,9 +12,9 @@ from typing import Callable, Sequence
 from .executor import ContainerBackend, execute
 from .model import ExecutionRecord, HarnessError, ParsedReport, RawResult, Task
 from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, write_report
-from .plan import RunPlan
+from .plan import PlanningError, RunPlan
 from .registry import ParserSpec, Registry
-from .solc import CompilerCache
+from .solc import CompilerCache, SemVer
 
 DONE_MARKER_FILENAME = "done"
 MARKER_VERSION = "v1"
@@ -122,6 +122,15 @@ def permute(tasks: Sequence[Task], seed: int) -> list[Task]:
         j = _randbelow(rng, i + 1)
         items[i], items[j] = items[j], items[i]
     return items
+
+
+def _in_threads(name: str, target: Callable[..., None], args: Sequence[tuple]) -> None:
+    """Run ``target`` once per argument tuple, each on its own thread ``<name>-<i>``, and wait for all."""
+    threads = [threading.Thread(target=target, args=a, name=f"{name}-{i}") for i, a in enumerate(args)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
 
 
 @dataclass(frozen=True)
@@ -251,18 +260,39 @@ class Runner:
                 if self.on_progress is not None:  # under the lock: calls never overlap
                     self.on_progress(summary.executed, pending_total)
 
+    def _verify_compilers(self, pending: Sequence[Task]) -> None:
+        """Hash, in parallel, each compiler that a pending task stages, before any task is dispatched.
+
+        Planning only fetched what was absent. A binary that fails its digest
+        is dropped from the cache, so the next run fetches it again, and the
+        run fails as planning would.
+        """
+        versions = sorted({SemVer.parse(t.compiler_version) for t in pending if t.compiler_version})
+        cache = self.executor.cache
+        width = min(self.workers, len(versions))
+        verified: dict[SemVer, Path | None] = {}
+
+        def verify(share: Sequence[SemVer]) -> None:
+            for version in share:
+                verified[version] = cache.lookup(version)  # hashlib releases the GIL
+
+        _in_threads("scanmux-verify", verify, [(versions[i::width],) for i in range(width)])
+        failed = [version for version in versions if verified.get(version) is None]
+        for version in failed:
+            cache.discard(version)
+        if failed:
+            raise PlanningError([
+                f"compiler {version}: cached binary {cache.path_for(version)} is missing or fails its digest "
+                "check; it was removed from the cache, so the next run fetches it again"
+                for version in failed
+            ])
+
     def run(self) -> RunSummary:
         plan = self.executor.plan
         pending, done = resume_filter(plan, self.results_root)
+        self._verify_compilers(pending)
         finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
         summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=finished)
         self._queue = deque(permute(pending, plan.seed))
-        threads = [
-            threading.Thread(target=self._worker, args=(summary, len(pending)), name=f"scanmux-worker-{i}")
-            for i in range(min(self.workers, max(len(pending), 1)))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        _in_threads("scanmux-worker", self._worker, [(summary, len(pending))] * min(self.workers, max(len(pending), 1)))
         return summary

@@ -296,10 +296,12 @@ class CompilerCache:
     """Digest-verified store of downloaded compiler binaries.
 
     Layout: ``<cache_dir>/solc-<version>`` plus an ``index`` file with one
-    ``version digest size`` line per entry. Entries are never evicted.
+    ``version digest size`` line per entry. A binary is deleted only by
+    ``discard``; its index line then stays until the version is stored again.
 
-    A binary is hashed once per process: after it verifies, later lookups
-    trust it while its stat stamp (device, inode, size, mtime) is unchanged.
+    ``holds`` reads only the index and the file's size. ``lookup`` hashes a
+    binary once per process: after it verifies, later lookups trust it while
+    its stat stamp (device, inode, size, mtime) is unchanged.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -331,6 +333,20 @@ class CompilerCache:
     def known_versions(self) -> tuple[SemVer, ...]:
         return tuple(sorted(self._index))
 
+    def holds(self, version: SemVer) -> bool:
+        """Whether the index lists ``version`` and its file has the recorded size; hashes nothing."""
+        entry = self._index.get(version)
+        if entry is None:
+            return False
+        try:
+            return os.stat(self.path_for(version)).st_size == entry[1]
+        except OSError:
+            return False
+
+    def discard(self, version: SemVer) -> None:
+        """Delete a cached binary, so that the next ``ensure_compiler`` fetches it again."""
+        self.path_for(version).unlink(missing_ok=True)
+
     def lookup(self, version: SemVer) -> Path | None:
         """Path of a cached, digest-verified binary, or None."""
         entry = self._index.get(version)
@@ -346,9 +362,12 @@ class CompilerCache:
         stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
         if self._verified.get(version) == stamp:
             return path
-        with open(path, "rb") as f:
-            if hashlib.file_digest(f, "sha256").hexdigest() != entry[0]:
-                return None
+        try:
+            with open(path, "rb") as f:
+                if hashlib.file_digest(f, "sha256").hexdigest() != entry[0]:
+                    return None
+        except OSError:
+            return None
         if now_ns - st.st_mtime_ns > _SETTLED_NS:
             self._verified[version] = stamp
         return path
@@ -376,12 +395,13 @@ def ensure_compiler(
 ) -> Path:
     """Idempotently provision one compiler binary into the cache.
 
-    A second call for the same version performs no fetch. Corrupted downloads
-    are discarded without touching the cache.
+    A second call for the same version performs no fetch. A cached binary is
+    taken on its index entry and size, unhashed: ``CompilerCache.lookup``
+    checks its digest before a task stages it. Corrupted downloads are
+    discarded without touching the cache.
     """
-    cached = cache.lookup(version)
-    if cached is not None:
-        return cached
+    if cache.holds(version):
+        return cache.path_for(version)
     last_error: Exception | None = None
     for _ in range(FETCH_ATTEMPTS):
         try:

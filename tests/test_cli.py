@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import re
@@ -27,7 +28,9 @@ from scanmux.model import ResourceLimits
 from scanmux.paths import bundled_registry, dump_json
 from scanmux.plan import PLAN_LOCK_FILENAME, discover_contracts
 from scanmux.registry import load_registry
+from scanmux.reporting import FINDINGS_FILENAME, SARIF_FILENAME, SUMMARY_FILENAME
 from scanmux.runner import Runner
+from scanmux.solc import MockCompilerFetcher, SemVer
 
 from helpers import write_corpus, write_tool_dir
 from test_acceptance import tree_digest
@@ -204,11 +207,88 @@ class TestRunCommand:
     def test_rerun_skips_done_tasks(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "results", tmp_path / "cc")
         assert main(argv) == 0
+        lock = os.stat(tmp_path / "results" / PLAN_LOCK_FILENAME)
         capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert f"executed 0 of {self.EXPECTED_TASKS}" in out
         assert f"{self.EXPECTED_TASKS} already done" in out
+        resumed = os.stat(tmp_path / "results" / PLAN_LOCK_FILENAME)
+        assert (resumed.st_ino, resumed.st_mtime_ns) == (lock.st_ino, lock.st_mtime_ns)  # the unchanged lock stays
+
+    @pytest.mark.parametrize("damage, first_exit", [("same-size", 2), ("truncated", 0), ("missing", 0)])
+    def test_damaged_cached_compiler_never_reaches_a_task(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch, damage, first_exit
+    ):
+        cache = tmp_path / "cc"
+        assert main(run_argv(small_corpus, mock_registry_dir, tmp_path / "first", cache)) == 0
+        binary = sorted(cache.glob("solc-*"))[0]
+        version = binary.name.removeprefix("solc-")
+        if damage == "missing":
+            binary.unlink()
+        else:  # planning checks the size only, so only a same-size tamper gets past it
+            size = binary.stat().st_size
+            binary.write_bytes(b"x" * (size if damage == "same-size" else size // 2))
+        runs = []
+        real_run = MockBackend.run
+
+        def counted(backend, *args, **kwargs):
+            runs.append(args)
+            return real_run(backend, *args, **kwargs)
+
+        monkeypatch.setattr(MockBackend, "run", counted)
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, cache)
+        capsys.readouterr()
+        assert main(argv) == first_exit
+        if first_exit == 2:
+            err = capsys.readouterr().err
+            assert f"compiler {version}: cached binary {binary} " in err and "Traceback" not in err
+            assert not list(results.rglob("done")) and runs == []
+            assert not binary.exists()  # dropped, so the identical command fetches it again
+            assert main(argv) == 0
+        assert binary.read_bytes() == MockCompilerFetcher.payload(SemVer.parse(version))
+        assert len(list(results.rglob("done"))) == len(runs) == self.EXPECTED_TASKS
+
+    def test_held_root_refuses_run_and_reparse(self, tmp_path, capsys, small_corpus, mock_registry_dir):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        assert main(argv) == 0
+
+        def files():
+            return {p.relative_to(results).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in results.rglob("*") if p.is_file()}
+
+        before = files()
+        capsys.readouterr()
+        fd = os.open(results, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            for command in (argv, ["reparse", str(results)]):
+                assert main(command) == 2
+                assert capsys.readouterr().err == f"error: {results}: another scanmux command holds this results root\n"
+        finally:
+            os.close(fd)
+        assert files() == before
+        assert main(argv) == 0
+
+    def test_lone_surrogate_label_reaches_every_report(self, tmp_path, capsys):
+        corpus = tmp_path / "contracts"
+        corpus.mkdir()
+        (corpus / "a.sol").write_text("pragma solidity ^0.8.0;\ncontract A {}\n")
+        # json.dumps writes the surrogate as the escape \ud800, as a tool's JSON may
+        stdout = json.dumps({"success": True, "issues": [
+            {"title": "\ud800 bad", "description": "d", "lineno": 1, "swc-id": "107"}]})
+        results = tmp_path / "results"
+        argv = run_argv(corpus, bundled_registry(), results, tmp_path / "cc", "--tools", "mythril", "--sarif",
+                        "--mock-fixtures", str(mythril_fixtures(tmp_path, stdout)))
+        reports = [results / name for name in (SUMMARY_FILENAME, FINDINGS_FILENAME, SARIF_FILENAME)]
+        for command in (argv, ["reparse", str(results), "--sarif"]):
+            for report in reports:
+                report.unlink(missing_ok=True)
+            assert main(command) == 0, capsys.readouterr().err
+            assert all(report.is_file() for report in reports)
+            assert "\\ud800 bad" in (results / FINDINGS_FILENAME).read_text()
 
     def test_sarif_flag(self, tmp_path, small_corpus, mock_registry_dir):
         results = tmp_path / "results"
@@ -431,11 +511,13 @@ class TestRunCommand:
         script = (
             "import json, os, sys\n"
             "import scanmux.cli\n"
-            "root, argv = sys.argv[1], sys.argv[2:]\n"
+            "root, cache, argv = sys.argv[1], sys.argv[2], sys.argv[3:]\n"
             "counts = {}\n"
             "def hook(event, args):\n"
             "    if event not in ('open', 'os.scandir') or not isinstance(args[0], str):\n"
             "        return\n"
+            "    if event == 'open' and args[0].startswith(os.path.join(cache, 'solc-')):\n"
+            "        counts[phase]['compiler'] = counts[phase].get('compiler', 0) + 1\n"
             "    if args[0].startswith(root):\n"
             "        reading = event == 'open' and args[2] & os.O_ACCMODE == os.O_RDONLY\n"
             "        key = 'read' if reading else 'scandir' if event == 'os.scandir' else 'write'\n"
@@ -451,7 +533,7 @@ class TestRunCommand:
         src = Path(scanmux.__file__).parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
-            [sys.executable, "-c", script, str(results), *argv],
+            [sys.executable, "-c", script, str(results), str(tmp_path / "cc"), *argv],
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
@@ -459,6 +541,8 @@ class TestRunCommand:
         n = len(json.loads((results / "plan.lock").read_text())["tasks"])
         assert n == 24
         assert counts["resume"].get("read", 0) <= 2 * n + 10, counts
+        assert counts["run"].get("compiler", 0) > 0, counts
+        assert counts["resume"].get("compiler", 0) == 0, counts  # nothing pending: no compiler is hashed
         assert counts["reparse"].get("read", 0) <= 4 * n + 10, counts
         assert counts["reparse"].get("scandir", 0) == 0, counts
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -371,11 +372,33 @@ def test_plan_lock_interrupted_rewrite_keeps_the_previous_lock(
         raise OSError("killed during the rewrite")
 
     monkeypatch.setattr(os, "replace", killed)
-    with pytest.raises(OSError, match="killed"):
-        write_plan_lock(plan, root)
+    with pytest.raises(OSError, match="killed"):  # an unchanged plan is not rewritten, so move the registry
+        write_plan_lock(dataclasses.replace(plan, registry_path=str(tmp_path / "moved")), root)
     monkeypatch.undo()
     assert (root / "plan.lock").read_bytes() == before
     assert [p.name for p in root.iterdir()] == ["plan.lock"]
+
+
+@pytest.mark.parametrize("change", [None, "version-1", "registry-moved"])
+def test_plan_lock_is_rewritten_only_when_its_document_changed(
+    tmp_path, corpus_dir, mock_registry, compiler_cache, release_index, change
+):
+    contracts = discover_corpus(corpus_dir)
+    plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
+    root = tmp_path / "results"
+    path = root / PLAN_LOCK_FILENAME
+    write_plan_lock(plan, root)
+    if change == "version-1":
+        path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
+    if change == "registry-moved":
+        plan = dataclasses.replace(plan, registry_path=str(tmp_path / "moved"))
+    before = os.stat(path)
+    written = write_plan_lock(plan, root)
+    after = os.stat(path)
+    assert written == read_plan_lock(root)
+    assert written["registry_path"] == plan.registry_path and written["version"] == 2
+    unchanged = (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    assert unchanged == (change is None)
 
 
 def test_plan_lock_torn_is_an_error_naming_it(

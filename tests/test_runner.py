@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
 from pathlib import Path
@@ -21,8 +22,9 @@ from scanmux.runner import (
     resume_filter,
     write_done_marker,
 )
+from scanmux.solc import CompilerCache
 
-from helpers import discover_corpus, plan_for
+from helpers import backdate, discover_corpus, plan_for
 
 
 def test_permute_frozen_seed_0():
@@ -298,3 +300,32 @@ class TestRunner:
         assert final.executed == partial.remaining
         assert final.remaining == 0
         assert len(list(Path(tmp_path).rglob("done"))) == 60
+
+    def test_compilers_are_hashed_once_before_dispatch_and_only_for_pending_tasks(
+        self, wired, tmp_path, monkeypatch
+    ):
+        plan, executor, backend = wired()
+        for binary in executor.cache.cache_dir.glob("solc-*"):
+            backdate(binary)  # cached by an earlier run: trusted on its stat stamp once verified
+        hashed = []
+        file_digest = hashlib.file_digest
+
+        def counted(f, name):
+            hashed.append((Path(f.name).name, threading.current_thread().name))
+            return file_digest(f, name)
+
+        monkeypatch.setattr(hashlib, "file_digest", counted)
+        assert Runner(executor, tmp_path, workers=2).run().executed == 60
+        versions = sorted({t.compiler_version for t in plan.tasks if t.compiler_version})
+        assert len(versions) > 2
+        assert sorted(name for name, _ in hashed) == [f"solc-{v}" for v in versions]
+        assert all(thread.startswith("scanmux-verify") for _, thread in hashed)  # none in a worker
+
+        for task in plan.tasks:  # leave only the tasks of one compiler to run
+            if task.compiler_version == versions[0]:
+                (tmp_path / task.output_dir / "done").unlink()
+        hashed.clear()
+        fresh = TaskExecutor(plan, backend, executor.registry, CompilerCache(executor.cache.cache_dir))
+        summary = Runner(fresh, tmp_path, workers=2).run()
+        assert summary.executed == sum(t.compiler_version == versions[0] for t in plan.tasks)
+        assert [name for name, _ in hashed] == [f"solc-{versions[0]}"]

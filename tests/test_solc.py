@@ -233,6 +233,15 @@ def test_cache_detects_corruption(tmp_path: Path):
     assert cache.lookup(v) is None
 
 
+def test_cache_lookup_of_an_unopenable_binary_is_none(tmp_path: Path):
+    cache = CompilerCache(tmp_path / "cc")
+    v = SemVer.parse("0.8.1")
+    path = cache.store(v, b"good")
+    path.unlink()
+    path.mkdir()  # open() raises, as for a binary removed between stat and open
+    assert cache.lookup(v) is None
+
+
 def test_cache_survives_reload(tmp_path: Path):
     cache = CompilerCache(tmp_path / "cc")
     v = SemVer.parse("0.7.6")
