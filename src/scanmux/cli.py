@@ -46,11 +46,13 @@ from .reporting import (
     emit_sarif,
     error_rate_series,
     read_keys,
+    report_stamp,
+    reports_current,
     write_findings_csv,
     write_sarif,
     write_summary,
 )
-from .runner import CorruptMarkerError, Runner, TaskExecutor, finalize, read_done_marker
+from .runner import Runner, TaskExecutor, finalize, read_done_markers
 from .solc import CompilerCache, MockCompilerFetcher, ReleaseIndex, UrlCompilerFetcher
 
 DEFAULT_RESULTS = "results/" + DEFAULT_SCHEME
@@ -193,15 +195,29 @@ def _own_results_root(results_root: Path):
         os.close(fd)
 
 
-def _emit_reports(results_root: Path, lock: dict, finished: dict, keys: dict[str, int] | None, args) -> None:
+def _report_stamp(lock: dict, keys: dict[str, int] | None, args) -> str:
+    return report_stamp(
+        bundled_taxonomy().read_bytes(), lock["tasks"], lock["skips"], keys, args.bin_size, args.sarif
+    )
+
+
+def _withdraw_reports(results_root: Path) -> None:
+    """Delete ``summary.json``, and with it the stamp, before any ``result.json`` may change."""
+    (results_root / SUMMARY_FILENAME).unlink(missing_ok=True)
+
+
+def _emit_reports(
+    results_root: Path, lock: dict, finished: dict, keys: dict[str, int] | None, args, stamp: str
+) -> None:
+    """Write the reports; ``summary.json`` last, so its stamp lands only once the others are in place."""
     taxonomy = TaxonomyMap.load(bundled_taxonomy())
     outcomes, incomplete = collect_outcomes(results_root, lock["tasks"], finished, taxonomy)
-    series = error_rate_series(outcomes, keys, args.bin_size) if keys is not None else None
-    summary = build_summary(outcomes, skips=lock["skips"], incomplete=incomplete, series=series)
-    write_summary(results_root / SUMMARY_FILENAME, summary)
     write_findings_csv(results_root / FINDINGS_FILENAME, outcomes)
     if args.sarif:
         write_sarif(results_root / SARIF_FILENAME, emit_sarif(outcomes, taxonomy))
+    series = error_rate_series(outcomes, keys, args.bin_size) if keys is not None else None
+    summary = build_summary(outcomes, skips=lock["skips"], incomplete=incomplete, series=series, stamp=stamp)
+    write_summary(results_root / SUMMARY_FILENAME, summary)
 
 
 def cmd_run(args) -> int:
@@ -267,11 +283,13 @@ def cmd_run(args) -> int:
 
         previous = signal.signal(signal.SIGINT, on_interrupt)
         try:
-            summary = runner.run()
+            summary = runner.run(before_dispatch=lambda: _withdraw_reports(results_root))
         finally:
             signal.signal(signal.SIGINT, previous)
 
-        _emit_reports(results_root, lock, summary.finished, keys, args)
+        stamp = _report_stamp(lock, keys, args)
+        if summary.skipped_as_done < summary.total or not reports_current(results_root, stamp, args.sarif):
+            _emit_reports(results_root, lock, summary.finished, keys, args, stamp)
 
         tally = summary.tally
         print(
@@ -305,17 +323,16 @@ def cmd_reparse(args) -> int:
         if missing:  # checked before the loop, so a refused reparse rewrites nothing
             raise PlanningError(missing)
 
+        _withdraw_reports(results_root)
+        markers = read_done_markers(results_root, (entry["output_dir"] for entry in lock["tasks"]))
         finished = {}
         for entry in lock["tasks"]:
             out_dir = results_root / entry["output_dir"]
-            try:
-                marker = read_done_marker(out_dir)
-            except CorruptMarkerError:
-                marker = None
-            if marker is None:  # collect_outcomes reports it as incomplete
+            marker = markers.get(entry["output_dir"])
+            if marker is None:  # absent or corrupt: collect_outcomes reports it as incomplete
                 continue
             content_hash, args_digest, exit_class = marker
-            finished[entry["output_dir"]] = (ExitClass(exit_class), None)
+            finished[entry["output_dir"]] = (exit_class, None)
             try:  # unreadable stored output: the task keeps its result.json
                 record = read_meta(out_dir / META_FILENAME)
                 raw = read_raw(out_dir, record.result_files)
@@ -327,7 +344,7 @@ def cmd_reparse(args) -> int:
             )
         reparsed = sum(report is not None for _, report in finished.values())
 
-        _emit_reports(results_root, lock, finished, keys, args)
+        _emit_reports(results_root, lock, finished, keys, args, _report_stamp(lock, keys, args))
         print(f"reparsed {reparsed} tasks under {results_root}")
         return EXIT_OK
 

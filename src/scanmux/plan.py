@@ -417,10 +417,16 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
 
 
 def read_plan_lock(results_root: str | Path) -> dict:
+    """The lock document; refuses one that is not JSON or not an object with ``tasks`` and ``skips`` lists."""
     path = Path(results_root) / PLAN_LOCK_FILENAME
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise PlanLockMissingError(f"{path}: no plan found (was a run started here?)") from None
     except ValueError:
         raise HarnessError(f"{path}: not valid JSON; remove it and rerun with the original arguments") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list) and isinstance(doc.get("skips"), list)):
+        raise HarnessError(
+            f"{path}: not a plan lock (no 'tasks' and 'skips' lists); remove it and rerun with the original arguments"
+        )
+    return doc

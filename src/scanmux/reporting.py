@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import hashlib
 import io
 import json
 import numbers
@@ -28,6 +29,7 @@ from .paths import dump_json, load_yaml, sarif_schema_path, write_atomically
 SARIF_FILENAME = "report.sarif"
 FINDINGS_FILENAME = "findings.csv"
 SUMMARY_FILENAME = "summary.json"
+SUMMARY_SCHEMA = 1
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA_URI = "https://json.schemastore.org/sarif-2.1.0.json"
@@ -413,8 +415,13 @@ def build_summary(
     skips: Sequence[Mapping] = (),
     incomplete: Sequence[str] = (),
     series: Mapping[str, list[tuple[int, float]]] | None = None,
+    stamp: str | None = None,
 ) -> dict:
-    """Per-tool exit-class counts and rates, ready for summary.json."""
+    """Per-tool exit-class counts and rates, ready for summary.json.
+
+    ``stamp`` is the ``report_stamp`` of the inputs the reports were built
+    from; ``reports_current`` compares it with the next command's.
+    """
     per_tool: dict[str, dict] = {}
     for outcome in sorted(outcomes, key=lambda o: (o.tool_key, o.output_dir)):
         stats = per_tool.setdefault(
@@ -432,7 +439,7 @@ def build_summary(
         for field in totals:
             totals[field] += stats[field]
     doc = {
-        "schema": 1,
+        "schema": SUMMARY_SCHEMA,
         "tools": per_tool,
         "totals": totals,
         "unmapped_labels": [list(pair) for pair in unmapped_labels(outcomes)],
@@ -443,7 +450,54 @@ def build_summary(
         doc["error_rate_series"] = {
             tool: [[b, rate] for b, rate in points] for tool, points in series.items()
         }
+    if stamp is not None:
+        doc["stamp"] = stamp
     return doc
+
+
+def report_stamp(
+    taxonomy: bytes,
+    tasks: Sequence[Mapping],
+    skips: Sequence[Mapping],
+    keys: Mapping[str, int] | None,
+    bin_size: int,
+    sarif: bool,
+) -> str:
+    """Digest of every input the reports depend on besides the tasks' stored results.
+
+    Those inputs are the taxonomy file's bytes, the plan lock's task and skip
+    entries, the ``--keys`` mapping, ``--bin-size``, ``--sarif`` and the
+    summary schema. It holds no path, so equal inputs give equal stamps
+    under any results root.
+    """
+    inputs = {
+        "bin_size": bin_size,
+        "keys": keys,
+        "sarif": sarif,
+        "schema": SUMMARY_SCHEMA,
+        "skips": skips,
+        "tasks": tasks,
+        "taxonomy": hashlib.sha256(taxonomy).hexdigest(),
+    }
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def reports_current(results_root: str | Path, stamp: str, sarif: bool) -> bool:
+    """True when every report a command would write exists and ``summary.json`` carries ``stamp``.
+
+    A missing, unreadable or unstamped ``summary.json`` is not current. The
+    stamp stays true only while no ``result.json`` changes, so a command that
+    may finalize a task deletes ``summary.json`` before it starts.
+    """
+    root = Path(results_root)
+    others = (FINDINGS_FILENAME, SARIF_FILENAME) if sarif else (FINDINGS_FILENAME,)
+    if not all((root / name).is_file() for name in others):
+        return False
+    try:
+        doc = json.loads((root / SUMMARY_FILENAME).read_bytes())
+    except (OSError, ValueError, RecursionError):
+        return False
+    return isinstance(doc, dict) and doc.get("stamp") == stamp
 
 
 def write_summary(path: str | Path, summary: dict) -> None:

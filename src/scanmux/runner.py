@@ -7,7 +7,7 @@ import threading
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .executor import ContainerBackend, execute
 from .model import ExecutionRecord, HarnessError, ParsedReport, RawResult, Task
@@ -77,6 +77,25 @@ def _archive_stale(out_dir: Path) -> None:
         k += 1
 
 
+def read_done_markers(
+    results_root: Path, output_dirs: Iterable[str]
+) -> dict[str, tuple[str, str, ExitClass] | None]:
+    """Output dir -> (content hash, args digest, exit class) of its done marker, None if corrupt.
+
+    An output dir without a marker has no entry.
+    """
+    markers: dict[str, tuple[str, str, ExitClass] | None] = {}
+    for output_dir in output_dirs:
+        try:
+            marker = read_done_marker(results_root / output_dir)
+        except CorruptMarkerError:
+            markers[output_dir] = None
+            continue
+        if marker is not None:
+            markers[output_dir] = (marker[0], marker[1], ExitClass(marker[2]))
+    return markers
+
+
 def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], dict[str, ExitClass]]:
     """(tasks still to run, output dir -> exit class of each task already done).
 
@@ -85,21 +104,16 @@ def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], 
     ``.stale.<k>``) so the rerun starts clean without destroying evidence.
     """
     root = Path(results_root)
+    markers = read_done_markers(root, (task.output_dir for task in plan.tasks))
     pending: list[Task] = []
     done: dict[str, ExitClass] = {}
     for task in plan.tasks:
-        out_dir = root / task.output_dir
-        try:
-            marker = read_done_marker(out_dir)
-        except CorruptMarkerError:
-            _archive_stale(out_dir)
-            marker = None
-        if marker is None:
+        if task.output_dir not in markers:
             pending.append(task)
-        elif marker[:2] == (task.contract.content_hash, plan.args_digest):
-            done[task.output_dir] = ExitClass(marker[2])
+        elif (marker := markers[task.output_dir]) and marker[:2] == (task.contract.content_hash, plan.args_digest):
+            done[task.output_dir] = marker[2]
         else:
-            _archive_stale(out_dir)
+            _archive_stale(root / task.output_dir)
             pending.append(task)
     return pending, done
 
@@ -287,10 +301,17 @@ class Runner:
                 for version in failed
             ])
 
-    def run(self) -> RunSummary:
+    def run(self, before_dispatch: Callable[[], None] | None = None) -> RunSummary:
+        """Resume scan, compiler check, then every pending task on the worker pool.
+
+        ``before_dispatch`` is called once, when some task is pending, after
+        the compiler check and before the first task is dispatched.
+        """
         plan = self.executor.plan
         pending, done = resume_filter(plan, self.results_root)
         self._verify_compilers(pending)
+        if pending and before_dispatch is not None:
+            before_dispatch()
         finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
         summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=finished)
         self._queue = deque(permute(pending, plan.seed))

@@ -1,4 +1,5 @@
-"""Test helpers: a five-tool mock registry, synthetic contracts, CLI-like plans.
+"""Test helpers: a five-tool mock registry, synthetic contracts, CLI-like plans,
+and a child Python process that imports this checkout's scanmux.
 
 Fixtures that use these live in ``conftest.py``; test modules import the
 helpers from here.
@@ -7,10 +8,13 @@ helpers from here.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import textwrap
 import time
 from pathlib import Path
 
+import scanmux
 from scanmux.model import ResourceLimits
 from scanmux.plan import build_plan, discover_contracts
 from scanmux.solc import MockCompilerFetcher
@@ -170,3 +174,15 @@ def backdate(path: Path, seconds: float = 3600.0) -> None:
     """Set a file's mtime ``seconds`` into the past, like a compiler cached by an earlier run."""
     then = time.time_ns() - int(seconds * 1e9)
     os.utime(path, ns=(then, then))
+
+
+def run_python(script: str, *args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
+    """Run ``python -c script args`` in a child process that imports this checkout's scanmux.
+
+    Returns the finished process with its stdout and stderr as text.
+    """
+    src = Path(scanmux.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=timeout
+    )

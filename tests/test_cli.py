@@ -7,8 +7,7 @@ import json
 import os
 import re
 import shutil
-import subprocess
-import sys
+import signal
 import threading
 from pathlib import Path
 
@@ -29,10 +28,10 @@ from scanmux.paths import bundled_registry, dump_json
 from scanmux.plan import PLAN_LOCK_FILENAME, discover_contracts
 from scanmux.registry import load_registry
 from scanmux.reporting import FINDINGS_FILENAME, SARIF_FILENAME, SUMMARY_FILENAME
-from scanmux.runner import Runner
+from scanmux.runner import Runner, finalize
 from scanmux.solc import MockCompilerFetcher, SemVer
 
-from helpers import write_corpus, write_tool_dir
+from helpers import run_python, write_corpus, write_tool_dir
 from test_acceptance import tree_digest
 from test_parsing import BUNDLED, HOSTILE
 
@@ -178,6 +177,15 @@ def mythril_fixtures(tmp_path: Path, stdout: str) -> Path:
     return fixtures
 
 
+REPORTS = (SUMMARY_FILENAME, FINDINGS_FILENAME, SARIF_FILENAME)
+
+
+def file_stamps(root: Path, *names: str) -> dict[str, tuple[int, int]]:
+    """(inode, mtime in ns) of each named file under root that exists; a rewrite changes both."""
+    stats = {name: os.stat(root / name) for name in names if (root / name).exists()}
+    return {name: (st.st_ino, st.st_mtime_ns) for name, st in stats.items()}
+
+
 @pytest.fixture
 def small_corpus(tmp_path):
     return write_corpus(tmp_path / "contracts", n_sol=2, n_creation=1, n_runtime=1)
@@ -205,16 +213,61 @@ class TestRunCommand:
         assert summary["skips"] == 8
 
     def test_rerun_skips_done_tasks(self, tmp_path, capsys, small_corpus, mock_registry_dir):
-        argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "results", tmp_path / "cc")
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
         assert main(argv) == 0
-        lock = os.stat(tmp_path / "results" / PLAN_LOCK_FILENAME)
+        before = file_stamps(results, PLAN_LOCK_FILENAME, *REPORTS)
         capsys.readouterr()
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert f"executed 0 of {self.EXPECTED_TASKS}" in out
         assert f"{self.EXPECTED_TASKS} already done" in out
-        resumed = os.stat(tmp_path / "results" / PLAN_LOCK_FILENAME)
-        assert (resumed.st_ino, resumed.st_mtime_ns) == (lock.st_ino, lock.st_mtime_ns)  # the unchanged lock stays
+        assert file_stamps(results, PLAN_LOCK_FILENAME, *REPORTS) == before  # the unchanged lock and reports stay
+
+    @pytest.mark.parametrize("change", [
+        "deleted-sarif", "changed-keys", "changed-bin-size", "added-sarif", "removed-contract",
+        "summary-not-an-object", "torn-summary", "unstamped-summary",
+    ])
+    def test_changed_report_input_rewrites_every_report(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, change
+    ):
+        keys = tmp_path / "keys.csv"
+        keys.write_text("".join(f"{p.as_posix()},{i}\n" for i, p in enumerate(sorted(small_corpus.iterdir()))))
+        results = tmp_path / "results"
+        # bravo takes every format, so the plan has no skips and a removed contract changes only the tasks
+        first = ["-t", "bravo", "--keys", str(keys), "--bin-size", "2", "--sarif"]
+        if change == "added-sarif":
+            first.remove("--sarif")
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", *first)) == 0
+        bin_size = "3" if change == "changed-bin-size" else "2"
+        then = ["-t", "bravo", "--keys", str(keys), "--bin-size", bin_size, "--sarif"]
+        summary = results / SUMMARY_FILENAME
+        if change == "deleted-sarif":
+            (results / SARIF_FILENAME).unlink()
+        elif change == "changed-keys":
+            keys.write_text(keys.read_text().replace(",1\n", ",7\n"))
+        elif change == "removed-contract":
+            sorted(small_corpus.glob("*.sol"))[0].unlink()
+        elif change == "summary-not-an-object":
+            summary.write_text("[]\n")
+        elif change == "torn-summary":
+            summary.write_bytes(summary.read_bytes()[:40])
+        elif change == "unstamped-summary":  # as a version without the stamp wrote it
+            doc = json.loads(summary.read_text())
+            del doc["stamp"]
+            summary.write_text(dump_json(doc))
+        before = file_stamps(results, *REPORTS)
+        capsys.readouterr()
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", *then)) == 0
+        assert "executed 0 of" in capsys.readouterr().out
+        after = file_stamps(results, *REPORTS)
+        assert all(after[name] != stamp for name, stamp in before.items()), (before, after)
+
+        fresh = tmp_path / "fresh"
+        assert main(run_argv(small_corpus, mock_registry_dir, fresh, tmp_path / "cc", *then)) == 0
+        assert {name: (results / name).read_bytes() for name in REPORTS} == {
+            name: (fresh / name).read_bytes() for name in REPORTS
+        }
 
     @pytest.mark.parametrize("damage, first_exit", [("same-size", 2), ("truncated", 0), ("missing", 0)])
     def test_damaged_cached_compiler_never_reaches_a_task(
@@ -494,11 +547,7 @@ class TestRunCommand:
             "code = scanmux.cli.main(sys.argv[1:])\n"
             "sys.exit(code or 10 * ('jsonschema' in sys.modules))\n"
         )
-        src = Path(scanmux.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120
-        )
+        proc = run_python(script, *argv)
         assert proc.returncode == 0, "jsonschema imported" if proc.returncode == 10 else proc.stderr
         doc = json.loads((results / "report.sarif").read_text())
         assert sum(len(run["results"]) for run in doc["runs"]) == 3  # delta: 2 solidity + 1 runtime
@@ -530,17 +579,13 @@ class TestRunCommand:
             "        sys.exit(phase + ' failed')\n"
             "print(json.dumps(counts))\n"
         )
-        src = Path(scanmux.__file__).parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(results), str(tmp_path / "cc"), *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = run_python(script, str(results), str(tmp_path / "cc"), *argv)
         assert proc.returncode == 0, proc.stderr
         counts = json.loads(proc.stdout.strip().splitlines()[-1])
         n = len(json.loads((results / "plan.lock").read_text())["tasks"])
         assert n == 24
-        assert counts["resume"].get("read", 0) <= 2 * n + 10, counts
+        assert counts["resume"].get("read", 0) <= n + 10, counts  # the done markers; no result.json
+        assert counts["resume"].get("write", 0) == 0, counts  # unchanged reports are not rewritten
         assert counts["run"].get("compiler", 0) > 0, counts
         assert counts["resume"].get("compiler", 0) == 0, counts  # nothing pending: no compiler is hashed
         assert counts["reparse"].get("read", 0) <= 4 * n + 10, counts
@@ -754,18 +799,53 @@ class TestReparseCommand:
         assert len(stored) == TestRunCommand.EXPECTED_TASKS
         assert all(path.read_bytes() == b"" for path in stored)
 
-    def test_torn_plan_lock_is_an_error_naming_it(self, tmp_path, capsys, small_corpus, mock_registry_dir):
+    @pytest.mark.parametrize("damage, problem", [
+        (lambda text: text[:300], "not valid JSON"),
+        (lambda text: b"[]\n", "not a plan lock"),
+        (lambda text: b'{"version": 2}\n', "not a plan lock"),
+    ], ids=["torn", "list", "no-tasks"])
+    def test_torn_plan_lock_is_an_error_naming_it(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, damage, problem
+    ):
         results = tmp_path / "results"
         argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
         assert main(argv) == 0
         lock = results / "plan.lock"
-        lock.write_bytes(lock.read_bytes()[:300])
+        lock.write_bytes(damage(lock.read_bytes()))
         for command in (argv, ["reparse", str(results), "--registry", str(mock_registry_dir)]):
             capsys.readouterr()
             assert main(command) == 2
             err = capsys.readouterr().err
-            assert f"{lock}: not valid JSON" in err
+            assert f"{lock}: {problem}" in err
             assert "Traceback" not in err
+
+    def test_failed_reparse_withdraws_the_summary(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
+    ):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
+        assert main(argv) == 0
+        finalized = []
+
+        def finalize_once_then_fail(out_dir, *args):
+            finalized.append(out_dir)
+            if len(finalized) == 1:
+                return finalize(out_dir, *args)
+            torn = out_dir / "result.json"  # the second task's result.json is torn as the reparse dies
+            torn.write_bytes(torn.read_bytes()[:50])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "finalize", finalize_once_then_fail)
+        with pytest.raises(OSError):
+            main(["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"])
+        monkeypatch.undo()
+        assert not (results / SUMMARY_FILENAME).exists()
+
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert f"executed 0 of {TestRunCommand.EXPECTED_TASKS}" in capsys.readouterr().out
+        summary = json.loads((results / SUMMARY_FILENAME).read_text())
+        assert summary["incomplete"] == [finalized[1].relative_to(results).as_posix()]
 
     def test_after_killed_run_finalizes_only_marked_tasks(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
@@ -803,3 +883,73 @@ class TestReparseCommand:
         reference = tmp_path / "reference"
         assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc")) == 0
         assert tree_digest(killed) == tree_digest(reference)
+
+
+# Runs scanmux.cli.main(argv) in a child process and cuts it short where the
+# first two arguments say:
+#   stop N              ask the runner to stop once N tasks finished, as one Ctrl-C
+#                       does: the run exits 130 after writing its reports
+#   kill-after-tasks N  SIGKILL once N tasks of this process wrote their done marker
+#   kill-after-csv 1    SIGKILL right after findings.csv is written
+#   none 0              run to the end
+CUT_SHORT_CLI = """\
+import os, signal, sys
+import scanmux.cli as cli
+import scanmux.runner as runner
+
+point, count, argv = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+
+def kill_after(fn):
+    calls = []
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append(None)
+        if len(calls) == count:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return result
+    return wrapper
+
+if point == "stop":
+    make_runner = cli.Runner
+    def stopping_runner(executor, results_root, workers=1, on_progress=None):
+        stopper = make_runner(executor, results_root, workers=workers)
+        stopper.on_progress = lambda done, total: done >= count and stopper.request_stop()
+        return stopper
+    cli.Runner = stopping_runner
+elif point == "kill-after-tasks":
+    runner.finalize = kill_after(runner.finalize)
+elif point == "kill-after-csv":
+    cli.write_findings_csv = kill_after(cli.write_findings_csv)
+sys.exit(cli.main(argv))
+"""
+
+
+class TestKilledCommands:
+    STOPPED_AFTER = 3
+
+    @pytest.mark.parametrize("point, count", [
+        ("kill-after-tasks", 1),
+        ("kill-after-tasks", TestRunCommand.EXPECTED_TASKS - STOPPED_AFTER),
+        ("kill-after-csv", 1),
+    ], ids=["after-one-task", "after-every-task", "after-findings-csv"])
+    def test_killed_rerun_converges_to_an_uninterrupted_run(
+        self, tmp_path, small_corpus, mock_registry_dir, point, count
+    ):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
+        stopped = run_python(CUT_SHORT_CLI, "stop", str(self.STOPPED_AFTER), *argv)
+        assert stopped.returncode == 130, stopped.stderr
+        partial = json.loads((results / SUMMARY_FILENAME).read_text())
+        assert len(partial["incomplete"]) == TestRunCommand.EXPECTED_TASKS - self.STOPPED_AFTER
+
+        killed = run_python(CUT_SHORT_CLI, point, str(count), *argv)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        done = self.STOPPED_AFTER + count if point == "kill-after-tasks" else TestRunCommand.EXPECTED_TASKS
+        assert len(list(results.rglob("done"))) == done
+
+        resumed = run_python(CUT_SHORT_CLI, "none", "0", *argv)
+        assert resumed.returncode == 0, resumed.stderr
+        assert f"{done} already done" in resumed.stdout
+        reference = tmp_path / "reference"
+        assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc", "--sarif")) == 0
+        assert tree_digest(results) == tree_digest(reference)  # the reports' bytes included

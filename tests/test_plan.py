@@ -354,7 +354,7 @@ def test_plan_lock_refuses_foreign_root(
     root = tmp_path / "results"
     write_plan_lock(plan, root)
     # a lock written by some other invocation occupies the root
-    (root / "plan.lock").write_text(json.dumps({"args_digest": "feedfacefeedface"}))
+    (root / "plan.lock").write_text(json.dumps({"args_digest": "feedfacefeedface", "tasks": [], "skips": []}))
     with pytest.raises(PlanningError):
         write_plan_lock(plan, root)
 

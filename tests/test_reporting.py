@@ -40,6 +40,7 @@ from scanmux.reporting import (
     normalize,
     pct,
     read_keys,
+    report_stamp,
     unmapped_labels,
     validate_sarif,
     write_findings_csv,
@@ -668,6 +669,19 @@ class TestSummary:
         outcomes = [outcome(findings=[Finding("Mystery", "m")], taxonomy=taxonomy)]
         doc = build_summary(outcomes)
         assert doc["unmapped_labels"] == [["mytool", "Mystery"]]
+
+    def test_stamp_follows_every_report_input(self):
+        inputs = dict(taxonomy=TAXONOMY_YAML.encode(), tasks=[{"output_dir": "a"}], skips=[],
+                      keys=None, bin_size=100, sarif=False)
+        stamp = report_stamp(**inputs)
+        assert report_stamp(**inputs) == stamp
+        assert build_summary([], stamp=stamp)["stamp"] == stamp
+        assert "stamp" not in build_summary([])
+        for field, value in [
+            ("taxonomy", TAXONOMY_YAML.encode() + b"\n"), ("tasks", []), ("skips", [{"contract": "x"}]),
+            ("keys", {"a": 1}), ("bin_size", 7), ("sarif", True),
+        ]:
+            assert report_stamp(**inputs | {field: value}) != stamp, field
 
 
 class TestFindingsCsv:
