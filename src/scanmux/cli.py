@@ -215,6 +215,8 @@ def _emit_reports(
     write_findings_csv(results_root / FINDINGS_FILENAME, outcomes)
     if args.sarif:
         write_sarif(results_root / SARIF_FILENAME, emit_sarif(outcomes, taxonomy))
+    else:  # one left by an earlier --sarif command would disagree with the new reports
+        (results_root / SARIF_FILENAME).unlink(missing_ok=True)
     series = error_rate_series(outcomes, keys, args.bin_size) if keys is not None else None
     summary = build_summary(outcomes, skips=lock["skips"], incomplete=incomplete, series=series, stamp=stamp)
     write_summary(results_root / SUMMARY_FILENAME, summary)
@@ -323,7 +325,14 @@ def cmd_reparse(args) -> int:
         if missing:  # checked before the loop, so a refused reparse rewrites nothing
             raise PlanningError(missing)
 
-        _withdraw_reports(results_root)
+        withdrawn = False
+
+        def withdraw_once() -> None:  # before the first task file changes, so no stamp outlives its result.json
+            nonlocal withdrawn
+            if not withdrawn:
+                _withdraw_reports(results_root)
+                withdrawn = True
+
         markers = read_done_markers(results_root, (entry["output_dir"] for entry in lock["tasks"]))
         finished = {}
         for entry in lock["tasks"]:
@@ -340,11 +349,15 @@ def cmd_reparse(args) -> int:
                 continue
             tool = tools[entry["tool"], entry["tool_version"]]
             finished[entry["output_dir"]] = finalize(
-                out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest
+                out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest,
+                stored=exit_class, before_write=withdraw_once,
             )
         reparsed = sum(report is not None for _, report in finished.values())
 
-        _emit_reports(results_root, lock, finished, keys, args, _report_stamp(lock, keys, args))
+        # The stamp covers neither markers nor stored output, so a task left out above means a rewrite.
+        stamp = _report_stamp(lock, keys, args)
+        if withdrawn or reparsed < len(lock["tasks"]) or not reports_current(results_root, stamp, args.sarif):
+            _emit_reports(results_root, lock, finished, keys, args, stamp)
         print(f"reparsed {reparsed} tasks under {results_root}")
         return EXIT_OK
 

@@ -274,8 +274,13 @@ def report_to_doc(report: ParsedReport) -> dict:
     }
 
 
+def report_bytes(report: ParsedReport) -> bytes:
+    """The bytes of the ``result.json`` that holds ``report``."""
+    return dump_json(report_to_doc(report)).encode("utf-8")
+
+
 def write_report(path: str | Path, report: ParsedReport) -> None:
-    Path(path).write_text(dump_json(report_to_doc(report)), encoding="utf-8")
+    Path(path).write_bytes(report_bytes(report))
 
 
 def read_report(path: str | Path) -> ParsedReport:

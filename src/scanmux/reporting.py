@@ -483,15 +483,15 @@ def report_stamp(
 
 
 def reports_current(results_root: str | Path, stamp: str, sarif: bool) -> bool:
-    """True when every report a command would write exists and ``summary.json`` carries ``stamp``.
+    """True when exactly the reports a command would write exist and ``summary.json`` carries ``stamp``.
 
-    A missing, unreadable or unstamped ``summary.json`` is not current. The
-    stamp stays true only while no ``result.json`` changes, so a command that
-    may finalize a task deletes ``summary.json`` before it starts.
+    A missing, unreadable or unstamped ``summary.json`` is not current, nor
+    is a ``report.sarif`` beside ``sarif=False``. The stamp stays true only
+    while no ``result.json`` changes, so a command deletes ``summary.json``
+    before it changes one.
     """
     root = Path(results_root)
-    others = (FINDINGS_FILENAME, SARIF_FILENAME) if sarif else (FINDINGS_FILENAME,)
-    if not all((root / name).is_file() for name in others):
+    if not (root / FINDINGS_FILENAME).is_file() or (root / SARIF_FILENAME).is_file() != sarif:
         return False
     try:
         doc = json.loads((root / SUMMARY_FILENAME).read_bytes())

@@ -11,7 +11,7 @@ from typing import Callable, Iterable, Sequence
 
 from .executor import ContainerBackend, execute
 from .model import ExecutionRecord, HarnessError, ParsedReport, RawResult, Task
-from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, write_report
+from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, report_bytes, write_report
 from .plan import PlanningError, RunPlan
 from .registry import ParserSpec, Registry
 from .solc import CompilerCache, SemVer
@@ -51,18 +51,37 @@ def finalize(
     parser: ParserSpec,
     content_hash: str,
     args_digest: str,
+    *,
+    stored: ExitClass | None = None,
+    before_write: Callable[[], None] | None = None,
 ) -> tuple[ExitClass, ParsedReport]:
     """Parse, classify, write ``result.json``, then the done marker last.
 
     The one completion path for a task, shared by a run and by reparse, so
     reparsing stored output with an unchanged registry reproduces both files
-    byte for byte.
+    byte for byte. With ``before_write``, as reparse passes it, a task whose
+    ``result.json`` on disk already holds the new bytes and whose exit class
+    equals ``stored``, its marker's, is left untouched; any other task calls
+    ``before_write()`` before either file is written.
     """
     report = parse(raw, parser)
     exit_class = classify_exit(record, report)
-    write_report(out_dir / RESULT_FILENAME, report)
+    result_path = out_dir / RESULT_FILENAME
+    if before_write is not None:
+        if exit_class is stored and _holds(result_path, report_bytes(report)):
+            return exit_class, report
+        before_write()
+    write_report(result_path, report)
     write_done_marker(out_dir, content_hash, args_digest, exit_class.value)
     return exit_class, report
+
+
+def _holds(path: Path, data: bytes) -> bool:
+    """True when the file at ``path`` holds exactly ``data``; a missing or unreadable file does not."""
+    try:
+        return path.read_bytes() == data
+    except OSError:
+        return False
 
 
 def _archive_stale(out_dir: Path) -> None:

@@ -24,11 +24,12 @@ from scanmux.cli import (
 )
 from scanmux.executor import RAW_DIRNAME, STDOUT_FILENAME, BackendFailureError, MockBackend
 from scanmux.model import ResourceLimits
+from scanmux.parsing import report_bytes
 from scanmux.paths import bundled_registry, dump_json
 from scanmux.plan import PLAN_LOCK_FILENAME, discover_contracts
 from scanmux.registry import load_registry
 from scanmux.reporting import FINDINGS_FILENAME, SARIF_FILENAME, SUMMARY_FILENAME
-from scanmux.runner import Runner, finalize
+from scanmux.runner import Runner
 from scanmux.solc import MockCompilerFetcher, SemVer
 
 from helpers import run_python, write_corpus, write_tool_dir
@@ -184,6 +185,23 @@ def file_stamps(root: Path, *names: str) -> dict[str, tuple[int, int]]:
     """(inode, mtime in ns) of each named file under root that exists; a rewrite changes both."""
     stats = {name: os.stat(root / name) for name in names if (root / name).exists()}
     return {name: (st.st_ino, st.st_mtime_ns) for name, st in stats.items()}
+
+
+def task_files(root: Path) -> list[str]:
+    """Every result.json and done marker under root, relative to it."""
+    return sorted(p.relative_to(root).as_posix() for name in ("result.json", "done") for p in root.rglob(name))
+
+
+def warning_delta(tmp_path: Path, registry_dir: Path) -> tuple[Path, Path]:
+    """Fixtures whose delta prints a finding and a warning, and a copy of the registry whose
+    delta parser counts the warning as an error: a parser fix that changes every delta task."""
+    fixtures = tmp_path / "delta-warns.yaml"
+    fixtures.write_text('example.io/mock/delta:1.2:\n  stdout: "VULN: Reentrancy at line 3\\nWARN: old pragma\\n"\n')
+    changed = tmp_path / "registry-delta-fixed"
+    shutil.copytree(registry_dir, changed)
+    parser = changed / "delta" / "parser.yaml"
+    parser.write_text(parser.read_text() + "      - '^WARN:'\n")
+    return fixtures, changed
 
 
 @pytest.fixture
@@ -342,6 +360,29 @@ class TestRunCommand:
             assert main(command) == 0, capsys.readouterr().err
             assert all(report.is_file() for report in reports)
             assert "\\ud800 bad" in (results / FINDINGS_FILENAME).read_text()
+
+    @pytest.mark.parametrize("left_by", ["sarif-run-before-a-new-contract", "older-version"])
+    def test_run_without_sarif_removes_a_stale_sarif(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, left_by
+    ):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        assert main(argv + ["--sarif"]) == 0
+        if left_by == "older-version":  # it kept report.sarif beside a stamp written without --sarif
+            stale = (results / SARIF_FILENAME).read_bytes()
+            assert main(argv) == 0
+            (results / SARIF_FILENAME).write_bytes(stale)
+        else:
+            (small_corpus / "extra.rt.hex").write_text("6080fdfe" + "ab" * 4)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert not (results / SARIF_FILENAME).exists()
+
+        fresh = tmp_path / "fresh"
+        assert main(run_argv(small_corpus, mock_registry_dir, fresh, tmp_path / "cc")) == 0
+        assert {name: (results / name).read_bytes() for name in REPORTS[:2]} == {
+            name: (fresh / name).read_bytes() for name in REPORTS[:2]
+        }
 
     def test_sarif_flag(self, tmp_path, small_corpus, mock_registry_dir):
         results = tmp_path / "results"
@@ -588,28 +629,91 @@ class TestRunCommand:
         assert counts["resume"].get("write", 0) == 0, counts  # unchanged reports are not rewritten
         assert counts["run"].get("compiler", 0) > 0, counts
         assert counts["resume"].get("compiler", 0) == 0, counts  # nothing pending: no compiler is hashed
-        assert counts["reparse"].get("read", 0) <= 4 * n + 10, counts
+        # marker, meta.json, stdout, stderr and result.json per task; an unchanged task is not written
+        assert counts["reparse"].get("write", 0) == 0, counts
+        assert counts["reparse"].get("read", 0) + counts["reparse"].get("write", 0) <= 5 * n + 10, counts
         assert counts["reparse"].get("scandir", 0) == 0, counts
 
 
 class TestReparseCommand:
     def test_reproduces_results_byte_for_byte(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         results = tmp_path / "results"
-        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
-        assert main(argv) == 0
-        before = {
-            p.relative_to(results).as_posix(): p.read_bytes()
-            for p in results.rglob("result.json")
-        }
-        assert len(before) == TestRunCommand.EXPECTED_TASKS
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")) == 0
+        names = [*task_files(results), *REPORTS]
+        before = {name: (results / name).read_bytes() for name in names}
+        stamps = file_stamps(results, *names)
+        assert len(before) == 2 * TestRunCommand.EXPECTED_TASKS + len(REPORTS)
         capsys.readouterr()
-        assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"]) == 0
         assert f"reparsed {TestRunCommand.EXPECTED_TASKS} tasks" in capsys.readouterr().out
-        after = {
-            p.relative_to(results).as_posix(): p.read_bytes()
-            for p in results.rglob("result.json")
+        assert {name: (results / name).read_bytes() for name in names} == before
+        assert file_stamps(results, *names) == stamps  # and nothing was written: same inode and mtime
+
+    def test_changed_parser_rewrites_its_tasks_and_the_reports(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir
+    ):
+        fixtures, changed = warning_delta(tmp_path, mock_registry_dir)
+        results, fresh = tmp_path / "results", tmp_path / "fresh"
+
+        def argv(root: Path, registry: Path) -> list[str]:  # no {runid}: the changed registry names another run
+            return run_argv(small_corpus, registry, root, tmp_path / "cc", "--mock-fixtures", str(fixtures),
+                            "--sarif", "--results", f"{root}/{{filename}}/{{toolid}}")
+
+        assert main(argv(results, mock_registry_dir)) == 0
+        names = [*task_files(results), *REPORTS]
+        before = file_stamps(results, *names)
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--registry", str(changed), "--sarif"]) == 0
+        assert f"reparsed {TestRunCommand.EXPECTED_TASKS} tasks" in capsys.readouterr().out
+        after = file_stamps(results, *names)
+        rewritten = sorted(name for name in names if after[name] != before[name])
+        delta = [name for name in task_files(results) if name.split("/")[-2] == "delta"]
+        assert len(delta) == 2 * 3  # result.json and done of 2 sol + 1 runtime tasks; the exit class changed
+        assert rewritten == sorted([*delta, *REPORTS])
+
+        assert main(argv(fresh, changed)) == 0
+        assert {name: (results / name).read_bytes() for name in REPORTS} == {
+            name: (fresh / name).read_bytes() for name in REPORTS
         }
-        assert before == after
+
+    @pytest.mark.parametrize("change", [
+        "corrupt-marker", "marker-with-another-class", "torn-meta",
+        "changed-keys", "changed-bin-size", "added-sarif", "dropped-sarif",
+    ])
+    def test_changed_report_input_rewrites_the_reports(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, change
+    ):
+        keys = tmp_path / "keys.csv"
+        keys.write_text("".join(f"{p.as_posix()},{i}\n" for i, p in enumerate(sorted(small_corpus.iterdir()))))
+        results = tmp_path / "results"
+        first = ["--keys", str(keys), "--bin-size", "2"] + ([] if change == "added-sarif" else ["--sarif"])
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", *first)) == 0
+        reparse = ["reparse", str(results), "--registry", str(mock_registry_dir), "--keys", str(keys),
+                   "--bin-size", "3" if change == "changed-bin-size" else "2"]
+        reparse += [] if change == "dropped-sarif" else ["--sarif"]
+        task = sorted(results.rglob("done"))[0].parent
+        marker = (task / "done").read_bytes()
+        if change == "corrupt-marker":
+            (task / "done").write_bytes(b"garbage")
+        elif change == "marker-with-another-class":  # result.json still matches: only the marker is wrong
+            (task / "done").write_bytes(marker.replace(b" success\n", b" tool_failure\n"))
+        elif change == "torn-meta":
+            (task / "meta.json").write_bytes((task / "meta.json").read_bytes()[:40])
+        elif change == "changed-keys":
+            keys.write_text(keys.read_text().replace(",1\n", ",7\n"))
+        before = file_stamps(results, *REPORTS)
+        capsys.readouterr()
+        assert main(reparse) == 0
+        after = file_stamps(results, *REPORTS)
+        assert set(after) == set(REPORTS if "--sarif" in reparse else REPORTS[:2])
+        assert all(after[name] != stamp for name, stamp in before.items() if name in after), (before, after)
+        if change == "marker-with-another-class":
+            assert (task / "done").read_bytes() == marker
+
+        written = {name: (results / name).read_bytes() for name in after}
+        (results / SUMMARY_FILENAME).unlink()  # forces the reports to be built again
+        assert main(reparse) == 0
+        assert {name: (results / name).read_bytes() for name in after} == written
 
     @pytest.mark.parametrize("hostile", HOSTILE_DOCUMENTS)
     def test_hostile_stored_document_is_a_tool_failure(self, tmp_path, capsys, small_corpus, hostile):
@@ -825,27 +929,28 @@ class TestReparseCommand:
         results = tmp_path / "results"
         argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
         assert main(argv) == 0
-        finalized = []
+        damaged = sorted(results.rglob("result.json"))[0]
+        damaged.write_bytes(b"{}\n")  # differs from what the reparse encodes, so it must be rewritten
+        torn = []
 
-        def finalize_once_then_fail(out_dir, *args):
-            finalized.append(out_dir)
-            if len(finalized) == 1:
-                return finalize(out_dir, *args)
-            torn = out_dir / "result.json"  # the second task's result.json is torn as the reparse dies
-            torn.write_bytes(torn.read_bytes()[:50])
+        def write_half_then_fail(path, report):  # as a full disk leaves it
+            torn.append(Path(path))
+            data = report_bytes(report)
+            Path(path).write_bytes(data[: len(data) // 2])
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(cli, "finalize", finalize_once_then_fail)
+        monkeypatch.setattr("scanmux.runner.write_report", write_half_then_fail)
         with pytest.raises(OSError):
             main(["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"])
         monkeypatch.undo()
+        assert torn == [damaged]
         assert not (results / SUMMARY_FILENAME).exists()
 
         capsys.readouterr()
         assert main(argv) == 0
         assert f"executed 0 of {TestRunCommand.EXPECTED_TASKS}" in capsys.readouterr().out
         summary = json.loads((results / SUMMARY_FILENAME).read_text())
-        assert summary["incomplete"] == [finalized[1].relative_to(results).as_posix()]
+        assert summary["incomplete"] == [damaged.parent.relative_to(results).as_posix()]
 
     def test_after_killed_run_finalizes_only_marked_tasks(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
@@ -887,11 +992,13 @@ class TestReparseCommand:
 
 # Runs scanmux.cli.main(argv) in a child process and cuts it short where the
 # first two arguments say:
-#   stop N              ask the runner to stop once N tasks finished, as one Ctrl-C
-#                       does: the run exits 130 after writing its reports
-#   kill-after-tasks N  SIGKILL once N tasks of this process wrote their done marker
-#   kill-after-csv 1    SIGKILL right after findings.csv is written
-#   none 0              run to the end
+#   stop N                ask the runner to stop once N tasks finished, as one Ctrl-C
+#                         does: the run exits 130 after writing its reports
+#   kill-after-tasks N    SIGKILL once a run finalized N tasks
+#   kill-after-results N  SIGKILL once N result.json files were written
+#   kill-after-markers N  SIGKILL once N done markers were written
+#   kill-after-csv 1      SIGKILL right after findings.csv is written
+#   none 0                run to the end
 CUT_SHORT_CLI = """\
 import os, signal, sys
 import scanmux.cli as cli
@@ -918,6 +1025,10 @@ if point == "stop":
     cli.Runner = stopping_runner
 elif point == "kill-after-tasks":
     runner.finalize = kill_after(runner.finalize)
+elif point == "kill-after-results":
+    runner.write_report = kill_after(runner.write_report)
+elif point == "kill-after-markers":
+    runner.write_done_marker = kill_after(runner.write_done_marker)
 elif point == "kill-after-csv":
     cli.write_findings_csv = kill_after(cli.write_findings_csv)
 sys.exit(cli.main(argv))
@@ -952,4 +1063,32 @@ class TestKilledCommands:
         assert f"{done} already done" in resumed.stdout
         reference = tmp_path / "reference"
         assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc", "--sarif")) == 0
+        assert tree_digest(results) == tree_digest(reference)  # the reports' bytes included
+
+    @pytest.mark.parametrize("point, count", [
+        ("kill-after-results", 1),
+        ("kill-after-markers", 1),
+        ("kill-after-markers", 3),
+    ], ids=["after-one-result", "after-one-task", "after-every-rewrite"])
+    def test_killed_reparse_converges_to_an_uninterrupted_reparse(
+        self, tmp_path, small_corpus, mock_registry_dir, point, count
+    ):
+        fixtures, changed = warning_delta(tmp_path, mock_registry_dir)
+        results, reference = tmp_path / "results", tmp_path / "reference"
+        for root in (results, reference):
+            argv = run_argv(small_corpus, mock_registry_dir, root, tmp_path / "cc",
+                            "--mock-fixtures", str(fixtures), "--sarif")
+            assert main(argv) == 0
+        reparse = ["reparse", "--registry", str(changed), "--sarif"]
+        assert main([*reparse, str(reference)]) == 0
+
+        killed = run_python(CUT_SHORT_CLI, point, str(count), *reparse, str(results))
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert not (results / SUMMARY_FILENAME).exists()  # withdrawn before the first rewrite
+        markers = [p.read_text() for p in results.rglob("done")]
+        rewritten = count if point == "kill-after-markers" else 0
+        assert sum(m.endswith(" tool_error\n") for m in markers) == rewritten  # only delta's class changes
+
+        again = run_python(CUT_SHORT_CLI, "none", "0", *reparse, str(results))
+        assert again.returncode == 0, again.stderr
         assert tree_digest(results) == tree_digest(reference)  # the reports' bytes included
