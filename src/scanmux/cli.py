@@ -26,6 +26,7 @@ from .parsing import ExitClass
 from .paths import bundled_registry, bundled_release_index, bundled_taxonomy
 from .plan import (
     DEFAULT_SCHEME,
+    PLAN_LOCK_FILENAME,
     PlanningError,
     SchemeError,
     build_plan,
@@ -43,7 +44,6 @@ from .reporting import (
     TaxonomyMap,
     build_summary,
     collect_outcomes,
-    emit_sarif,
     error_rate_series,
     read_keys,
     report_stamp,
@@ -177,12 +177,19 @@ def _check_series_keys(keys: dict[str, int] | None, contract_ids) -> None:
         raise MissingKeyError(f"--keys has no key for {len(missing)} planned contract(s), e.g. {missing[0]!r}")
 
 
+# The files a command replaces in the results root; a write cut short leaves a ``.<name>.*`` temp file.
+_TEMP_PREFIXES = tuple(
+    f".{name}." for name in (PLAN_LOCK_FILENAME, SUMMARY_FILENAME, SARIF_FILENAME, FINDINGS_FILENAME)
+)
+
+
 @contextlib.contextmanager
 def _own_results_root(results_root: Path):
     """Hold an exclusive ``flock`` on the results root directory, or refuse at once.
 
     The lock lives on a descriptor of the directory itself, so no file is
     added to the tree, and it is released when the command ends or dies.
+    Once it is held, the temp files of a killed command's writes are removed.
     """
     fd = os.open(results_root, os.O_RDONLY)
     try:
@@ -190,6 +197,9 @@ def _own_results_root(results_root: Path):
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise HarnessError(f"{results_root}: another scanmux command holds this results root") from None
+        for name in os.listdir(results_root):
+            if name.startswith(_TEMP_PREFIXES):
+                (results_root / name).unlink(missing_ok=True)
         yield
     finally:
         os.close(fd)
@@ -214,7 +224,7 @@ def _emit_reports(
     outcomes, incomplete = collect_outcomes(results_root, lock["tasks"], finished, taxonomy)
     write_findings_csv(results_root / FINDINGS_FILENAME, outcomes)
     if args.sarif:
-        write_sarif(results_root / SARIF_FILENAME, emit_sarif(outcomes, taxonomy))
+        write_sarif(results_root / SARIF_FILENAME, outcomes, taxonomy)
     else:  # one left by an earlier --sarif command would disagree with the new reports
         (results_root / SARIF_FILENAME).unlink(missing_ok=True)
     series = error_rate_series(outcomes, keys, args.bin_size) if keys is not None else None

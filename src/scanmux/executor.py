@@ -137,6 +137,8 @@ class MockToolBehavior:
             path = PurePosixPath(name)
             if path.is_absolute() or ".." in path.parts:
                 raise ValueError(f"file {name!r} is not inside the task volume")
+            if path.parts == (COMPILER_FILENAME,):  # the staged compiler: the engine mounts it read-only
+                raise ValueError(f"file {name!r} would overwrite the staged compiler")
         return cls(
             stdout=str(raw.get("stdout", "")),
             stderr=str(raw.get("stderr", "")),

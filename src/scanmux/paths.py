@@ -8,6 +8,7 @@ import tempfile
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import GeneratorType
 
 import yaml
 
@@ -32,12 +33,18 @@ def sarif_schema_path() -> Path:
     return data_dir() / "sarif-2.1.0-subset.schema.json"
 
 
-def write_atomically(path: Path, data: bytes, mode: int) -> None:
-    """Replace ``path`` by a complete new file, so a crash leaves the old or the new one."""
+@contextlib.contextmanager
+def replacing(path: Path, mode: int, **text):
+    """Yield a temp file beside ``path`` that replaces it once the block ends.
+
+    The file is binary, or text opened with ``text`` (``encoding`` and the
+    like). On an exception the temp file is removed and ``path`` is left as
+    it was; a crash leaves the old file and a ``.<name>.*`` temp sibling.
+    """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
+        with os.fdopen(fd, "w" if text else "wb", **text) as f:
+            yield f
             os.fchmod(f.fileno(), mode)
         os.replace(tmp, path)
     except BaseException:
@@ -56,18 +63,41 @@ def dump_json(doc) -> str:
 
     With ``indent`` set the stdlib encodes through a chain of Python
     generators; this builds one list of chunks and escapes strings in C.
+    A generator encodes as the list of its items, where the stdlib raises.
     """
     out: list[str] = []
-    _encode(doc, "\n", out)
+    _encode(doc, "\n", out, None)
     out.append("\n")
     return "".join(out)
 
 
+def write_json(path: Path, doc) -> None:
+    """Replace ``path`` atomically by ``dump_json(doc)``'s bytes, mode 0o644.
+
+    The document is encoded into the temp file in chunks of at most about
+    ``_FLUSH_CHUNKS`` strings, so its text is never held whole; a generator
+    in it is consumed while the file is written.
+    """
+    with replacing(path, 0o644) as f:
+        out: list[str] = []
+
+        def flush() -> None:
+            f.write("".join(out).encode())
+            out.clear()
+
+        _encode(doc, "\n", out, flush)
+        out.append("\n")
+        flush()
+
+
+# Encoded strings held before write_json hands them to the file (~100 KiB of JSON).
+_FLUSH_CHUNKS = 4096
 _INFINITY = float("inf")
 
 
-def _encode(value, newline: str, out: list[str]) -> None:
+def _encode(value, newline: str, out: list[str], flush) -> None:
     # The type tests run in the stdlib encoder's order, so subclasses encode alike.
+    # ``flush`` (or None) empties ``out`` into a file; it runs between elements.
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -87,17 +117,16 @@ def _encode(value, newline: str, out: list[str]) -> None:
             out.append("-Infinity")
         else:
             out.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
+    elif isinstance(value, (list, tuple, GeneratorType)):
         inner = newline + "  "
         separator = "[" + inner
         for item in value:
             out.append(separator)
-            _encode(item, inner, out)
+            _encode(item, inner, out, flush)
             separator = "," + inner
-        out.append(newline + "]")
+            if flush is not None and len(out) >= _FLUSH_CHUNKS:
+                flush()
+        out.append(newline + "]" if separator[0] == "," else "[]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -106,8 +135,10 @@ def _encode(value, newline: str, out: list[str]) -> None:
         separator = "{" + inner
         for key in sorted(value):  # a key that is not str raises TypeError
             out.append(separator + encode_basestring_ascii(key) + ": ")
-            _encode(value[key], inner, out)
+            _encode(value[key], inner, out, flush)
             separator = "," + inner
+            if flush is not None and len(out) >= _FLUSH_CHUNKS:
+                flush()
         out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -22,7 +22,7 @@ from .model import (
     content_hash,
     detect_format,
 )
-from .paths import dump_json, write_atomically
+from .paths import write_json
 from .registry import Registry, resolve_tools
 from .solc import (
     CompilerCache,
@@ -412,7 +412,7 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
                 "use a fresh results root or rerun with the original arguments"
             ]
         )
-    write_atomically(path, dump_json(doc).encode("utf-8"), 0o644)
+    write_json(path, doc)
     return doc
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
-import io
 import json
 import numbers
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .model import (
     SourceLocation,
 )
 from .parsing import RESULT_FILENAME, ExitClass, read_report
-from .paths import dump_json, load_yaml, sarif_schema_path, write_atomically
+from .paths import load_yaml, replacing, sarif_schema_path, write_json
 
 SARIF_FILENAME = "report.sarif"
 FINDINGS_FILENAME = "findings.csv"
@@ -376,9 +375,26 @@ def validate_sarif(doc: dict) -> None:
         jsonschema.validate(doc, schema)
 
 
-def write_sarif(path: str | Path, doc: dict) -> None:
-    validate_sarif(doc)
-    write_atomically(Path(path), dump_json(doc).encode("utf-8"), 0o644)
+def write_sarif(path: str | Path, outcomes: Sequence[TaskOutcome], taxonomy: TaxonomyMap) -> None:
+    """Write ``emit_sarif(outcomes, taxonomy)`` one (tool, version) run at a time.
+
+    Each run is emitted and validated as a one-run document before it is
+    written; the schema constrains ``runs`` only through its items, so that
+    equals validating the whole document. A refused run leaves ``path`` as it was.
+    """
+    groups: dict[tuple[str, str], list[TaskOutcome]] = {}
+    for outcome in outcomes:
+        groups.setdefault((outcome.tool_id, outcome.version_label), []).append(outcome)
+
+    def runs():
+        for key in sorted(groups):
+            doc = emit_sarif(groups[key], taxonomy)
+            validate_sarif(doc)
+            yield doc["runs"][0]
+
+    if not groups:
+        validate_sarif(emit_sarif([], taxonomy))
+    write_json(Path(path), {"$schema": SARIF_SCHEMA_URI, "version": SARIF_VERSION, "runs": runs()})
 
 
 def error_rate_series(
@@ -501,7 +517,7 @@ def reports_current(results_root: str | Path, stamp: str, sarif: bool) -> bool:
 
 
 def write_summary(path: str | Path, summary: dict) -> None:
-    write_atomically(Path(path), dump_json(summary).encode("utf-8"), 0o644)
+    write_json(Path(path), summary)
 
 
 def _location_text(outcome: TaskOutcome, finding: Finding) -> str:
@@ -515,24 +531,23 @@ def _location_text(outcome: TaskOutcome, finding: Finding) -> str:
 
 def write_findings_csv(path: str | Path, outcomes: Sequence[TaskOutcome]) -> None:
     """One row per normalized finding; the task column is the task's output dir."""
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["task", "tool", "version", "label", "swc", "dasp", "location"])
-    for outcome in sorted(outcomes, key=lambda o: o.output_dir):
-        for nf in outcome.normalized:
-            writer.writerow(
-                [
-                    outcome.output_dir,
-                    outcome.tool_id,
-                    outcome.version_label,
-                    nf.finding.native_label,
-                    nf.swc_id or "",
-                    nf.dasp_class if nf.dasp_class is not None else "",
-                    _location_text(outcome, nf.finding),
-                ]
-            )
     # A tool's JSON can escape a lone surrogate into a label; UTF-8 cannot hold it.
-    write_atomically(Path(path), buf.getvalue().encode("utf-8", errors="backslashreplace"), 0o644)
+    with replacing(Path(path), 0o644, encoding="utf-8", errors="backslashreplace", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["task", "tool", "version", "label", "swc", "dasp", "location"])
+        for outcome in sorted(outcomes, key=lambda o: o.output_dir):
+            for nf in outcome.normalized:
+                writer.writerow(
+                    [
+                        outcome.output_dir,
+                        outcome.tool_id,
+                        outcome.version_label,
+                        nf.finding.native_label,
+                        nf.swc_id or "",
+                        nf.dasp_class if nf.dasp_class is not None else "",
+                        _location_text(outcome, nf.finding),
+                    ]
+                )
 
 
 def read_keys(path: str | Path) -> dict[str, int]:

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .model import HarnessError
-from .paths import write_atomically
+from .paths import replacing
 
 # Oldest compiler the harness provisions; constraints satisfiable only below
 # this line are rejected as belonging to an unsupported era.
@@ -375,12 +375,14 @@ class CompilerCache:
     def store(self, version: SemVer, data: bytes) -> Path:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         path = self.path_for(version)
-        write_atomically(path, data, 0o755)
+        with replacing(path, 0o755) as f:
+            f.write(data)
         self._verified.pop(version, None)
         digest = hashlib.sha256(data).hexdigest()
         self._index[version] = (digest, len(data))
         lines = [f"{v} {d} {s}" for v, (d, s) in sorted(self._index.items())]
-        write_atomically(self.index_path, ("\n".join(lines) + "\n").encode(), 0o644)
+        with replacing(self.index_path, 0o644) as f:
+            f.write(("\n".join(lines) + "\n").encode())
         return path
 
 

@@ -138,11 +138,13 @@ BAD_FIXTURES = {
     "fixtures-files-not-a-mapping": "img: {files: [a]}\n",
     "fixtures-oom-not-bool": "img: {oom: 'false'}\n",
     "fixtures-file-outside-volume": "img:\n  files:\n    ../escaped.txt: x\n    /tmp/escaped.txt: y\n",
+    "fixtures-file-over-compiler": "img:\n  files:\n    solc: overwritten by the tool\n",
 }
 
 # Triggers whose file parses but one image ref's behavior is refused.
 ENTRY_LEVEL_FIXTURES = (
     "fixtures-bad-field", "fixtures-files-not-a-mapping", "fixtures-oom-not-bool", "fixtures-file-outside-volume",
+    "fixtures-file-over-compiler",
 )
 
 
@@ -343,6 +345,22 @@ class TestRunCommand:
         assert files() == before
         assert main(argv) == 0
 
+    @pytest.mark.parametrize("command", ["resume", "reparse"])
+    def test_temp_files_of_a_killed_write_are_swept(self, tmp_path, capsys, small_corpus, mock_registry_dir, command):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
+        assert main(argv) == 0
+        reference = tree_digest(results)
+        left = [f".{name}.k1ll3d" for name in (PLAN_LOCK_FILENAME, *REPORTS)]
+        for name in [*left, ".report.sarif", ".keep.me"]:
+            (results / name).write_text("left behind\n")
+        assert main(argv if command == "resume" else ["reparse", str(results), "--sarif"]) == 0
+        assert not any((results / name).exists() for name in left)
+        assert (results / ".report.sarif").exists() and (results / ".keep.me").exists()  # not a temp file's name
+        for name in (".report.sarif", ".keep.me"):
+            (results / name).unlink()
+        assert tree_digest(results) == reference
+
     def test_lone_surrogate_label_reaches_every_report(self, tmp_path, capsys):
         corpus = tmp_path / "contracts"
         corpus.mkdir()
@@ -430,6 +448,7 @@ class TestRunCommand:
         "missing-keys-file", "zero-bin-size", "contract-without-key", "zero-timeout", "zero-cpu", "zero-mem",
         "fixtures-invalid-yaml", "fixtures-bad-field", "fixtures-not-a-mapping", "fixtures-missing-file",
         "fixtures-files-not-a-mapping", "fixtures-oom-not-bool", "fixtures-file-outside-volume",
+        "fixtures-file-over-compiler",
     ])
     def test_argument_error_fails_before_any_task(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, trigger
@@ -998,10 +1017,14 @@ class TestReparseCommand:
 #   kill-after-results N  SIGKILL once N result.json files were written
 #   kill-after-markers N  SIGKILL once N done markers were written
 #   kill-after-csv 1      SIGKILL right after findings.csv is written
+#   kill-in-sarif N       SIGKILL once report.sarif's Nth run is built, each run
+#                         handed to its temp file as soon as it is encoded
 #   none 0                run to the end
 CUT_SHORT_CLI = """\
 import os, signal, sys
 import scanmux.cli as cli
+import scanmux.paths as paths
+import scanmux.reporting as reporting
 import scanmux.runner as runner
 
 point, count, argv = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
@@ -1031,6 +1054,9 @@ elif point == "kill-after-markers":
     runner.write_done_marker = kill_after(runner.write_done_marker)
 elif point == "kill-after-csv":
     cli.write_findings_csv = kill_after(cli.write_findings_csv)
+elif point == "kill-in-sarif":
+    paths._FLUSH_CHUNKS = 1
+    reporting.emit_sarif = kill_after(reporting.emit_sarif)
 sys.exit(cli.main(argv))
 """
 
@@ -1042,7 +1068,8 @@ class TestKilledCommands:
         ("kill-after-tasks", 1),
         ("kill-after-tasks", TestRunCommand.EXPECTED_TASKS - STOPPED_AFTER),
         ("kill-after-csv", 1),
-    ], ids=["after-one-task", "after-every-task", "after-findings-csv"])
+        ("kill-in-sarif", 2),
+    ], ids=["after-one-task", "after-every-task", "after-findings-csv", "inside-the-sarif-stream"])
     def test_killed_rerun_converges_to_an_uninterrupted_run(
         self, tmp_path, small_corpus, mock_registry_dir, point, count
     ):
@@ -1057,6 +1084,8 @@ class TestKilledCommands:
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         done = self.STOPPED_AFTER + count if point == "kill-after-tasks" else TestRunCommand.EXPECTED_TASKS
         assert len(list(results.rglob("done"))) == done
+        if point == "kill-in-sarif":
+            assert len(list(results.glob(f".{SARIF_FILENAME}.*"))) == 1  # swept by the resume
 
         resumed = run_python(CUT_SHORT_CLI, "none", "0", *argv)
         assert resumed.returncode == 0, resumed.stderr

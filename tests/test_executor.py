@@ -323,6 +323,8 @@ class TestMockBackend:
         {"files": {"../escaped.txt": "x"}},
         {"files": {"output/../../escaped.txt": "x"}},
         {"files": {"/tmp/escaped.txt": "x"}},
+        {"files": {"solc": "x"}},  # a hard link to the compiler cache's file
+        {"files": {"./solc": "x"}},
     ])
     def test_from_dict_refuses_accidental_oom_and_escaping_files(self, raw):
         with pytest.raises(ValueError):

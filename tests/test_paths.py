@@ -12,7 +12,8 @@ import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scanmux.paths import bundled_registry, bundled_taxonomy, dump_json, load_yaml
+from scanmux import paths
+from scanmux.paths import bundled_registry, bundled_taxonomy, dump_json, load_yaml, write_json
 
 
 def stdlib(doc) -> str:
@@ -75,6 +76,34 @@ class TestDumpJson:
     def test_non_str_key_raises(self, key):
         with pytest.raises(TypeError):
             dump_json({"nested": {key: 1}})
+
+
+class TestWriteJson:
+    @given(doc=DOCUMENTS, bound=st.integers(1, 3))
+    def test_streamed_bytes_equal_dump_json(self, tmp_path_factory, doc, bound):
+        path = tmp_path_factory.getbasetemp() / "streamed.json"
+        with pytest.MonkeyPatch.context() as patch:  # flushes fall inside nested lists and dicts
+            patch.setattr(paths, "_FLUSH_CHUNKS", bound)
+            write_json(path, doc)
+        assert path.read_bytes() == dump_json(doc).encode()
+        assert path.stat().st_mode & 0o777 == 0o644
+
+    @pytest.mark.parametrize("items", [[], [1, {"b": [2]}]], ids=["empty", "nested"])
+    def test_generator_is_written_as_its_list(self, tmp_path, monkeypatch, items):
+        monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)
+        write_json(tmp_path / "doc.json", {"a": (item for item in items), "z": 0})
+        assert (tmp_path / "doc.json").read_text() == stdlib({"a": items, "z": 0})
+        assert dump_json([(item for item in items)]) == stdlib([items])
+
+    def test_type_error_deep_in_the_document_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)  # much of the document reaches the temp file first
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"previous\n")
+        doc = {"a": list(range(50)), "b": [{"c": [1, 2, {"d": object()}]}]}
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_json(path, doc)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
 def bundled_yaml_files():

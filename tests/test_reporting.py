@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scanmux import reporting
+from scanmux import paths, reporting
 from scanmux.executor import MockToolBehavior, MockBackend
 from scanmux.model import (
     BytecodeLocation,
@@ -24,7 +24,7 @@ from scanmux.model import (
     SourceLocation,
 )
 from scanmux.parsing import ExitClass
-from scanmux.paths import bundled_registry, bundled_taxonomy, sarif_schema_path
+from scanmux.paths import bundled_registry, bundled_taxonomy, dump_json, sarif_schema_path
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     CatalogEntry,
@@ -295,8 +295,8 @@ class TestSarif:
 
     def test_write_sarif(self, tmp_path, taxonomy):
         path = tmp_path / "report.sarif"
-        write_sarif(path, emit_sarif([], taxonomy))
-        assert json.loads(path.read_text())["version"] == "2.1.0"
+        write_sarif(path, [], taxonomy)
+        assert json.loads(path.read_text()) == {"$schema": reporting.SARIF_SCHEMA_URI, "runs": [], "version": "2.1.0"}
 
 
 SARIF_TAXONOMY = TaxonomyMap(
@@ -339,8 +339,8 @@ EMITTED_OUTCOMES = {
 
 
 @st.composite
-def emitted_documents(draw):
-    """emit_sarif over random outcomes: every location kind, mapped and unmapped labels."""
+def emitted_outcomes(draw):
+    """Random outcomes of two tools in two versions: every location kind, mapped and unmapped labels."""
     locations = st.one_of(
         st.none(),
         st.builds(SourceLocation, st.integers(-3, 10**6), st.none() | st.text(max_size=8)),
@@ -363,7 +363,12 @@ def emitted_documents(draw):
         )
         for i in range(draw(st.integers(0, 4)))
     ]
-    return emit_sarif(outcomes, SARIF_TAXONOMY)
+    return outcomes
+
+
+def emitted_documents():
+    """emit_sarif over random outcomes."""
+    return emitted_outcomes().map(lambda outcomes: emit_sarif(outcomes, SARIF_TAXONOMY))
 
 
 def _paths(node, path=()):
@@ -568,11 +573,59 @@ class TestCompiledSarifCheck:
         assert len(reads) == 1
 
 
+class TestStreamedSarif:
+    @given(outcomes=emitted_outcomes(), bound=st.sampled_from([1, 3, 4096]))
+    def test_equals_the_one_shot_document(self, tmp_path_factory, outcomes, bound):
+        path = tmp_path_factory.getbasetemp() / "streamed.sarif"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paths, "_FLUSH_CHUNKS", bound)
+            write_sarif(path, outcomes, SARIF_TAXONOMY)
+        assert path.read_bytes() == dump_json(emit_sarif(outcomes, SARIF_TAXONOMY)).encode()
+
+    @pytest.mark.parametrize("name, groups", [("empty", 1), ("runs", 3), ("swc-rule", 1)])
+    def test_emits_once_per_tool_version(self, tmp_path, monkeypatch, name, groups):
+        calls = []
+
+        def counting(outcomes, taxonomy):
+            calls.append({(o.tool_id, o.version_label) for o in outcomes})
+            return emit_sarif(outcomes, taxonomy)
+
+        monkeypatch.setattr(reporting, "emit_sarif", counting)
+        write_sarif(tmp_path / "report.sarif", EMITTED_OUTCOMES[name], SARIF_TAXONOMY)
+        assert len(calls) == groups
+        assert all(len(tools) <= 1 for tools in calls)
+
+    def test_refused_run_leaves_the_previous_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)  # the first run reaches the temp file first
+        path = tmp_path / "report.sarif"
+        path.write_bytes(b"previous\n")
+
+        def refusing_zeta(outcomes, taxonomy):  # the last group's run breaks the schema
+            doc = emit_sarif(outcomes, taxonomy)
+            if outcomes[0].tool_id == "zeta":
+                doc["runs"][0]["results"][0]["level"] = "fatal"
+            return doc
+
+        monkeypatch.setattr(reporting, "emit_sarif", refusing_zeta)
+        outcomes = [*EMITTED_OUTCOMES["runs"], outcome(output_dir="d", tool="zeta", findings=[Finding("X", "m")])]
+        with pytest.raises(jsonschema.ValidationError, match="'fatal' is not one of"):
+            write_sarif(path, outcomes, SARIF_TAXONOMY)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.sarif"]
+
+    def test_schema_constrains_runs_only_through_their_items(self, sarif_schema):
+        # so a document is valid exactly when its header and each one-run document are
+        assert sarif_schema["properties"]["runs"] == {"type": "array", "items": {"$ref": "#/definitions/run"}}
+        assert set(sarif_schema) == {
+            "$schema", "title", "description", "definitions", "type", "additionalProperties", "required", "properties",
+        }
+
+
 class TestAtomicReports:
     WRITERS = {
         "summary": (write_summary, build_summary([])),
         "csv": (write_findings_csv, EMITTED_OUTCOMES["swc-rule"]),
-        "sarif": (write_sarif, emit_sarif([], SARIF_TAXONOMY)),
+        "sarif": (lambda path, outcomes: write_sarif(path, outcomes, SARIF_TAXONOMY), EMITTED_OUTCOMES["runs"]),
     }
 
     @pytest.mark.parametrize("name", sorted(WRITERS))
