@@ -42,15 +42,10 @@ from .reporting import (
     SUMMARY_FILENAME,
     MissingKeyError,
     TaxonomyMap,
-    build_summary,
-    collect_outcomes,
-    error_rate_series,
     read_keys,
     report_stamp,
     reports_current,
-    write_findings_csv,
-    write_sarif,
-    write_summary,
+    write_reports,
 )
 from .runner import Runner, TaskExecutor, finalize, read_done_markers
 from .solc import CompilerCache, MockCompilerFetcher, ReleaseIndex, UrlCompilerFetcher
@@ -217,19 +212,13 @@ def _withdraw_reports(results_root: Path) -> None:
 
 
 def _emit_reports(
-    results_root: Path, lock: dict, finished: dict, keys: dict[str, int] | None, args, stamp: str
+    results_root: Path, lock: dict, finished: dict[str, ExitClass], keys: dict[str, int] | None, args, stamp: str
 ) -> None:
-    """Write the reports; ``summary.json`` last, so its stamp lands only once the others are in place."""
-    taxonomy = TaxonomyMap.load(bundled_taxonomy())
-    outcomes, incomplete = collect_outcomes(results_root, lock["tasks"], finished, taxonomy)
-    write_findings_csv(results_root / FINDINGS_FILENAME, outcomes)
-    if args.sarif:
-        write_sarif(results_root / SARIF_FILENAME, outcomes, taxonomy)
-    else:  # one left by an earlier --sarif command would disagree with the new reports
-        (results_root / SARIF_FILENAME).unlink(missing_ok=True)
-    series = error_rate_series(outcomes, keys, args.bin_size) if keys is not None else None
-    summary = build_summary(outcomes, skips=lock["skips"], incomplete=incomplete, series=series, stamp=stamp)
-    write_summary(results_root / SUMMARY_FILENAME, summary)
+    """Rebuild every report from the tree on disk, whichever command wrote it."""
+    write_reports(
+        results_root, lock["tasks"], lock["skips"], finished, TaxonomyMap.load(bundled_taxonomy()),
+        keys=keys, bin_size=args.bin_size, sarif=args.sarif, stamp=stamp,
+    )
 
 
 def cmd_run(args) -> int:
@@ -344,25 +333,27 @@ def cmd_reparse(args) -> int:
                 withdrawn = True
 
         markers = read_done_markers(results_root, (entry["output_dir"] for entry in lock["tasks"]))
-        finished = {}
+        finished: dict[str, ExitClass] = {}
+        reparsed = 0
         for entry in lock["tasks"]:
             out_dir = results_root / entry["output_dir"]
             marker = markers.get(entry["output_dir"])
             if marker is None:  # absent or corrupt: collect_outcomes reports it as incomplete
                 continue
             content_hash, args_digest, exit_class = marker
-            finished[entry["output_dir"]] = (exit_class, None)
+            finished[entry["output_dir"]] = exit_class
             try:  # unreadable stored output: the task keeps its result.json
                 record = read_meta(out_dir / META_FILENAME)
                 raw = read_raw(out_dir, record.result_files)
             except (OSError, ValueError, KeyError, TypeError):
                 continue
             tool = tools[entry["tool"], entry["tool_version"]]
-            finished[entry["output_dir"]] = finalize(
+            exit_class, _ = finalize(
                 out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest,
                 stored=exit_class, before_write=withdraw_once,
             )
-        reparsed = sum(report is not None for _, report in finished.values())
+            finished[entry["output_dir"]] = exit_class
+            reparsed += 1
 
         # The stamp covers neither markers nor stored output, so a task left out above means a rewrite.
         stamp = _report_stamp(lock, keys, args)

@@ -263,23 +263,6 @@ class ParsedReport:
 
 
 @dataclass(frozen=True)
-class NormalizedFinding:
-    """A finding enriched with taxonomy labels."""
-
-    finding: Finding
-    swc_id: str | None = None
-    dasp_class: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.dasp_class is not None and not 1 <= self.dasp_class <= 10:
-            raise ValueError(f"dasp_class out of range: {self.dasp_class}")
-
-    @property
-    def unmapped(self) -> bool:
-        return self.swc_id is None and self.dasp_class is None
-
-
-@dataclass(frozen=True)
 class RawResult:
     """Captured outputs of one tool run, before parsing."""
 

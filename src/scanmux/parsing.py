@@ -249,14 +249,6 @@ def _location_doc(location: Location | None) -> dict | None:
     return {"kind": "bytecode", "offset": location.offset}
 
 
-def _location_from_doc(doc: dict | None) -> Location | None:
-    if doc is None:
-        return None
-    if doc["kind"] == "source":
-        return SourceLocation(line=doc["line"], file=doc.get("file"))
-    return BytecodeLocation(offset=doc["offset"])
-
-
 def report_to_doc(report: ParsedReport) -> dict:
     return {
         "findings": [
@@ -283,19 +275,24 @@ def write_report(path: str | Path, report: ParsedReport) -> None:
     Path(path).write_bytes(report_bytes(report))
 
 
-def read_report(path: str | Path) -> ParsedReport:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ParsedReport(
-        findings=tuple(
-            Finding(
-                native_label=f["label"],
-                message=f["message"],
-                location=_location_from_doc(f.get("location")),
-                severity_native=f.get("severity"),
-            )
-            for f in doc["findings"]
-        ),
-        errors=tuple(doc["errors"]),
-        failures=tuple(doc["failures"]),
-        parser_version=doc["parser_version"],
-    )
+def read_findings(path: str | Path) -> list[tuple[str, str, tuple | int | None]]:
+    """(label, message, location) of each finding in the ``result.json`` at ``path``.
+
+    The lean reader the reports use: no ``ParsedReport`` is built. A location
+    is ``(line, file)`` for a source location, the offset for a bytecode one,
+    or None. Raises ValueError, KeyError or TypeError for a file that does not
+    hold a report.
+    """
+    with open(path, "rb") as fh:
+        doc = json.loads(fh.read())
+    if not isinstance(doc, dict) or not {"errors", "failures", "parser_version"} <= doc.keys():
+        raise ValueError(f"{path}: not a report")
+    findings = []
+    for finding in doc["findings"]:
+        label, location = finding["label"], finding.get("location")
+        if not label:
+            raise ValueError(f"{path}: a finding without a label")
+        if location is not None:
+            location = (location["line"], location.get("file")) if location["kind"] == "source" else location["offset"]
+        findings.append((label, finding["message"], location))
+    return findings

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import tempfile
 from importlib import resources
@@ -63,7 +64,8 @@ def dump_json(doc) -> str:
 
     With ``indent`` set the stdlib encodes through a chain of Python
     generators; this builds one list of chunks and escapes strings in C.
-    A generator encodes as the list of its items, where the stdlib raises.
+    A generator encodes as the list of its items, and a callable as what it
+    returns when the encoder reaches it, where the stdlib raises.
     """
     out: list[str] = []
     _encode(doc, "\n", out, None)
@@ -76,18 +78,29 @@ def write_json(path: Path, doc) -> None:
 
     The document is encoded into the temp file in chunks of at most about
     ``_FLUSH_CHUNKS`` strings, so its text is never held whole; a generator
-    in it is consumed while the file is written.
+    or callable in it is consumed while the file is written.
     """
     with replacing(path, 0o644) as f:
-        out: list[str] = []
+        _stream_json(doc, f.write)
 
-        def flush() -> None:
-            f.write("".join(out).encode())
-            out.clear()
 
-        _encode(doc, "\n", out, flush)
-        out.append("\n")
-        flush()
+def json_digest(doc) -> str:
+    """SHA-256 hex digest of ``dump_json(doc)``'s bytes, encoded in chunks as ``write_json`` writes them."""
+    digest = hashlib.sha256()
+    _stream_json(doc, digest.update)
+    return digest.hexdigest()
+
+
+def _stream_json(doc, write) -> None:
+    out: list[str] = []
+
+    def flush() -> None:
+        write("".join(out).encode())
+        out.clear()
+
+    _encode(doc, "\n", out, flush)
+    out.append("\n")
+    flush()
 
 
 # Encoded strings held before write_json hands them to the file (~100 KiB of JSON).
@@ -140,5 +153,7 @@ def _encode(value, newline: str, out: list[str], flush) -> None:
             if flush is not None and len(out) >= _FLUSH_CHUNKS:
                 flush()
         out.append(newline + "}")
+    elif callable(value):
+        _encode(value(), newline, out, flush)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

@@ -22,7 +22,7 @@ from .model import (
     content_hash,
     detect_format,
 )
-from .paths import write_json
+from .paths import json_digest, write_json
 from .registry import Registry, resolve_tools
 from .solc import (
     CompilerCache,
@@ -390,20 +390,23 @@ def plan_to_doc(plan: RunPlan) -> dict:
 def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
     """Serialize the plan into the results root and return its document.
 
-    A lock on disk that already holds this document is left as it is.
-    Refuses to overwrite a lock created with different arguments: such a root
-    belongs to another invocation and mixing the two would corrupt resume.
+    A lock on disk that already holds this document's bytes is left as it
+    is; the two are compared by digest, and the lock is parsed only when they
+    differ. Refuses to overwrite a lock created with different arguments: such
+    a root belongs to another invocation and mixing the two would corrupt resume.
     """
     root = Path(results_root)
     root.mkdir(parents=True, exist_ok=True)
     doc = plan_to_doc(plan)
-    try:
-        existing = read_plan_lock(root)
-    except PlanLockMissingError:
-        existing = None
-    if existing == doc:
-        return doc
     path = root / PLAN_LOCK_FILENAME
+    try:
+        with open(path, "rb") as fh:
+            stored = hashlib.file_digest(fh, "sha256").hexdigest()
+    except FileNotFoundError:
+        stored = None
+    if stored is not None and stored == json_digest(doc):
+        return doc
+    existing = read_plan_lock(root) if stored is not None else None
     if existing is not None and existing.get("args_digest") != plan.args_digest:
         raise PlanningError(
             [

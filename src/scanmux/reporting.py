@@ -7,22 +7,17 @@ import functools
 import hashlib
 import json
 import numbers
+import os
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from itertools import groupby
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import yaml
 
-from .model import (
-    BytecodeLocation,
-    Finding,
-    HarnessError,
-    NormalizedFinding,
-    ParsedReport,
-    SourceLocation,
-)
-from .parsing import RESULT_FILENAME, ExitClass, read_report
+from .model import HarnessError
+from .parsing import RESULT_FILENAME, ExitClass, read_findings
 from .paths import load_yaml, replacing, sarif_schema_path, write_json
 
 SARIF_FILENAME = "report.sarif"
@@ -106,31 +101,16 @@ class TaxonomyMap:
         return self.entries.get((tool_id.lower(), native_label))
 
 
-def normalize(report: ParsedReport, tool_id: str, taxonomy: TaxonomyMap) -> list[NormalizedFinding]:
-    """Attach SWC/DASP labels to every finding; unknown labels stay unmapped."""
-    out = []
-    for finding in report.findings:
-        entry = taxonomy.lookup(tool_id, finding.native_label)
-        if entry is None:
-            out.append(NormalizedFinding(finding))
-        else:
-            out.append(NormalizedFinding(finding, swc_id=entry.swc_id, dasp_class=entry.dasp_class))
-    return out
+_UNMAPPED = TaxonomyEntry()
+
+# A finding as the reports see it: (label, message, location, swc id, dasp class).
+# The location is as ``parsing.read_findings`` reads it; the swc id and dasp
+# class are the taxonomy's, both None for an unmapped label.
+Row = tuple[str, str, tuple | int | None, str | None, int | None]
 
 
-def unmapped_labels(outcomes: "Iterable[TaskOutcome]") -> list[tuple[str, str]]:
-    """Run-level summary of native labels absent from the taxonomy."""
-    seen = set()
-    for outcome in outcomes:
-        for nf in outcome.normalized:
-            if nf.unmapped:
-                seen.add((outcome.tool_id, nf.finding.native_label))
-    return sorted(seen)
-
-
-@dataclass(frozen=True)
-class TaskOutcome:
-    """One completed task as the aggregation passes see it."""
+class TaskOutcome(NamedTuple):
+    """One completed task as the reports see it."""
 
     output_dir: str
     contract_id: str
@@ -138,8 +118,7 @@ class TaskOutcome:
     tool_id: str
     version_label: str
     exit_class: ExitClass
-    report: ParsedReport
-    normalized: tuple[NormalizedFinding, ...]
+    findings: list[Row]
 
     @property
     def tool_key(self) -> str:
@@ -149,120 +128,100 @@ class TaskOutcome:
 def collect_outcomes(
     results_root: str | Path,
     entries: Iterable[Mapping],
-    finished: Mapping[str, tuple[ExitClass, ParsedReport | None]],
+    finished: Mapping[str, ExitClass],
     taxonomy: TaxonomyMap,
-) -> tuple[list[TaskOutcome], list[str]]:
-    """Join the plan lock's task entries with the outcomes a command holds.
+    incomplete: list[str] | None = None,
+) -> Iterator[TaskOutcome]:
+    """Yield the outcome of each plan lock task entry, in the entries' order.
 
-    ``finished`` maps an output dir to its exit class and parsed report; the
-    report is None for a task finished by an earlier command, and only then
-    is its result.json read. Returns (outcomes sorted by output dir, output
-    dirs absent from ``finished`` or without a readable result.json).
-    Incomplete tasks are reported, not fatal: a stopped run can still be
-    summarized, and reparse rewrites a torn result.json.
+    ``finished`` maps an output dir to its exit class. A task's
+    ``result.json`` is read only when its outcome is due, so one task's
+    findings are held at a time. An entry absent from ``finished`` or without
+    a readable ``result.json`` yields nothing and is appended to
+    ``incomplete``. Incomplete tasks are reported, not fatal: a stopped run
+    can still be summarized, and reparse rewrites a torn result.json.
     """
-    outcomes: list[TaskOutcome] = []
-    incomplete: list[str] = []
-    for entry in sorted(entries, key=lambda e: e["output_dir"]):
-        output_dir = entry["output_dir"]
-        if output_dir not in finished:
-            incomplete.append(output_dir)
-            continue
-        exit_class, report = finished[output_dir]
-        if report is None:
-            try:
-                report = read_report(Path(results_root, output_dir, RESULT_FILENAME))
-            except (OSError, ValueError, KeyError, TypeError):
+    for entry in entries:
+        output_dir, tool_id = entry["output_dir"], entry["tool"]
+        try:
+            exit_class = finished[output_dir]
+            findings = []
+            for label, message, location in read_findings(os.path.join(results_root, output_dir, RESULT_FILENAME)):
+                mapped = taxonomy.lookup(tool_id, label) or _UNMAPPED
+                findings.append((label, message, location, mapped.swc_id, mapped.dasp_class))
+        except (OSError, ValueError, KeyError, TypeError):
+            if incomplete is not None:
                 incomplete.append(output_dir)
-                continue
-        outcomes.append(
-            TaskOutcome(
-                output_dir=output_dir,
-                contract_id=entry["contract"],
-                source_path=entry["source_path"],
-                tool_id=entry["tool"],
-                version_label=entry["tool_version"],
-                exit_class=exit_class,
-                report=report,
-                normalized=tuple(normalize(report, entry["tool"], taxonomy)),
-            )
+            continue
+        yield TaskOutcome(
+            output_dir, entry["contract"], entry["source_path"], tool_id, entry["tool_version"], exit_class, findings
         )
-    return outcomes, incomplete
 
 
-def _sarif_location(outcome: TaskOutcome, finding: Finding) -> dict | None:
-    location = finding.location
-    if isinstance(location, SourceLocation):
-        uri = location.file or outcome.source_path
+def _sarif_location(outcome: TaskOutcome, location: tuple | int) -> dict:
+    if isinstance(location, tuple):
+        line, file = location
         return {
             "physicalLocation": {
-                "artifactLocation": {"uri": Path(uri).as_posix()},
-                "region": {"startLine": max(1, location.line)},
+                "artifactLocation": {"uri": Path(file or outcome.source_path).as_posix()},
+                "region": {"startLine": max(1, line)},
             }
         }
-    if isinstance(location, BytecodeLocation):
-        # SARIF has no EVM-offset notion; a synthetic artifact URI plus a byte
-        # offset keeps the document valid without losing the position.
-        return {
-            "physicalLocation": {
-                "artifactLocation": {"uri": f"bytecode/{outcome.contract_id}"},
-                "region": {"byteOffset": max(0, location.offset)},
-            }
+    # SARIF has no EVM-offset notion; a synthetic artifact URI plus a byte
+    # offset keeps the document valid without losing the position.
+    return {
+        "physicalLocation": {
+            "artifactLocation": {"uri": f"bytecode/{outcome.contract_id}"},
+            "region": {"byteOffset": max(0, location)},
         }
-    return None
+    }
 
 
-def emit_sarif(outcomes: Sequence[TaskOutcome], taxonomy: TaxonomyMap) -> dict:
-    """One SARIF run per (tool, version); results ordered by output dir.
+def _sarif_document(runs) -> dict:
+    return {"$schema": SARIF_SCHEMA_URI, "version": SARIF_VERSION, "runs": runs}
 
-    Tools that produced no findings still appear as runs with an empty
-    results array, so a consumer sees what actually ran.
+
+def emit_sarif(outcomes: Iterable[TaskOutcome], taxonomy: TaxonomyMap) -> dict:
+    """The SARIF document of ``outcomes``, which come sorted by (tool, version, output dir).
+
+    One run per (tool, version), its results in the outcomes' order. Tools
+    that produced no findings still appear as runs with an empty results
+    array, so a consumer sees what actually ran. The document is built as
+    ``paths.write_json`` encodes it: ``runs`` and each run's ``results`` are
+    generators, and a run's ``tool`` is a callable that builds the driver,
+    whose rules are the SWC ids the run's results used ("results" sorts
+    before "tool").
     """
-    groups: dict[tuple[str, str], list[TaskOutcome]] = {}
-    for outcome in sorted(outcomes, key=lambda o: o.output_dir):
-        groups.setdefault((outcome.tool_id, outcome.version_label), []).append(outcome)
+    return _sarif_document(
+        _sarif_run(tool_id, version_label, group, taxonomy)
+        for (tool_id, version_label), group in groupby(outcomes, key=attrgetter("tool_id", "version_label"))
+    )
 
-    runs = []
-    for (tool_id, version_label), group in sorted(groups.items()):
-        used_swc: set[str] = set()
-        results = []
-        for outcome in group:
-            for nf in outcome.normalized:
-                rule_id = nf.swc_id or nf.finding.native_label
-                if nf.swc_id is not None:
-                    used_swc.add(nf.swc_id)
-                result = {
-                    "ruleId": rule_id,
-                    "level": "warning",
-                    "message": {"text": nf.finding.message},
-                }
-                location = _sarif_location(outcome, nf.finding)
+
+def _sarif_run(tool_id: str, version_label: str, outcomes: Iterable[TaskOutcome], taxonomy: TaxonomyMap) -> dict:
+    used_swc: set[str] = set()
+
+    def results():
+        for outcome in outcomes:
+            for label, message, location, swc_id, _ in outcome.findings:
+                if swc_id is not None:
+                    used_swc.add(swc_id)
+                result = {"ruleId": swc_id or label, "level": "warning", "message": {"text": message}}
                 if location is not None:
-                    result["locations"] = [location]
-                results.append(result)
+                    result["locations"] = [_sarif_location(outcome, location)]
+                yield result
+
+    def tool() -> dict:
         rules = []
         for swc_id in sorted(used_swc):
             entry = taxonomy.catalog[swc_id]
-            rule = {
-                "id": swc_id,
-                "shortDescription": {"text": entry.title},
-            }
+            rule = {"id": swc_id, "shortDescription": {"text": entry.title}}
             if entry.ref:
                 rule["helpUri"] = entry.ref
             rules.append(rule)
-        runs.append(
-            {
-                "tool": {
-                    "driver": {
-                        "name": tool_id,
-                        "version": version_label,
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        )
-    return {"$schema": SARIF_SCHEMA_URI, "version": SARIF_VERSION, "runs": runs}
+        return {"driver": {"name": tool_id, "version": version_label, "rules": rules}}
+
+    return {"results": results(), "tool": tool}
 
 
 # Keywords that assert nothing under jsonschema.validate (no format checker).
@@ -327,15 +286,9 @@ def _compile(schema, definitions: dict, resolving: tuple) -> Callable[[object], 
         if key == "type" and type(value) is str and value in _TYPES:
             checks.append(_TYPES[value])
         elif key == "required":
-            checks.append(
-                lambda x, keys=tuple(value): not isinstance(x, dict) or all(k in x for k in keys)
-            )
+            checks.append(lambda x, keys=frozenset(value): not isinstance(x, dict) or keys <= x.keys())
         elif key == "properties":
-            props = {k: _compile(v, definitions, resolving) for k, v in value.items()}
-            checks.append(
-                lambda x, props=props: not isinstance(x, dict)
-                or all(p(x[k]) for k, p in props.items() if k in x)
-            )
+            checks.append(_properties_check(tuple((k, _compile(v, definitions, resolving)) for k, v in value.items())))
         elif key == "additionalProperties" and value is False:
             allowed = frozenset(schema.get("properties", ()))
             checks.append(lambda x, allowed=allowed: not isinstance(x, dict) or x.keys() <= allowed)
@@ -353,13 +306,37 @@ def _compile(schema, definitions: dict, resolving: tuple) -> Callable[[object], 
             )
         else:
             raise ValueError(f"cannot compile keyword {key!r}: {value!r}")
-    return lambda x, checks=tuple(checks): all(check(x) for check in checks)
+    return checks[0] if len(checks) == 1 else _all_checks(tuple(checks))
+
+
+# Plain loops: a generator under all() costs a frame per call, and the checks run once per SARIF value.
+def _properties_check(props: tuple) -> Callable[[object], bool]:
+    def check(x) -> bool:
+        if isinstance(x, dict):
+            for key, accepts in props:
+                if key in x and not accepts(x[key]):
+                    return False
+        return True
+
+    return check
+
+
+def _all_checks(checks: tuple) -> Callable[[object], bool]:
+    def check(x) -> bool:
+        for accepts in checks:
+            if not accepts(x):
+                return False
+        return True
+
+    return check
 
 
 @functools.cache
-def _sarif_schema() -> tuple[dict, Callable[[object], bool]]:
+def _sarif_schema() -> tuple[dict, Callable[[object], bool], Callable[[object], bool]]:
+    """The bundled schema, its compiled check, and the compiled check of one result."""
     schema = json.loads(sarif_schema_path().read_text(encoding="utf-8"))
-    return schema, compile_schema(schema)
+    result = {"$ref": "#/definitions/result", "definitions": schema.get("definitions", {})}
+    return schema, compile_schema(schema), compile_schema(result)
 
 
 def validate_sarif(doc: dict) -> None:
@@ -368,89 +345,112 @@ def validate_sarif(doc: dict) -> None:
     The schema is read and compiled once per process. A document the compiled
     check refuses goes to jsonschema, which raises the error or accepts it.
     """
-    schema, accepts = _sarif_schema()
+    schema, accepts, _ = _sarif_schema()
     if not accepts(doc):
         import jsonschema  # ~0.1 s to import, so only a refused document pays it
 
         jsonschema.validate(doc, schema)
 
 
-def write_sarif(path: str | Path, outcomes: Sequence[TaskOutcome], taxonomy: TaxonomyMap) -> None:
-    """Write ``emit_sarif(outcomes, taxonomy)`` one (tool, version) run at a time.
+def write_sarif(path: str | Path, outcomes: Iterable[TaskOutcome], taxonomy: TaxonomyMap) -> None:
+    """Write ``emit_sarif(outcomes, taxonomy)`` result by result.
 
-    Each run is emitted and validated as a one-run document before it is
-    written; the schema constrains ``runs`` only through its items, so that
-    equals validating the whole document. A refused run leaves ``path`` as it was.
+    The document header is checked first. Each result is checked by the
+    compiled check of one result as it passes; a result that check refuses
+    goes to ``validate_sarif`` as a one-result document, so jsonschema has
+    the last word. Each run's skeleton (its tool, rules included, with no
+    results) is checked once its results are through. The schema constrains
+    ``runs`` and a run's ``results`` only through their items, so that equals
+    validating the whole document. A refused result or run leaves ``path`` as it was.
     """
-    groups: dict[tuple[str, str], list[TaskOutcome]] = {}
-    for outcome in outcomes:
-        groups.setdefault((outcome.tool_id, outcome.version_label), []).append(outcome)
-
-    def runs():
-        for key in sorted(groups):
-            doc = emit_sarif(groups[key], taxonomy)
-            validate_sarif(doc)
-            yield doc["runs"][0]
-
-    if not groups:
-        validate_sarif(emit_sarif([], taxonomy))
-    write_json(Path(path), {"$schema": SARIF_SCHEMA_URI, "version": SARIF_VERSION, "runs": runs()})
+    validate_sarif(_sarif_document([]))
+    doc = emit_sarif(outcomes, taxonomy)
+    write_json(Path(path), doc | {"runs": (_checked_run(run) for run in doc["runs"])})
 
 
-def error_rate_series(
-    outcomes: Iterable[TaskOutcome], keys: Mapping[str, int], bin_size: int
-) -> dict[str, list[tuple[int, float]]]:
-    """Per-tool (bin index, error percentage) pairs, binned by each contract's key.
+def _checked_run(run: dict) -> dict:
+    accepts_result = _sarif_schema()[2]
 
-    Empty bins are omitted. ``keys`` must hold every outcome's contract and
-    ``bin_size`` must be positive; the CLI checks both before any task runs.
-    """
-    per_tool: dict[str, dict[int, list[int]]] = {}
-    for outcome in outcomes:
-        bin_index = keys[outcome.contract_id] // bin_size
-        bucket = per_tool.setdefault(outcome.tool_key, {}).setdefault(bin_index, [0, 0])
-        bucket[1] += 1
-        if outcome.exit_class is ExitClass.TOOL_ERROR:
-            bucket[0] += 1
-    return {
-        tool: [(b, 100.0 * err / total) for b, (err, total) in sorted(bins.items())]
-        for tool, bins in sorted(per_tool.items())
-    }
+    def results():
+        for result in run["results"]:
+            if not accepts_result(result):
+                validate_sarif(_sarif_document([{"tool": run["tool"](), "results": [result]}]))
+            yield result
+
+    def tool() -> dict:
+        built = run["tool"]()
+        validate_sarif(_sarif_document([{"tool": built, "results": []}]))
+        return built
+
+    return {"results": results(), "tool": tool}
 
 
 def pct(numerator: int, denominator: int) -> float:
     """Percentage rounded half-up to two decimals; 0.0 for an empty set."""
     if denominator == 0:
         return 0.0
-    value = Decimal(100) * Decimal(numerator) / Decimal(denominator)
-    return float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+    # Integer half-up rounding of 10000 * n / d is exact; the one division by 100 then rounds correctly.
+    return (20000 * numerator + denominator) // (2 * denominator) / 100
+
+
+_COUNTED = (*(c.value for c in ExitClass), "total", "findings")
+
+
+class SummaryCounts:
+    """The counts of ``summary.json``, folded over the outcomes as they pass.
+
+    It holds counters per tool key and per error-rate bin and the unmapped
+    (tool, label) pairs, never an outcome. With ``keys`` (contract id ->
+    integer key) it counts the error-rate series, binning each contract's key
+    by ``bin_size``; ``keys`` must hold every outcome's contract and
+    ``bin_size`` must be positive, which the CLI checks before any task runs.
+    """
+
+    def __init__(self, keys: Mapping[str, int] | None = None, bin_size: int = 1):
+        self.keys = keys
+        self.bin_size = bin_size
+        self.tools: dict[str, dict[str, int]] = {}
+        self.bins: dict[str, dict[int, list[int]]] = {}  # tool key -> bin -> [errors, total]
+        self.unmapped: set[tuple[str, str]] = set()
+
+    def counting(self, outcomes: Iterable[TaskOutcome]) -> Iterator[TaskOutcome]:
+        """Yield each outcome once it is counted."""
+        for outcome in outcomes:
+            tool_key = outcome.tool_key
+            stats = self.tools.setdefault(tool_key, dict.fromkeys(_COUNTED, 0))
+            stats["total"] += 1
+            stats[outcome.exit_class.value] += 1
+            stats["findings"] += len(outcome.findings)
+            for label, _, _, swc_id, dasp_class in outcome.findings:
+                if swc_id is None and dasp_class is None:
+                    self.unmapped.add((outcome.tool_id, label))
+            if self.keys is not None:
+                bin_index = self.keys[outcome.contract_id] // self.bin_size
+                bucket = self.bins.setdefault(tool_key, {}).setdefault(bin_index, [0, 0])
+                bucket[1] += 1
+                if outcome.exit_class is ExitClass.TOOL_ERROR:
+                    bucket[0] += 1
+            yield outcome
 
 
 def build_summary(
-    outcomes: Sequence[TaskOutcome],
+    counts: SummaryCounts,
     skips: Sequence[Mapping] = (),
     incomplete: Sequence[str] = (),
-    series: Mapping[str, list[tuple[int, float]]] | None = None,
     stamp: str | None = None,
 ) -> dict:
     """Per-tool exit-class counts and rates, ready for summary.json.
 
-    ``stamp`` is the ``report_stamp`` of the inputs the reports were built
-    from; ``reports_current`` compares it with the next command's.
+    With ``counts.keys`` the document holds ``error_rate_series``: per tool
+    key, the (bin, error percentage) pairs of its nonempty bins. ``stamp`` is
+    the ``report_stamp`` of the inputs the reports were built from;
+    ``reports_current`` compares it with the next command's.
     """
-    per_tool: dict[str, dict] = {}
-    for outcome in sorted(outcomes, key=lambda o: (o.tool_key, o.output_dir)):
-        stats = per_tool.setdefault(
-            outcome.tool_key,
-            {c.value: 0 for c in ExitClass} | {"total": 0, "findings": 0},
-        )
-        stats["total"] += 1
-        stats[outcome.exit_class.value] += 1
-        stats["findings"] += len(outcome.report.findings)
+    per_tool = {tool_key: dict(stats) for tool_key, stats in counts.tools.items()}
     for stats in per_tool.values():
         stats["error_rate"] = pct(stats["tool_error"], stats["total"])
         stats["failure_rate"] = pct(stats["tool_failure"], stats["total"])
-    totals = {c.value: 0 for c in ExitClass} | {"total": 0, "findings": 0}
+    totals = dict.fromkeys(_COUNTED, 0)
     for stats in per_tool.values():
         for field in totals:
             totals[field] += stats[field]
@@ -458,13 +458,14 @@ def build_summary(
         "schema": SUMMARY_SCHEMA,
         "tools": per_tool,
         "totals": totals,
-        "unmapped_labels": [list(pair) for pair in unmapped_labels(outcomes)],
+        "unmapped_labels": [list(pair) for pair in sorted(counts.unmapped)],
         "skips": len(skips),
         "incomplete": sorted(incomplete),
     }
-    if series is not None:
+    if counts.keys is not None:
         doc["error_rate_series"] = {
-            tool: [[b, rate] for b, rate in points] for tool, points in series.items()
+            tool_key: [[b, 100.0 * errors / total] for b, (errors, total) in sorted(bins.items())]
+            for tool_key, bins in sorted(counts.bins.items())
         }
     if stamp is not None:
         doc["stamp"] = stamp
@@ -484,18 +485,26 @@ def report_stamp(
     Those inputs are the taxonomy file's bytes, the plan lock's task and skip
     entries, the ``--keys`` mapping, ``--bin-size``, ``--sarif`` and the
     summary schema. It holds no path, so equal inputs give equal stamps
-    under any results root.
+    under any results root. The digest is of their compact, key-sorted JSON,
+    fed to SHA-256 a slice of entries at a time, so that text is never held whole.
     """
-    inputs = {
-        "bin_size": bin_size,
-        "keys": keys,
-        "sarif": sarif,
-        "schema": SUMMARY_SCHEMA,
-        "skips": skips,
-        "tasks": tasks,
-        "taxonomy": hashlib.sha256(taxonomy).hexdigest(),
-    }
-    return hashlib.sha256(json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    digest = hashlib.sha256()
+    head = {"bin_size": bin_size, "keys": keys, "sarif": sarif, "schema": SUMMARY_SCHEMA}
+    digest.update(encode(head)[:-1].encode())  # the keys that sort before "skips", without the closing brace
+    for name, entries in (("skips", skips), ("tasks", tasks)):
+        digest.update(f',"{name}":['.encode())
+        for start in range(0, len(entries), _STAMP_SLICE):
+            if start:
+                digest.update(b",")
+            digest.update(encode(entries[start:start + _STAMP_SLICE])[1:-1].encode())  # without the brackets
+        digest.update(b"]")
+    digest.update(f',"taxonomy":"{hashlib.sha256(taxonomy).hexdigest()}"}}'.encode())
+    return digest.hexdigest()
+
+
+# Lock entries encoded at a time by report_stamp (~50 KiB of JSON).
+_STAMP_SLICE = 256
 
 
 def reports_current(results_root: str | Path, stamp: str, sarif: bool) -> bool:
@@ -520,34 +529,69 @@ def write_summary(path: str | Path, summary: dict) -> None:
     write_json(Path(path), summary)
 
 
-def _location_text(outcome: TaskOutcome, finding: Finding) -> str:
-    location = finding.location
-    if isinstance(location, SourceLocation):
-        return f"{location.file or outcome.source_path}:{location.line}"
-    if isinstance(location, BytecodeLocation):
-        return f"offset:{location.offset}"
-    return ""
+def _location_text(outcome: TaskOutcome, location: tuple | int | None) -> str:
+    if location is None:
+        return ""
+    if isinstance(location, tuple):
+        line, file = location
+        return f"{file or outcome.source_path}:{line}"
+    return f"offset:{location}"
 
 
-def write_findings_csv(path: str | Path, outcomes: Sequence[TaskOutcome]) -> None:
-    """One row per normalized finding; the task column is the task's output dir."""
+def write_findings_csv(path: str | Path, outcomes: Iterable[TaskOutcome]) -> None:
+    """One row per finding, in the outcomes' order; the task column is the task's output dir."""
     # A tool's JSON can escape a lone surrogate into a label; UTF-8 cannot hold it.
     with replacing(Path(path), 0o644, encoding="utf-8", errors="backslashreplace", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["task", "tool", "version", "label", "swc", "dasp", "location"])
-        for outcome in sorted(outcomes, key=lambda o: o.output_dir):
-            for nf in outcome.normalized:
-                writer.writerow(
-                    [
-                        outcome.output_dir,
-                        outcome.tool_id,
-                        outcome.version_label,
-                        nf.finding.native_label,
-                        nf.swc_id or "",
-                        nf.dasp_class if nf.dasp_class is not None else "",
-                        _location_text(outcome, nf.finding),
-                    ]
-                )
+        for outcome in outcomes:
+            writer.writerows(
+                [
+                    outcome.output_dir,
+                    outcome.tool_id,
+                    outcome.version_label,
+                    label,
+                    swc_id or "",
+                    "" if dasp_class is None else dasp_class,
+                    _location_text(outcome, location),
+                ]
+                for label, _, location, swc_id, dasp_class in outcome.findings
+            )
+
+
+def write_reports(
+    results_root: Path,
+    tasks: Sequence[Mapping],
+    skips: Sequence[Mapping],
+    finished: Mapping[str, ExitClass],
+    taxonomy: TaxonomyMap,
+    *,
+    keys: Mapping[str, int] | None,
+    bin_size: int,
+    sarif: bool,
+    stamp: str,
+) -> None:
+    """Build every report from the tasks' ``result.json`` files, ``summary.json`` last.
+
+    ``tasks`` and ``skips`` are the plan lock's entries and ``finished`` maps
+    each done task's output dir to its exit class. Each ``result.json`` is
+    read once for ``findings.csv`` and ``summary.json``, in output dir order,
+    and once more for ``report.sarif``, in (tool, version, output dir) order;
+    one task's findings are held at a time. ``summary.json`` comes last, so
+    its stamp lands only once the others are in place.
+    """
+    by_dir = sorted(tasks, key=itemgetter("output_dir"))
+    counts = SummaryCounts(keys, bin_size)
+    incomplete: list[str] = []
+    outcomes = collect_outcomes(results_root, by_dir, finished, taxonomy, incomplete)
+    write_findings_csv(results_root / FINDINGS_FILENAME, counts.counting(outcomes))
+    if sarif:
+        by_run = sorted(by_dir, key=itemgetter("tool_version"))
+        by_run.sort(key=itemgetter("tool"))  # stable, so each run keeps output dir order
+        write_sarif(results_root / SARIF_FILENAME, collect_outcomes(results_root, by_run, finished, taxonomy), taxonomy)
+    else:  # one left by an earlier --sarif command would disagree with the new reports
+        (results_root / SARIF_FILENAME).unlink(missing_ok=True)
+    write_summary(results_root / SUMMARY_FILENAME, build_summary(counts, skips, incomplete, stamp))
 
 
 def read_keys(path: str | Path) -> dict[str, int]:

@@ -193,8 +193,7 @@ class RunSummary:
     total: int
     skipped_as_done: int
     tally: Counter[ExitClass | str] = field(default_factory=Counter)
-    # output dir -> (exit class, report) of every done task; no report for one done before this run
-    finished: dict[str, tuple[ExitClass, ParsedReport | None]] = field(default_factory=dict)
+    finished: dict[str, ExitClass] = field(default_factory=dict)  # output dir -> exit class of every done task
     infra_errors: dict[str, str] = field(default_factory=dict)  # output dir -> message, per unfinished task
 
     @property
@@ -289,7 +288,7 @@ class Runner:
                 if result.error is not None:
                     summary.infra_errors[task.output_dir] = result.error
                 if result.exit_class is not None:
-                    summary.finished[task.output_dir] = (result.exit_class, result.report)
+                    summary.finished[task.output_dir] = result.exit_class
                 if self.on_progress is not None:  # under the lock: calls never overlap
                     self.on_progress(summary.executed, pending_total)
 
@@ -331,8 +330,7 @@ class Runner:
         self._verify_compilers(pending)
         if pending and before_dispatch is not None:
             before_dispatch()
-        finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
-        summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=finished)
+        summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=done)
         self._queue = deque(permute(pending, plan.seed))
         _in_threads("scanmux-worker", self._worker, [(summary, len(pending))] * min(self.workers, max(len(pending), 1)))
         return summary

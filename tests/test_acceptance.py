@@ -22,12 +22,9 @@ from scanmux.plan import PLAN_LOCK_FILENAME, read_plan_lock, write_plan_lock
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     TaxonomyMap,
-    build_summary,
-    collect_outcomes,
     compile_schema,
-    emit_sarif,
-    error_rate_series,
     validate_sarif,
+    write_reports,
 )
 from scanmux.runner import Runner, TaskExecutor, permute, read_done_marker
 from scanmux.solc import (
@@ -280,16 +277,21 @@ def test_criterion_5_sarif_valid_and_versioned_runs(env, full_run, tmp_path, rel
     executor = TaskExecutor(plan, backend, registry, env.cache)
     run = Runner(executor, root, workers=2).run()
 
-    taxonomy = TaxonomyMap.load(bundled_taxonomy())
-    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], run.finished, taxonomy)
-    assert incomplete == []
-    two_version_doc = emit_sarif(outcomes, taxonomy)
+    two_version_doc = reports_of(root, run.finished, sarif=True)["report.sarif"]
     validate_sarif(two_version_doc)
     drivers = [
         (r["tool"]["driver"]["name"], r["tool"]["driver"]["version"])
         for r in two_version_doc["runs"]
     ]
     assert drivers == [("zeta", "1.0"), ("zeta", "2.0")]
+
+
+def reports_of(root: Path, finished, keys=None, bin_size=100_000, sarif=False) -> dict:
+    """The reports that write_reports builds from a results root, by file name, each parsed."""
+    lock = read_plan_lock(root)
+    write_reports(root, lock["tasks"], lock["skips"], finished, TaxonomyMap.load(bundled_taxonomy()),
+                  keys=keys, bin_size=bin_size, sarif=sarif, stamp="")
+    return {name: json.loads((root / name).read_text()) for name in ("summary.json", "report.sarif")[:1 + sarif]}
 
 
 def test_full_run_sarif_passes_the_compiled_check(full_run, jsonschema_forbidden):
@@ -354,7 +356,6 @@ def _probe_registry(base: Path):
 
 def test_criterion_6_rate_analytics(tmp_path, release_index):
     registry = _probe_registry(tmp_path)
-    taxonomy = TaxonomyMap.load(bundled_taxonomy())
     cache = CompilerCache(tmp_path / "cc")
 
     # keys spanning bins 0..100; errors start exactly at 7,500,000
@@ -375,10 +376,9 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     run = Runner(executor, root, workers=4).run()
     assert run.executed == 101
 
-    outcomes, incomplete = collect_outcomes(root, read_plan_lock(root)["tasks"], run.finished, taxonomy)
-    assert incomplete == []
-    series = error_rate_series(outcomes, keys, 100_000)
-    points = dict(series["probe:1.0"])
+    summary = reports_of(root, run.finished, keys=keys, bin_size=100_000)["summary.json"]
+    assert summary["incomplete"] == []
+    points = dict(summary["error_rate_series"]["probe:1.0"])
     assert set(points) == set(range(101))
     for bin_index, rate in points.items():
         if bin_index < 75:
@@ -401,10 +401,8 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     run2 = Runner(executor2, root2, workers=2).run()
     assert run2.executed == 4
 
-    outcomes2, _ = collect_outcomes(root2, read_plan_lock(root2)["tasks"], run2.finished, taxonomy)
-    classes = sorted(o.exit_class.value for o in outcomes2)
-    assert classes.count("tool_failure") == 1
-    summary = build_summary(outcomes2)
+    summary = reports_of(root2, run2.finished)["summary.json"]
+    assert summary["tools"]["probe:1.0"]["tool_failure"] == 1
     assert abs(summary["tools"]["probe:1.0"]["failure_rate"] - 25.00) <= 0.01
 
 

@@ -1017,8 +1017,9 @@ class TestReparseCommand:
 #   kill-after-results N  SIGKILL once N result.json files were written
 #   kill-after-markers N  SIGKILL once N done markers were written
 #   kill-after-csv 1      SIGKILL right after findings.csv is written
-#   kill-in-sarif N       SIGKILL once report.sarif's Nth run is built, each run
-#                         handed to its temp file as soon as it is encoded
+#   kill-in-sarif N       SIGKILL once report.sarif passed its Nth check (the header,
+#                         then each run's skeleton once its results are through),
+#                         each result handed to its temp file as soon as it is encoded
 #   none 0                run to the end
 CUT_SHORT_CLI = """\
 import os, signal, sys
@@ -1053,10 +1054,10 @@ elif point == "kill-after-results":
 elif point == "kill-after-markers":
     runner.write_done_marker = kill_after(runner.write_done_marker)
 elif point == "kill-after-csv":
-    cli.write_findings_csv = kill_after(cli.write_findings_csv)
+    reporting.write_findings_csv = kill_after(reporting.write_findings_csv)
 elif point == "kill-in-sarif":
     paths._FLUSH_CHUNKS = 1
-    reporting.emit_sarif = kill_after(reporting.emit_sarif)
+    reporting.validate_sarif = kill_after(reporting.validate_sarif)
 sys.exit(cli.main(argv))
 """
 

@@ -16,7 +16,6 @@ from scanmux.model import (
     ExecutionRecord,
     Finding,
     MalformedHexError,
-    NormalizedFinding,
     OddHexLengthError,
     ParsedReport,
     ResourceLimits,
@@ -245,17 +244,6 @@ def test_execution_record_exit_code_string():
 def test_finding_needs_label():
     with pytest.raises(ValueError):
         Finding(native_label="", message="m")
-
-
-def test_normalized_finding_dasp_range():
-    f = Finding(native_label="X", message="m")
-    with pytest.raises(ValueError):
-        NormalizedFinding(f, dasp_class=11)
-    with pytest.raises(ValueError):
-        NormalizedFinding(f, dasp_class=0)
-    assert NormalizedFinding(f).unmapped
-    assert not NormalizedFinding(f, swc_id="SWC-107").unmapped
-    assert not NormalizedFinding(f, dasp_class=1).unmapped
 
 
 def test_dedup_preserves_first_occurrence():

@@ -23,7 +23,7 @@ from scanmux.parsing import (
     ExitClass,
     classify_exit,
     parse,
-    read_report,
+    read_findings,
     report_to_doc,
     write_report,
 )
@@ -286,13 +286,38 @@ findings = st.builds(
 )
 
 
+def _read_location(location):
+    """A location as read_findings returns it."""
+    if isinstance(location, SourceLocation):
+        return (location.line, location.file)
+    return None if location is None else location.offset
+
+
 class TestReportFile:
     @given(fs=st.lists(findings, max_size=8), errs=st.lists(st.text(max_size=20), max_size=4))
     def test_roundtrip(self, fs, errs, tmp_path_factory):
         report = ParsedReport(findings=tuple(fs), errors=tuple(errs), parser_version="pv")
         path = tmp_path_factory.mktemp("reports") / "result.json"
         write_report(path, report)
-        assert read_report(path) == report
+        assert read_findings(path) == [
+            (f.native_label, f.message, _read_location(f.location)) for f in report.findings
+        ]
+
+    @pytest.mark.parametrize("text", [
+        "", "{", "[]", '"report"', '{"findings": []}',
+        '{"findings": [{"label": "x"}], "errors": [], "failures": [], "parser_version": ""}',
+        '{"findings": [{"label": "", "message": "m"}], "errors": [], "failures": [], "parser_version": ""}',
+        '{"findings": [{"label": "x", "message": "m", "location": {"kind": "source"}}],'
+        ' "errors": [], "failures": [], "parser_version": ""}',
+        '{"findings": [{"label": "x", "message": "m", "location": {"kind": "bytecode"}}],'
+        ' "errors": [], "failures": [], "parser_version": ""}',
+        '{"findings": ["x"], "errors": [], "failures": [], "parser_version": ""}',
+    ])
+    def test_a_file_that_holds_no_report_is_refused(self, tmp_path, text):
+        path = tmp_path / "result.json"
+        path.write_text(text)
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            read_findings(path)
 
     def test_serialization_is_stable(self, tmp_path):
         report = ParsedReport(

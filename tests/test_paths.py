@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import math
 from decimal import Decimal
@@ -13,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scanmux import paths
-from scanmux.paths import bundled_registry, bundled_taxonomy, dump_json, load_yaml, write_json
+from scanmux.paths import bundled_registry, bundled_taxonomy, dump_json, json_digest, load_yaml, write_json
 
 
 def stdlib(doc) -> str:
@@ -94,6 +95,21 @@ class TestWriteJson:
         write_json(tmp_path / "doc.json", {"a": (item for item in items), "z": 0})
         assert (tmp_path / "doc.json").read_text() == stdlib({"a": items, "z": 0})
         assert dump_json([(item for item in items)]) == stdlib([items])
+
+    def test_callable_is_written_as_what_it_returns_when_reached(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)
+        seen = []
+        doc = {"a": (seen.append(i) or i for i in range(3)), "b": lambda: {"seen": list(seen)}}  # "a" sorts first
+        write_json(tmp_path / "doc.json", doc)
+        assert (tmp_path / "doc.json").read_text() == stdlib({"a": [0, 1, 2], "b": {"seen": [0, 1, 2]}})
+        assert dump_json([lambda: [lambda: None]]) == stdlib([[None]])
+
+    @given(doc=DOCUMENTS, bound=st.integers(1, 3))
+    def test_digest_is_of_the_written_bytes(self, doc, bound):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paths, "_FLUSH_CHUNKS", bound)
+            digest = json_digest(doc)
+        assert digest == hashlib.sha256(dump_json(doc).encode()).hexdigest()
 
     def test_type_error_deep_in_the_document_keeps_the_previous_file(self, tmp_path, monkeypatch):
         monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)  # much of the document reaches the temp file first

@@ -26,10 +26,12 @@ from scanmux.plan import (
     discover_contracts,
     filename_stem,
     plan_output_dir,
+    plan_to_doc,
     read_plan_lock,
     validate_scheme,
     write_plan_lock,
 )
+from scanmux.paths import dump_json
 from scanmux.registry import load_registry
 from scanmux.solc import MockCompilerFetcher, PragmaSyntaxError
 
@@ -379,8 +381,8 @@ def test_plan_lock_interrupted_rewrite_keeps_the_previous_lock(
     assert [p.name for p in root.iterdir()] == ["plan.lock"]
 
 
-@pytest.mark.parametrize("change", [None, "version-1", "registry-moved"])
-def test_plan_lock_is_rewritten_only_when_its_document_changed(
+@pytest.mark.parametrize("change", [None, "version-1", "registry-moved", "other-byte-form"])
+def test_plan_lock_is_rewritten_only_when_its_bytes_changed(
     tmp_path, corpus_dir, mock_registry, compiler_cache, release_index, change
 ):
     contracts = discover_corpus(corpus_dir)
@@ -392,13 +394,26 @@ def test_plan_lock_is_rewritten_only_when_its_document_changed(
         path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
     if change == "registry-moved":
         plan = dataclasses.replace(plan, registry_path=str(tmp_path / "moved"))
+    if change == "other-byte-form":  # the same document, compact: no longer kept as it is
+        path.write_text(json.dumps(json.loads(path.read_text())))
     before = os.stat(path)
     written = write_plan_lock(plan, root)
     after = os.stat(path)
     assert written == read_plan_lock(root)
+    assert path.read_bytes() == dump_json(written).encode()
     assert written["registry_path"] == plan.registry_path and written["version"] == 2
     unchanged = (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert unchanged == (change is None)
+
+
+def test_plan_lock_that_holds_the_plan_is_not_parsed(
+    tmp_path, corpus_dir, mock_registry, compiler_cache, release_index, monkeypatch
+):
+    contracts = discover_corpus(corpus_dir)
+    plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
+    write_plan_lock(plan, tmp_path)
+    monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("the lock was parsed"))
+    assert write_plan_lock(plan, tmp_path) == plan_to_doc(plan)
 
 
 def test_plan_lock_torn_is_an_error_naming_it(

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import copy
 import csv
+import hashlib
+import io
 import json
 import os
+import tracemalloc
+from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
 import jsonschema
@@ -19,15 +23,15 @@ from scanmux.model import (
     BytecodeLocation,
     ContractFormat,
     Finding,
-    NormalizedFinding,
     ParsedReport,
     SourceLocation,
 )
-from scanmux.parsing import ExitClass
+from scanmux.parsing import ExitClass, write_report
 from scanmux.paths import bundled_registry, bundled_taxonomy, dump_json, sarif_schema_path
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     CatalogEntry,
+    SummaryCounts,
     TaskOutcome,
     TaxonomyEntry,
     TaxonomyError,
@@ -36,14 +40,12 @@ from scanmux.reporting import (
     collect_outcomes,
     compile_schema,
     emit_sarif,
-    error_rate_series,
-    normalize,
     pct,
     read_keys,
     report_stamp,
-    unmapped_labels,
     validate_sarif,
     write_findings_csv,
+    write_reports,
     write_sarif,
     write_summary,
 )
@@ -93,6 +95,19 @@ class TestPct:
     @given(st.integers(1, 500))
     def test_full_set(self, n):
         assert pct(n, n) == 100.0
+
+    @given(st.data())
+    def test_equals_decimal_half_up(self, data):
+        den = data.draw(st.integers(1, 10**9))
+        num = data.draw(st.integers(0, den))
+        value = Decimal(100) * Decimal(num) / Decimal(den)
+        assert pct(num, den) == float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+    def test_equals_decimal_half_up_on_every_small_fraction(self):
+        for den in range(1, 120):
+            for num in range(den + 1):
+                value = Decimal(100) * Decimal(num) / Decimal(den)
+                assert pct(num, den) == float(value.quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)), (num, den)
 
 
 class TestTaxonomyMap:
@@ -165,12 +180,10 @@ def outcome(
     findings=(),
     taxonomy=None,
 ):
-    report = ParsedReport(findings=tuple(findings))
-    normalized = tuple(
-        normalize(report, tool, taxonomy)
-        if taxonomy is not None
-        else (NormalizedFinding(f) for f in report.findings)
-    )
+    rows = []
+    for f in ParsedReport(findings=tuple(findings)).findings:
+        entry = (taxonomy.lookup(tool, f.native_label) if taxonomy is not None else None) or TaxonomyEntry()
+        rows.append((f.native_label, f.message, read_location(f.location), entry.swc_id, entry.dasp_class))
     return TaskOutcome(
         output_dir=output_dir,
         contract_id=contract_id,
@@ -178,34 +191,68 @@ def outcome(
         tool_id=tool,
         version_label=version,
         exit_class=exit_class,
-        report=report,
-        normalized=normalized,
+        findings=rows,
     )
 
 
+def read_location(location):
+    """A location as parsing.read_findings returns it."""
+    if isinstance(location, SourceLocation):
+        return (location.line, location.file)
+    return None if location is None else location.offset
+
+
+def in_run_order(outcomes):
+    return sorted(outcomes, key=lambda o: (o.tool_id, o.version_label, o.output_dir))
+
+
+def sarif_doc(outcomes, taxonomy):
+    """emit_sarif's document for outcomes in any order, built and read back as plain JSON."""
+    return json.loads(dump_json(emit_sarif(in_run_order(outcomes), taxonomy)))
+
+
+def counted(outcomes, keys=None, bin_size=1):
+    counts = SummaryCounts(keys, bin_size)
+    assert list(counts.counting(outcomes)) == list(outcomes)
+    return counts
+
+
 class TestNormalize:
-    def test_mapped_and_unmapped(self, taxonomy):
+    def test_mapped_and_unmapped(self, tmp_path, taxonomy):
         report = ParsedReport(findings=(
             Finding("Reentrancy", "m1"),
             Finding("Mystery", "m2"),
+            Finding("Oddity", "m3", BytecodeLocation(4)),
         ))
-        normalized = normalize(report, "mytool", taxonomy)
-        assert normalized[0].swc_id == "SWC-107"
-        assert normalized[0].dasp_class == 1
-        assert normalized[1].unmapped
+        (tmp_path / "run").mkdir()
+        write_report(tmp_path / "run" / "result.json", report)
+        entry = {"output_dir": "run", "contract": "c.sol", "source_path": "c.sol", "tool": "MyTool",
+                 "tool_version": "1.0"}
+        [collected] = collect_outcomes(tmp_path, [entry], {"run": ExitClass.SUCCESS}, taxonomy)
+        assert collected.findings == [
+            ("Reentrancy", "m1", None, "SWC-107", 1),
+            ("Mystery", "m2", None, None, None),
+            ("Oddity", "m3", 4, None, 10),
+        ]
 
     def test_unmapped_labels_aggregation(self, taxonomy):
         outcomes = [
             outcome(findings=[Finding("Mystery", "m")], taxonomy=taxonomy),
             outcome(output_dir="run/d/t", findings=[Finding("Mystery", "m")], taxonomy=taxonomy),
             outcome(output_dir="run/e/t", findings=[Finding("Reentrancy", "m")], taxonomy=taxonomy),
+            outcome(output_dir="run/f/t", findings=[Finding("Oddity", "m")], taxonomy=taxonomy),
         ]
-        assert unmapped_labels(outcomes) == [("mytool", "Mystery")]
+        assert counted(outcomes).unmapped == {("mytool", "Mystery")}
+
+    def test_a_label_mapped_to_nothing_is_unmapped(self):
+        taxonomy = TaxonomyMap({}, {("mytool", "Blank"): TaxonomyEntry()})
+        outcomes = [outcome(findings=[Finding("Blank", "m")], taxonomy=taxonomy)]
+        assert build_summary(counted(outcomes))["unmapped_labels"] == [["mytool", "Blank"]]
 
 
 class TestSarif:
     def test_minimal_document_shape(self, taxonomy):
-        doc = emit_sarif([], taxonomy)
+        doc = sarif_doc([], taxonomy)
         assert doc["version"] == "2.1.0"
         assert doc["runs"] == []
         validate_sarif(doc)
@@ -216,7 +263,7 @@ class TestSarif:
             outcome(output_dir="b", tool="mytool", version="2.0"),
             outcome(output_dir="c", tool="other", version="1.0"),
         ]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         drivers = [(r["tool"]["driver"]["name"], r["tool"]["driver"]["version"]) for r in doc["runs"]]
         assert drivers == [("mytool", "1.0"), ("mytool", "2.0"), ("other", "1.0")]
         validate_sarif(doc)
@@ -226,7 +273,7 @@ class TestSarif:
             findings=[Finding("Reentrancy", "call before state", SourceLocation(12))],
             taxonomy=taxonomy,
         )]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         run = doc["runs"][0]
         assert run["results"][0]["ruleId"] == "SWC-107"
         assert run["tool"]["driver"]["rules"] == [{
@@ -238,7 +285,7 @@ class TestSarif:
 
     def test_unmapped_label_becomes_native_rule_id(self, taxonomy):
         outcomes = [outcome(findings=[Finding("Mystery", "m")], taxonomy=taxonomy)]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         run = doc["runs"][0]
         assert run["results"][0]["ruleId"] == "Mystery"
         assert run["tool"]["driver"]["rules"] == []
@@ -248,7 +295,7 @@ class TestSarif:
         outcomes = [outcome(findings=[
             Finding("Mystery", "m", SourceLocation(7, "contracts/a.sol")),
         ], taxonomy=taxonomy)]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         loc = doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "contracts/a.sol"
         assert loc["region"] == {"startLine": 7}
@@ -256,13 +303,13 @@ class TestSarif:
 
     def test_location_falls_back_to_source_path(self, taxonomy):
         outcomes = [outcome(findings=[Finding("Mystery", "m", SourceLocation(7))], taxonomy=taxonomy)]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         loc = doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "/src/c.sol"
 
     def test_nonpositive_line_clamped(self, taxonomy):
         outcomes = [outcome(findings=[Finding("Mystery", "m", SourceLocation(0))], taxonomy=taxonomy)]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         region = doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]
         assert region == {"startLine": 1}
         validate_sarif(doc)
@@ -273,21 +320,21 @@ class TestSarif:
             findings=[Finding("Mystery", "m", BytecodeLocation(0x40))],
             taxonomy=taxonomy,
         )]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         loc = doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "bytecode/c.rt.hex"
         assert loc["region"] == {"byteOffset": 64}
         validate_sarif(doc)
 
     def test_validate_rejects_wrong_version(self, taxonomy):
-        doc = emit_sarif([], taxonomy)
+        doc = sarif_doc([], taxonomy)
         doc["version"] = "2.0.0"
         with pytest.raises(jsonschema.ValidationError):
             validate_sarif(doc)
 
     def test_validate_rejects_zero_start_line(self, taxonomy):
         outcomes = [outcome(findings=[Finding("Mystery", "m", SourceLocation(5))], taxonomy=taxonomy)]
-        doc = emit_sarif(outcomes, taxonomy)
+        doc = sarif_doc(outcomes, taxonomy)
         region = doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]
         region["startLine"] = 0
         with pytest.raises(jsonschema.ValidationError):
@@ -295,7 +342,7 @@ class TestSarif:
 
     def test_write_sarif(self, tmp_path, taxonomy):
         path = tmp_path / "report.sarif"
-        write_sarif(path, [], taxonomy)
+        write_sarif(path, iter([]), taxonomy)
         assert json.loads(path.read_text()) == {"$schema": reporting.SARIF_SCHEMA_URI, "runs": [], "version": "2.1.0"}
 
 
@@ -368,7 +415,7 @@ def emitted_outcomes(draw):
 
 def emitted_documents():
     """emit_sarif over random outcomes."""
-    return emitted_outcomes().map(lambda outcomes: emit_sarif(outcomes, SARIF_TAXONOMY))
+    return emitted_outcomes().map(lambda outcomes: sarif_doc(outcomes, SARIF_TAXONOMY))
 
 
 def _paths(node, path=()):
@@ -470,7 +517,7 @@ class TestCompiledSarifCheck:
 
     @pytest.mark.parametrize("name", sorted(EMITTED_OUTCOMES))
     def test_validate_takes_the_compiled_path(self, jsonschema_forbidden, name):
-        validate_sarif(emit_sarif(EMITTED_OUTCOMES[name], SARIF_TAXONOMY))
+        validate_sarif(sarif_doc(EMITTED_OUTCOMES[name], SARIF_TAXONOMY))
 
     @pytest.mark.parametrize("path,value", [
         (("version",), "2.0.0"),
@@ -483,14 +530,14 @@ class TestCompiledSarifCheck:
         (("runs", 0, "results", 0, "extra"), "x"),
     ])
     def test_rejection_is_raised_by_jsonschema(self, sarif_schema, path, value):
-        doc = emit_sarif(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
+        doc = sarif_doc(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
         _at(doc, path[:-1])[path[-1]] = value
         assert not compile_schema(sarif_schema)(doc)
         with pytest.raises(jsonschema.ValidationError):
             validate_sarif(doc)
 
     def test_dropped_required_key_rejected(self, sarif_schema):
-        doc = emit_sarif(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
+        doc = sarif_doc(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
         del doc["runs"][0]["results"][0]["message"]
         assert not compile_schema(sarif_schema)(doc)
         with pytest.raises(jsonschema.ValidationError, match="'message' is a required property"):
@@ -498,7 +545,7 @@ class TestCompiledSarifCheck:
 
     def test_jsonschema_accepts_what_the_check_refuses(self, sarif_schema):
         # draft-07 takes 1.0 as an integer; the compiled check does not
-        doc = emit_sarif(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
+        doc = sarif_doc(EMITTED_OUTCOMES["swc-rule"], SARIF_TAXONOMY)
         doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"]["startLine"] = 1.0
         assert not compile_schema(sarif_schema)(doc)
         validate_sarif(doc)
@@ -569,8 +616,89 @@ class TestCompiledSarifCheck:
         monkeypatch.setattr(Path, "read_text", counting)
         reporting._sarif_schema.cache_clear()
         for name in sorted(EMITTED_OUTCOMES) * 3:
-            validate_sarif(emit_sarif(EMITTED_OUTCOMES[name], SARIF_TAXONOMY))
+            validate_sarif(sarif_doc(EMITTED_OUTCOMES[name], SARIF_TAXONOMY))
         assert len(reads) == 1
+
+
+def reference_sarif(outcomes, taxonomy) -> dict:
+    """The whole SARIF document of ``outcomes``, built in one shot: the reference the stream must equal."""
+    groups = {}
+    for o in sorted(outcomes, key=lambda o: o.output_dir):
+        groups.setdefault((o.tool_id, o.version_label), []).append(o)
+    runs = []
+    for (tool_id, version_label), group in sorted(groups.items()):
+        used, results = set(), []
+        for o in group:
+            for label, message, location, swc_id, _ in o.findings:
+                if swc_id is not None:
+                    used.add(swc_id)
+                result = {"ruleId": swc_id or label, "level": "warning", "message": {"text": message}}
+                if isinstance(location, tuple):
+                    result["locations"] = [{"physicalLocation": {
+                        "artifactLocation": {"uri": Path(location[1] or o.source_path).as_posix()},
+                        "region": {"startLine": max(1, location[0])},
+                    }}]
+                elif location is not None:
+                    result["locations"] = [{"physicalLocation": {
+                        "artifactLocation": {"uri": f"bytecode/{o.contract_id}"},
+                        "region": {"byteOffset": max(0, location)},
+                    }}]
+                results.append(result)
+        rules = []
+        for swc_id in sorted(used):
+            rule = {"id": swc_id, "shortDescription": {"text": taxonomy.catalog[swc_id].title}}
+            if taxonomy.catalog[swc_id].ref:
+                rule["helpUri"] = taxonomy.catalog[swc_id].ref
+            rules.append(rule)
+        runs.append({"tool": {"driver": {"name": tool_id, "version": version_label, "rules": rules}},
+                     "results": results})
+    return {"$schema": reporting.SARIF_SCHEMA_URI, "version": "2.1.0", "runs": runs}
+
+
+def reference_csv(outcomes) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(["task", "tool", "version", "label", "swc", "dasp", "location"])
+    for o in sorted(outcomes, key=lambda o: o.output_dir):
+        for label, _, location, swc_id, dasp_class in o.findings:
+            where = "" if location is None else (
+                f"{location[1] or o.source_path}:{location[0]}" if isinstance(location, tuple) else f"offset:{location}"
+            )
+            writer.writerow([o.output_dir, o.tool_id, o.version_label, label, swc_id or "",
+                             "" if dasp_class is None else dasp_class, where])
+    return buffer.getvalue().encode("utf-8", "backslashreplace")
+
+
+def reference_summary(outcomes, skips, incomplete, keys, bin_size, stamp) -> dict:
+    def rate(num, den):
+        if den == 0:
+            return 0.0
+        return float((Decimal(100) * num / den).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP))
+
+    per_tool, bins, unmapped = {}, {}, set()
+    for o in outcomes:
+        stats = per_tool.setdefault(o.tool_key, {c.value: 0 for c in ExitClass} | {"total": 0, "findings": 0})
+        stats["total"] += 1
+        stats[o.exit_class.value] += 1
+        stats["findings"] += len(o.findings)
+        unmapped |= {(o.tool_id, row[0]) for row in o.findings if row[3] is None and row[4] is None}
+        if keys is not None:
+            bucket = bins.setdefault(o.tool_key, {}).setdefault(keys[o.contract_id] // bin_size, [0, 0])
+            bucket[0] += o.exit_class is ExitClass.TOOL_ERROR
+            bucket[1] += 1
+    for stats in per_tool.values():
+        stats["error_rate"] = rate(stats["tool_error"], stats["total"])
+        stats["failure_rate"] = rate(stats["tool_failure"], stats["total"])
+    totals = {field: sum(stats[field] for stats in per_tool.values())
+              for field in [c.value for c in ExitClass] + ["total", "findings"]}
+    doc = {"schema": 1, "tools": per_tool, "totals": totals, "unmapped_labels": [list(p) for p in sorted(unmapped)],
+           "skips": len(skips), "incomplete": sorted(incomplete), "stamp": stamp}
+    if keys is not None:
+        doc["error_rate_series"] = {
+            tool: [[b, 100.0 * err / total] for b, (err, total) in sorted(tool_bins.items())]
+            for tool, tool_bins in bins.items()
+        }
+    return doc
 
 
 class TestStreamedSarif:
@@ -579,53 +707,73 @@ class TestStreamedSarif:
         path = tmp_path_factory.getbasetemp() / "streamed.sarif"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(paths, "_FLUSH_CHUNKS", bound)
-            write_sarif(path, outcomes, SARIF_TAXONOMY)
-        assert path.read_bytes() == dump_json(emit_sarif(outcomes, SARIF_TAXONOMY)).encode()
+            write_sarif(path, iter(in_run_order(outcomes)), SARIF_TAXONOMY)
+        assert path.read_bytes() == dump_json(reference_sarif(outcomes, SARIF_TAXONOMY)).encode()
 
-    @pytest.mark.parametrize("name, groups", [("empty", 1), ("runs", 3), ("swc-rule", 1)])
-    def test_emits_once_per_tool_version(self, tmp_path, monkeypatch, name, groups):
-        calls = []
+    @pytest.mark.parametrize("name, runs", [("empty", 0), ("runs", 3), ("swc-rule", 1), ("bytecode", 1)])
+    def test_checks_the_header_and_each_run_once_and_each_result_alone(self, tmp_path, monkeypatch, name, runs):
+        documents, results = [], []
+        schema, accepts, accepts_result = reporting._sarif_schema()
+        monkeypatch.setattr(reporting, "_sarif_schema",
+                            lambda: (schema, accepts, lambda r: results.append(r) or accepts_result(r)))
+        monkeypatch.setattr(reporting, "validate_sarif", lambda doc: documents.append(doc) or validate_sarif(doc))
+        write_sarif(tmp_path / "report.sarif", iter(in_run_order(EMITTED_OUTCOMES[name])), SARIF_TAXONOMY)
+        assert len(documents) == 1 + runs
+        assert [run["results"] for doc in documents for run in doc["runs"]] == [[]] * runs  # no run is checked whole
+        assert len(results) == sum(len(o.findings) for o in EMITTED_OUTCOMES[name])
 
-        def counting(outcomes, taxonomy):
-            calls.append({(o.tool_id, o.version_label) for o in outcomes})
-            return emit_sarif(outcomes, taxonomy)
+    def test_jsonschema_has_the_last_word_on_a_refused_result(self, tmp_path):
+        # draft-07 takes 2.0 as an integer; the compiled check of a result does not
+        outcomes = [outcome(findings=[Finding("Mystery", "m", SourceLocation(2))])]
+        outcomes[0].findings[0] = ("Mystery", "m", (2.0, None), None, None)
+        path = tmp_path / "report.sarif"
+        write_sarif(path, iter(outcomes), SARIF_TAXONOMY)
+        assert json.loads(path.read_text())["runs"][0]["results"][0]["locations"][0]["physicalLocation"]["region"] \
+            == {"startLine": 2.0}
 
-        monkeypatch.setattr(reporting, "emit_sarif", counting)
-        write_sarif(tmp_path / "report.sarif", EMITTED_OUTCOMES[name], SARIF_TAXONOMY)
-        assert len(calls) == groups
-        assert all(len(tools) <= 1 for tools in calls)
-
-    def test_refused_run_leaves_the_previous_report(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)  # the first run reaches the temp file first
+    @pytest.mark.parametrize("broken, match", [
+        (("Mystery", 5, None, None, None), "5 is not of type 'string'"),  # a result
+        (("", "m", None, None, None), "''"),  # a result: an empty rule id
+    ], ids=["result-message", "result-rule-id"])
+    def test_refused_result_leaves_the_previous_report(self, tmp_path, monkeypatch, broken, match):
+        monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)  # the earlier runs reach the temp file first
         path = tmp_path / "report.sarif"
         path.write_bytes(b"previous\n")
-
-        def refusing_zeta(outcomes, taxonomy):  # the last group's run breaks the schema
-            doc = emit_sarif(outcomes, taxonomy)
-            if outcomes[0].tool_id == "zeta":
-                doc["runs"][0]["results"][0]["level"] = "fatal"
-            return doc
-
-        monkeypatch.setattr(reporting, "emit_sarif", refusing_zeta)
-        outcomes = [*EMITTED_OUTCOMES["runs"], outcome(output_dir="d", tool="zeta", findings=[Finding("X", "m")])]
-        with pytest.raises(jsonschema.ValidationError, match="'fatal' is not one of"):
-            write_sarif(path, outcomes, SARIF_TAXONOMY)
+        last = outcome(output_dir="d", tool="zeta", findings=[Finding("X", "m")])
+        last.findings[0] = broken
+        with pytest.raises(jsonschema.ValidationError, match=match):
+            write_sarif(path, iter([*in_run_order(EMITTED_OUTCOMES["runs"]), last]), SARIF_TAXONOMY)
         assert path.read_bytes() == b"previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.sarif"]
 
-    def test_schema_constrains_runs_only_through_their_items(self, sarif_schema):
-        # so a document is valid exactly when its header and each one-run document are
+    def test_refused_run_leaves_the_previous_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(paths, "_FLUSH_CHUNKS", 1)
+        path = tmp_path / "report.sarif"
+        path.write_bytes(b"previous\n")
+        nameless = outcome(output_dir="d", tool="", findings=[Finding("X", "m")])  # the driver's name is empty
+        with pytest.raises(jsonschema.ValidationError, match="''"):
+            write_sarif(path, iter([nameless, *in_run_order(EMITTED_OUTCOMES["runs"])]), SARIF_TAXONOMY)
+        assert path.read_bytes() == b"previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.sarif"]
+
+    def test_schema_constrains_runs_and_results_only_through_their_items(self, sarif_schema):
+        # so a document is valid exactly when its header, each run's skeleton and each result are
         assert sarif_schema["properties"]["runs"] == {"type": "array", "items": {"$ref": "#/definitions/run"}}
         assert set(sarif_schema) == {
             "$schema", "title", "description", "definitions", "type", "additionalProperties", "required", "properties",
         }
+        run = sarif_schema["definitions"]["run"]
+        assert run["properties"]["results"] == {"type": "array", "items": {"$ref": "#/definitions/result"}}
+        assert set(run) == {"type", "additionalProperties", "required", "properties"}
+        assert "results" not in run["required"]
 
 
 class TestAtomicReports:
     WRITERS = {
-        "summary": (write_summary, build_summary([])),
+        "summary": (write_summary, build_summary(SummaryCounts())),
         "csv": (write_findings_csv, EMITTED_OUTCOMES["swc-rule"]),
-        "sarif": (lambda path, outcomes: write_sarif(path, outcomes, SARIF_TAXONOMY), EMITTED_OUTCOMES["runs"]),
+        "sarif": (lambda path, outcomes: write_sarif(path, iter(outcomes), SARIF_TAXONOMY),
+                  in_run_order(EMITTED_OUTCOMES["runs"])),
     }
 
     @pytest.mark.parametrize("name", sorted(WRITERS))
@@ -650,41 +798,41 @@ class TestAtomicReports:
 
 class TestSeries:
     @staticmethod
-    def keyed(*rows):
-        """Outcomes and their keys from (tool key, exit class, contract key) rows."""
+    def series(*rows, bin_size):
+        """The error-rate series of outcomes from (tool key, exit class, contract key) rows."""
         outcomes, keys = [], {}
         for i, (tool_key, exit_class, key) in enumerate(rows):
             tool, _, version = tool_key.partition(":")
             outcomes.append(outcome(output_dir=f"o{i}", contract_id=f"c{i}.sol", tool=tool,
                                     version=version, exit_class=exit_class))
             keys[f"c{i}.sol"] = key
-        return outcomes, keys
+        return build_summary(counted(outcomes, keys, bin_size))["error_rate_series"]
 
     def test_bin_assignment_and_rates(self):
-        outcomes, keys = self.keyed(
+        series = self.series(
             ("t:1", ExitClass.TOOL_ERROR, 50),
             ("t:1", ExitClass.SUCCESS, 99_999),
             ("t:1", ExitClass.SUCCESS, 100_000),
             ("t:1", ExitClass.TOOL_ERROR, 250_000),
+            bin_size=100_000,
         )
-        series = error_rate_series(outcomes, keys, 100_000)
-        assert series == {"t:1": [(0, 50.0), (1, 0.0), (2, 100.0)]}
+        assert series == {"t:1": [[0, 50.0], [1, 0.0], [2, 100.0]]}
 
     def test_rates_are_plain_ratio_percentages(self):
-        outcomes, keys = self.keyed(
+        series = self.series(
             ("t:1", ExitClass.TOOL_ERROR, 10),
             ("t:1", ExitClass.SUCCESS, 11),
             ("t:1", ExitClass.SUCCESS, 12),
+            bin_size=100,
         )
-        series = error_rate_series(outcomes, keys, 100)
-        assert series["t:1"] == [(0, 100.0 * 1 / 3)]
+        assert series["t:1"] == [[0, 100.0 * 1 / 3]]
 
     def test_tools_kept_apart_and_sorted(self):
-        outcomes, keys = self.keyed(
+        series = self.series(
             ("b:1", ExitClass.SUCCESS, 5),
             ("a:1", ExitClass.TOOL_ERROR, 5),
+            bin_size=10,
         )
-        series = error_rate_series(outcomes, keys, 10)
         assert list(series) == ["a:1", "b:1"]
 
 
@@ -697,7 +845,7 @@ class TestSummary:
             outcome(output_dir="d", exit_class=ExitClass.TIMEOUT),
             outcome(output_dir="e", tool="other", exit_class=ExitClass.OUT_OF_MEMORY),
         ]
-        doc = build_summary(outcomes, skips=[{}, {}], incomplete=["z", "a"])
+        doc = build_summary(counted(outcomes), skips=[{}, {}], incomplete=["z", "a"])
         mytool = doc["tools"]["mytool:1.0"]
         assert mytool["total"] == 4
         assert mytool["success"] == 1
@@ -714,13 +862,16 @@ class TestSummary:
         assert doc["incomplete"] == ["a", "z"]
         assert doc["unmapped_labels"] == []
 
-    def test_series_embedded(self, taxonomy):
-        doc = build_summary([], series={"t:1": [(0, 50.0)]})
-        assert doc["error_rate_series"] == {"t:1": [[0, 50.0]]}
+    def test_series_only_with_keys(self):
+        assert "error_rate_series" not in build_summary(counted([outcome()]))
+        doc = build_summary(counted([outcome(exit_class=ExitClass.TOOL_ERROR), outcome(output_dir="b")],
+                                    keys={"c.sol": 5}, bin_size=10))
+        assert doc["error_rate_series"] == {"mytool:1.0": [[0, 50.0]]}
+        assert build_summary(SummaryCounts({}, 10))["error_rate_series"] == {}
 
     def test_unmapped_labels_reported(self, taxonomy):
         outcomes = [outcome(findings=[Finding("Mystery", "m")], taxonomy=taxonomy)]
-        doc = build_summary(outcomes)
+        doc = build_summary(counted(outcomes))
         assert doc["unmapped_labels"] == [["mytool", "Mystery"]]
 
     def test_stamp_follows_every_report_input(self):
@@ -728,23 +879,34 @@ class TestSummary:
                       keys=None, bin_size=100, sarif=False)
         stamp = report_stamp(**inputs)
         assert report_stamp(**inputs) == stamp
-        assert build_summary([], stamp=stamp)["stamp"] == stamp
-        assert "stamp" not in build_summary([])
+        assert build_summary(SummaryCounts(), stamp=stamp)["stamp"] == stamp
+        assert "stamp" not in build_summary(SummaryCounts())
         for field, value in [
             ("taxonomy", TAXONOMY_YAML.encode() + b"\n"), ("tasks", []), ("skips", [{"contract": "x"}]),
             ("keys", {"a": 1}), ("bin_size", 7), ("sarif", True),
         ]:
             assert report_stamp(**inputs | {field: value}) != stamp, field
 
+    ENTRIES = st.lists(
+        st.dictionaries(st.sampled_from(["output_dir", "contract", "tool", "compiler"]),
+                        st.none() | st.text(max_size=5) | st.integers(-3, 3), max_size=4),
+        max_size=9,
+    )
+
+    @given(tasks=ENTRIES, skips=ENTRIES, keys=st.none() | st.dictionaries(st.text(max_size=4), st.integers()),
+           bin_size=st.integers(1, 10**6), sarif=st.booleans(), slice_size=st.integers(1, 4))
+    def test_stamp_is_the_digest_of_the_one_shot_encoding(self, tasks, skips, keys, bin_size, sarif, slice_size):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(reporting, "_STAMP_SLICE", slice_size)
+            stamp = report_stamp(b"taxonomy", tasks, skips, keys, bin_size, sarif)
+        inputs = {"bin_size": bin_size, "keys": keys, "sarif": sarif, "schema": 1, "skips": skips, "tasks": tasks,
+                  "taxonomy": hashlib.sha256(b"taxonomy").hexdigest()}
+        assert stamp == hashlib.sha256(json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
 
 class TestFindingsCsv:
     def test_rows(self, tmp_path, taxonomy):
         outcomes = [
-            outcome(
-                output_dir="run/b/t",
-                findings=[Finding("Reentrancy", "m", SourceLocation(3, "a.sol"))],
-                taxonomy=taxonomy,
-            ),
             outcome(
                 output_dir="run/a/t",
                 findings=[
@@ -753,9 +915,14 @@ class TestFindingsCsv:
                 ],
                 taxonomy=taxonomy,
             ),
+            outcome(
+                output_dir="run/b/t",
+                findings=[Finding("Reentrancy", "m", SourceLocation(3, "a.sol"))],
+                taxonomy=taxonomy,
+            ),
         ]
         path = tmp_path / "findings.csv"
-        write_findings_csv(path, outcomes)
+        write_findings_csv(path, iter(outcomes))
         with path.open(newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["task", "tool", "version", "label", "swc", "dasp", "location"]
@@ -805,19 +972,154 @@ class TestCollectOutcomes:
         summary = Runner(executor, root, workers=2).run()
 
         taxonomy = TaxonomyMap.load(bundled_taxonomy())
-        entries = read_plan_lock(root)["tasks"]
-        outcomes, incomplete = collect_outcomes(root, entries, summary.finished, taxonomy)
+        entries = read_plan_lock(root)["tasks"][::-1]
+        incomplete = []
+        outcomes = list(collect_outcomes(root, entries, summary.finished, taxonomy, incomplete))
         assert incomplete == []
         assert len(outcomes) == 12
-        assert [o.output_dir for o in outcomes] == sorted(o.output_dir for o in outcomes)
+        assert [o.output_dir for o in outcomes] == [e["output_dir"] for e in entries]  # the entries' order
         assert all(o.exit_class is ExitClass.SUCCESS for o in outcomes)
-        assert all(len(o.report.findings) == 1 for o in outcomes)
+        assert all(len(o.findings) == 1 for o in outcomes)
 
         # strip one marker: that task turns incomplete, the rest still collect
         victim = outcomes[0].output_dir
         (root / victim / "done").unlink()
         _, done = resume_filter(plan, root)
-        finished = {output_dir: (exit_class, None) for output_dir, exit_class in done.items()}
-        outcomes2, incomplete2 = collect_outcomes(root, entries, finished, taxonomy)
+        incomplete2 = []
+        outcomes2 = list(collect_outcomes(root, entries, done, taxonomy, incomplete2))
         assert incomplete2 == [victim]
         assert len(outcomes2) == 11
+
+    def test_reads_each_result_only_when_its_outcome_is_due(self, tmp_path, monkeypatch):
+        reads = []
+        read_findings = reporting.read_findings
+        monkeypatch.setattr(reporting, "read_findings", lambda path: reads.append(path) or read_findings(path))
+        entries, finished = StreamedRoot.write(tmp_path, tasks=3, findings=2)
+        outcomes = collect_outcomes(tmp_path, entries, finished, SARIF_TAXONOMY)
+        assert reads == []
+        next(outcomes)
+        assert len(reads) == 1
+
+
+class StreamedRoot:
+    """A results root of tasks written straight to result.json files, and its plan lock entries."""
+
+    TOOLS = ("mytool", "other", "third")
+    LABELS = ("Reentrancy", "Overflow", "Oddity", "Mystery", "Myst\u00e9ry")
+
+    @classmethod
+    def write(cls, root: Path, tasks: int, findings: int):
+        entries, finished = [], {}
+        for i in range(tasks):
+            tool = cls.TOOLS[i % 3]
+            entry = {"output_dir": f"r/{i:05d}/{tool}", "contract": f"c{i % 7}.sol", "source_path": f"src/c{i % 7}.sol",
+                     "tool": tool, "tool_version": "1.0", "compiler": None}
+            report = ParsedReport(findings=tuple(
+                Finding(cls.LABELS[j % 5], f"finding {j} of task {i}", SourceLocation(j, None if j % 2 else "x.sol"))
+                for j in range(findings)
+            ))
+            (root / entry["output_dir"]).mkdir(parents=True)
+            write_report(root / entry["output_dir"] / "result.json", report)
+            entries.append(entry)
+            finished[entry["output_dir"]] = ExitClass.SUCCESS if i % 4 else ExitClass.TOOL_ERROR
+        return entries, finished
+
+
+LOCATIONS = st.one_of(
+    st.none(),
+    st.builds(SourceLocation, st.integers(-3, 10**6), st.none() | st.sampled_from(["a.sol", "", "d/./b.sol", "x//y"])),
+    st.builds(BytecodeLocation, st.integers(-3, 10**6)),
+)
+
+
+@st.composite
+def outcome_sets(draw):
+    """Lock entries in random order, with the result.json each done task stores, and ``--keys``.
+
+    Several tools and versions, tools without findings, every location kind,
+    mapped and unmapped labels, and incomplete tasks: one without a done
+    marker (absent from ``finished``) and one whose result.json is torn.
+    """
+    tasks = []
+    for i in range(draw(st.integers(0, 7))):
+        tool = draw(st.sampled_from(["mytool", "other", "zeta"]))
+        contract = draw(st.sampled_from(["c.sol", "d.hex", "e.rt.hex"]))
+        findings = draw(st.lists(st.builds(
+            Finding, st.sampled_from(["Reentrancy", "Overflow", "Oddity", "Mystery", "\u00c9t\u00e9"]),
+            st.text(max_size=8), LOCATIONS,
+        ), max_size=5)) if tool != "zeta" else []
+        tasks.append({
+            "entry": {"output_dir": f"run/{draw(st.sampled_from(['b', 'a', 'c']))}{i}/{tool}", "contract": contract,
+                      "source_path": f"corpus/{contract}", "tool": tool,
+                      "tool_version": draw(st.sampled_from(["1.0", "2.0"])), "compiler": None},
+            "exit_class": draw(st.none() | st.sampled_from(list(ExitClass))),
+            "torn": draw(st.booleans()) and draw(st.booleans()),
+            "report": ParsedReport(findings=tuple(findings)),
+        })
+    keys = draw(st.none() | st.just({"c.sol": draw(st.integers(0, 999)), "d.hex": draw(st.integers(0, 999)),
+                                     "e.rt.hex": draw(st.integers(0, 999))}))
+    return draw(st.permutations(tasks)), keys, draw(st.integers(1, 300))
+
+
+class TestStreamedReports:
+    @settings(max_examples=60, deadline=None)  # each example writes a results root
+    @given(data=outcome_sets(), bound=st.sampled_from([1, 4096]))
+    def test_equal_the_one_shot_reports(self, tmp_path_factory, data, bound):
+        tasks, keys, bin_size = data
+        root = tmp_path_factory.mktemp("streamed")
+        finished, complete, incomplete = {}, [], []
+        for task in tasks:
+            entry = task["entry"]
+            (root / entry["output_dir"]).mkdir(parents=True)
+            write_report(root / entry["output_dir"] / "result.json", task["report"])
+            if task["torn"]:
+                path = root / entry["output_dir"] / "result.json"
+                path.write_bytes(path.read_bytes()[:-3])
+            if task["exit_class"] is not None:
+                finished[entry["output_dir"]] = task["exit_class"]
+            if task["exit_class"] is None or task["torn"]:
+                incomplete.append(entry["output_dir"])
+            else:
+                complete.append(outcome(
+                    output_dir=entry["output_dir"], contract_id=entry["contract"], tool=entry["tool"],
+                    version=entry["tool_version"], exit_class=task["exit_class"],
+                    findings=task["report"].findings, taxonomy=SARIF_TAXONOMY,
+                )._replace(source_path=entry["source_path"]))
+        skips = [{"contract": "x.sol", "tool": "zeta:1.0", "reason": "r"}]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(paths, "_FLUSH_CHUNKS", bound)
+            write_reports(root, [t["entry"] for t in tasks], skips, finished, SARIF_TAXONOMY,
+                          keys=keys, bin_size=bin_size, sarif=True, stamp="s")
+        assert (root / "findings.csv").read_bytes() == reference_csv(complete)
+        assert (root / "report.sarif").read_bytes() == dump_json(reference_sarif(complete, SARIF_TAXONOMY)).encode()
+        expected = reference_summary(complete, skips, incomplete, keys, bin_size, "s")
+        assert (root / "summary.json").read_bytes() == dump_json(expected).encode()
+
+    def test_each_result_is_read_once_per_report(self, tmp_path, monkeypatch):
+        reads = []
+        read_findings = reporting.read_findings
+        monkeypatch.setattr(reporting, "read_findings", lambda path: reads.append(path) or read_findings(path))
+        entries, finished = StreamedRoot.write(tmp_path, tasks=9, findings=3)
+        for sarif, times in ((False, 1), (True, 2)):
+            reads.clear()
+            write_reports(tmp_path, entries, [], finished, SARIF_TAXONOMY, keys=None, bin_size=1, sarif=sarif, stamp="s")
+            assert sorted(reads) == sorted([str(tmp_path / e["output_dir"] / "result.json") for e in entries] * times)
+
+    def test_report_memory_does_not_grow_with_the_findings(self, tmp_path):
+        keys = {f"c{i}.sol": i * 1000 for i in range(7)}
+
+        def peak(tasks: int) -> int:
+            root = tmp_path / str(tasks)
+            entries, finished = StreamedRoot.write(root, tasks=tasks, findings=60)
+            tracemalloc.start()
+            try:
+                write_reports(root, entries, [], finished, SARIF_TAXONOMY, keys=keys, bin_size=10, sarif=True,
+                              stamp="s")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # the compiled schema and other one-time state
+        once, four_times = peak(40), peak(160)
+        # holding every finding would add ~120 tasks x 60 findings x ~1 KiB; the sorted entries add 24 bytes a task
+        assert four_times - once < 64 * 1024, (once, four_times)

@@ -187,6 +187,15 @@ class TestRunner:
         assert summary.tally["infra_error"] == 0
         assert summary.remaining == 0
 
+    def test_finished_holds_each_done_task_exit_class_and_no_report(self, wired, tmp_path):
+        behaviors = {IMG["alpha"]: MockToolBehavior(stdout="VULN: Reentrancy at line 3\n")}
+        plan, executor, _ = wired(behaviors)
+        first = Runner(executor, tmp_path, workers=4).run()
+        assert first.finished == {t.output_dir: ExitClass(read_done_marker(tmp_path / t.output_dir)[2])
+                                  for t in plan.tasks}
+        assert all(type(exit_class) is ExitClass for exit_class in first.finished.values())
+        assert Runner(executor, tmp_path, workers=4).run().finished == first.finished  # as the resume scan read them
+
     def test_rerun_skips_everything(self, wired, tmp_path):
         plan, executor, _ = wired()
         first = Runner(executor, tmp_path, workers=4).run()
