@@ -120,10 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--format", choices=[f.value for f in ContractFormat],
                        help="force the contract format instead of inferring it from extensions")
     run_p.add_argument("--processes", type=_positive(int), default=1, metavar="N")
-    run_p.add_argument("--timeout", type=_positive(float), default=ResourceLimits.wall_timeout, metavar="S")
-    run_p.add_argument("--mem", type=_positive(parse_memory), default=ResourceLimits.memory_bytes, metavar="SIZE",
+    limits = ResourceLimits()
+    run_p.add_argument("--timeout", type=_positive(float), default=limits.wall_timeout, metavar="S")
+    run_p.add_argument("--mem", type=_positive(parse_memory), default=limits.memory_bytes, metavar="SIZE",
                        help="per-task memory limit, e.g. 32g")
-    run_p.add_argument("--cpu", type=_positive(float), default=ResourceLimits.cpu_quota, metavar="Q")
+    run_p.add_argument("--cpu", type=_positive(float), default=limits.cpu_quota, metavar="Q")
     run_p.add_argument("--seed", type=int, default=0, metavar="N")
     run_p.add_argument("--results", default=DEFAULT_RESULTS, metavar="DIR/SCHEME",
                        help="results root plus output-folder scheme "

@@ -13,10 +13,9 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import (
     _EXTENSION_FORMATS,
@@ -64,8 +63,7 @@ class ExecutorUnavailableError(HarnessError):
     pass
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """What the container backend observed for one run."""
 
     exit_code: int | str
@@ -114,16 +112,23 @@ class ContainerBackend(abc.ABC):
         """Kill in-flight runs (second-interrupt semantics). Default: no-op."""
 
 
-@dataclass
-class MockToolBehavior:
-    """Scripted behavior of one mock image."""
-
+class _MockToolBehavior(NamedTuple):
     stdout: str = ""
     stderr: str = ""
     exit_code: int = 0
     sleep_s: float = 0.0
-    files: Mapping[str, str] = field(default_factory=dict)
+    files: Mapping[str, str] | None = None  # None: a new dict
     oom: bool = False
+
+
+class MockToolBehavior(_MockToolBehavior):
+    """Scripted behavior of one mock image."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.files is not None else self._replace(files={})
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MockToolBehavior":

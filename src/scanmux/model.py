@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import string
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .solc import VersionConstraint
@@ -98,25 +97,27 @@ def detect_format(path: str | Path, override: ContractFormat | None = None) -> C
     return fmt
 
 
-@dataclass(frozen=True)
-class ContractInput:
-    """One contract to analyze."""
-
+class _ContractInput(NamedTuple):
     id: str
     source_path: Path
     format: ContractFormat
     content_hash: str
-    pragma_constraint: "VersionConstraint | None" = None
+    pragma_constraint: VersionConstraint | None = None
 
-    def __post_init__(self) -> None:
+
+class ContractInput(_ContractInput):
+    """One contract to analyze."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.format in BYTECODE_FORMATS and self.pragma_constraint is not None:
             raise ValueError(f"{self.id}: pragma constraint on a bytecode contract")
+        return self
 
 
-@dataclass(frozen=True)
-class ToolSpec:
-    """A tool definition loaded from a registry directory."""
-
+class _ToolSpec(NamedTuple):
     tool_id: str
     version_label: str
     image_ref: str
@@ -127,7 +128,14 @@ class ToolSpec:
     needs_compiler: bool = False
     aux_files: tuple[Path, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class ToolSpec(_ToolSpec):
+    """A tool definition loaded from a registry directory."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.supported_formats:
             raise ValueError(f"{self.key}: supported_formats must be nonempty")
         missing = [f.value for f in self.supported_formats if f not in self.invocation]
@@ -135,29 +143,32 @@ class ToolSpec:
             raise ValueError(f"{self.key}: no invocation template for {', '.join(sorted(missing))}")
         if self.needs_compiler and ContractFormat.SOLIDITY not in self.supported_formats:
             raise ValueError(f"{self.key}: needs_compiler requires Solidity support")
+        return self
 
     @property
     def key(self) -> str:
         return f"{self.tool_id}:{self.version_label}"
 
 
-@dataclass(frozen=True)
-class ResourceLimits:
-    """Per-task resource bounds. Defaults: 600 s, 4 GiB, 1 CPU."""
-
+class _ResourceLimits(NamedTuple):
     wall_timeout: float = 600.0
     memory_bytes: int = 4 * 2**30
     cpu_quota: float = 1.0
 
-    def __post_init__(self) -> None:
+
+class ResourceLimits(_ResourceLimits):
+    """Per-task resource bounds. Defaults: 600 s, 4 GiB, 1 CPU."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.wall_timeout <= 0 or self.memory_bytes <= 0 or self.cpu_quota <= 0:
             raise ValueError("resource limits must be strictly positive")
+        return self
 
 
-@dataclass(frozen=True)
-class Task:
-    """One tool applied to one contract, with its own output folder."""
-
+class _Task(NamedTuple):
     contract: ContractInput
     tool: ToolSpec
     output_dir: str
@@ -165,7 +176,14 @@ class Task:
     compiler_version: str | None = None
     warnings: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class Task(_Task):
+    """One tool applied to one contract, with its own output folder."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.contract.format not in self.tool.supported_formats:
             raise ValueError(
                 f"{self.tool.key} does not support {self.contract.format.value} ({self.contract.id})"
@@ -175,6 +193,7 @@ class Task:
             raise ValueError(f"{self.tool.key} on {self.contract.id}: compiler version not resolved")
         if not wants_compiler and self.compiler_version is not None:
             raise ValueError(f"{self.tool.key} on {self.contract.id}: unexpected compiler version")
+        return self
 
 
 class LimitHit(Enum):
@@ -186,10 +205,7 @@ class LimitHit(Enum):
 KILLED = "killed"
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
-    """What happened when a task ran."""
-
+class _ExecutionRecord(NamedTuple):
     started_at: float
     finished_at: float
     duration: float
@@ -201,39 +217,50 @@ class ExecutionRecord:
     limit_hit: LimitHit = LimitHit.NONE
     result_files: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
+
+class ExecutionRecord(_ExecutionRecord):
+    """What happened when a task ran."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.finished_at < self.started_at:
             raise ValueError("finished_at precedes started_at")
         if isinstance(self.exit_code, str) and self.exit_code != KILLED:
             raise ValueError(f"exit_code must be an integer or {KILLED!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     line: int
     file: str | None = None
 
 
-@dataclass(frozen=True)
-class BytecodeLocation:
+class BytecodeLocation(NamedTuple):
     offset: int
 
 
 Location = SourceLocation | BytecodeLocation
 
 
-@dataclass(frozen=True)
-class Finding:
-    """A weakness reported by a tool, in the tool's native vocabulary."""
-
+class _Finding(NamedTuple):
     native_label: str
     message: str
     location: Location | None = None
     severity_native: str | None = None
 
-    def __post_init__(self) -> None:
+
+class Finding(_Finding):
+    """A weakness reported by a tool, in the tool's native vocabulary."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.native_label:
             raise ValueError("native_label must be nonempty")
+        return self
 
 
 def dedup(items):
@@ -247,25 +274,36 @@ def dedup(items):
     return out
 
 
-@dataclass(frozen=True)
-class ParsedReport:
-    """Findings, errors and failures extracted from one tool run."""
-
+class _ParsedReport(NamedTuple):
     findings: tuple[Finding, ...] = ()
     errors: tuple[str, ...] = ()
     failures: tuple[str, ...] = ()
     parser_version: str = ""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "findings", tuple(dedup(self.findings)))
-        object.__setattr__(self, "errors", tuple(dedup(self.errors)))
-        object.__setattr__(self, "failures", tuple(dedup(self.failures)))
+
+class ParsedReport(_ParsedReport):
+    """Findings, errors and failures extracted from one tool run."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        findings, errors, failures, parser_version = _ParsedReport(*args, **kwargs)
+        return super().__new__(
+            cls, tuple(dedup(findings)), tuple(dedup(errors)), tuple(dedup(failures)), parser_version
+        )
 
 
-@dataclass(frozen=True)
-class RawResult:
-    """Captured outputs of one tool run, before parsing."""
-
+class _RawResult(NamedTuple):
     stdout: bytes = b""
     stderr: bytes = b""
-    files: Mapping[str, bytes] = field(default_factory=dict)
+    files: Mapping[str, bytes] | None = None  # None: a new dict
+
+
+class RawResult(_RawResult):
+    """Captured outputs of one tool run, before parsing."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self if self.files is not None else self._replace(files={})

@@ -6,7 +6,6 @@ import contextlib
 import hashlib
 import os
 import tempfile
-from importlib import resources
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import GeneratorType
@@ -15,7 +14,7 @@ import yaml
 
 
 def data_dir() -> Path:
-    return Path(str(resources.files("scanmux") / "data"))
+    return Path(__file__).parent / "data"
 
 
 def bundled_registry() -> Path:

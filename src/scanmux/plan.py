@@ -6,9 +6,8 @@ import glob as globlib
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .executor import ContainerBackend
 from .model import (
@@ -203,8 +202,7 @@ def args_digest(canonical_args: str) -> str:
     return hashlib.sha256(canonical_args.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class SkipRecord:
+class SkipRecord(NamedTuple):
     """A (contract, tool) pair that was requested but not planned."""
 
     contract_id: str
@@ -212,10 +210,7 @@ class SkipRecord:
     reason: str
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    """Everything the runner needs, fixed before the first container starts."""
-
+class _RunPlan(NamedTuple):
     tasks: tuple[Task, ...]
     skips: tuple[SkipRecord, ...]
     seed: int
@@ -223,14 +218,22 @@ class RunPlan:
     args_digest: str
     runid: str
     scheme: str
-    image_digests: Mapping[str, str] = field(default_factory=dict)
+    image_digests: Mapping[str, str] | None = None  # None: a new dict
     registry_path: str = ""
 
-    def __post_init__(self) -> None:
+
+class RunPlan(_RunPlan):
+    """Everything the runner needs, fixed before the first container starts."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         dirs = [t.output_dir for t in self.tasks]
         if len(set(dirs)) != len(dirs):
             dupes = sorted({d for d in dirs if dirs.count(d) > 1})
             raise ValueError(f"output dirs not pairwise distinct: {', '.join(dupes)}")
+        return self if self.image_digests is not None else self._replace(image_digests={})
 
 
 def build_plan(

@@ -6,9 +6,8 @@ import functools
 import hashlib
 import json
 import re
-from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import yaml
 
@@ -42,8 +41,7 @@ def compile_rule(pattern: str) -> re.Pattern:
     return re.compile(pattern)
 
 
-@dataclass(frozen=True)
-class FindingRule:
+class FindingRule(NamedTuple):
     """One line rule: pattern, the native label it assigns, optional captures.
 
     Named groups carry captures: ``line`` (+ optional ``file``) for a source
@@ -55,8 +53,7 @@ class FindingRule:
     label: str
 
 
-@dataclass(frozen=True)
-class DocumentRule:
+class DocumentRule(NamedTuple):
     """One field-path rule over a structured result document.
 
     ``path`` is a dotted path; a ``*`` segment iterates array elements. The
@@ -73,10 +70,7 @@ class DocumentRule:
     severity_from: str | None = None
 
 
-@dataclass(frozen=True)
-class ParserSpec:
-    """Declarative parsing rules accompanying a tool."""
-
+class _ParserSpec(NamedTuple):
     name: str
     kind: str  # "line_patterns" | "structured_document"
     finding_rules: tuple[FindingRule, ...] = ()
@@ -85,17 +79,23 @@ class ParserSpec:
     document_rules: tuple[DocumentRule, ...] = ()
     documents: tuple[str, ...] = ()  # structured only: sources to parse
     default_failure_rules: bool = True
-    version: str = field(default="", compare=False)
+    version: str = ""  # "": the fingerprint of the rules
 
-    def __post_init__(self) -> None:
+
+class ParserSpec(_ParserSpec):
+    """Declarative parsing rules accompanying a tool."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in ("line_patterns", "structured_document"):
             raise ValueError(f"parser {self.name}: unknown kind {self.kind!r}")
         if not self.finding_rules and not self.document_rules:
             raise ValueError(f"parser {self.name}: needs at least one finding rule or document path")
         for pat in self.patterns():
             compile_rule(pat)  # raises re.error on a bad pattern
-        if not self.version:
-            object.__setattr__(self, "version", self.fingerprint())
+        return self if self.version else self._replace(version=self.fingerprint())
 
     def patterns(self):
         for rule in self.finding_rules:
@@ -106,19 +106,18 @@ class ParserSpec:
     def fingerprint(self) -> str:
         payload = {
             "kind": self.kind,
-            "findings": [astuple(r) for r in self.finding_rules],
+            "findings": self.finding_rules,
             "errors": list(self.error_rules),
             "failures": list(self.failure_rules),
             "documents": list(self.documents),
-            "document_rules": [astuple(r) for r in self.document_rules],
+            "document_rules": self.document_rules,
             "default_failure_rules": self.default_failure_rules,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-@dataclass(frozen=True)
-class Registry:
+class Registry(NamedTuple):
     """Validated, read-only set of tool and parser specs."""
 
     tools: tuple[ToolSpec, ...]
@@ -184,7 +183,7 @@ def _parse_parser_spec(name: str, raw: dict, path: Path) -> ParserSpec:
     for entry in raw.get("document_paths", []) or []:
         if not isinstance(entry, dict) or "path" not in entry:
             _fail(path, f"parser {name!r}: each document path rule needs a path")
-        optional = {f.name: entry.get(f.name) for f in fields(DocumentRule) if f.name != "path"}
+        optional = {name: entry.get(name) for name in DocumentRule._fields if name != "path"}
         document_rules.append(DocumentRule(path=str(entry["path"]), **optional))
     try:
         return ParserSpec(

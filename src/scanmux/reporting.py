@@ -8,7 +8,6 @@ import hashlib
 import json
 import numbers
 import os
-from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -37,14 +36,12 @@ class MissingKeyError(HarnessError):
     pass
 
 
-@dataclass(frozen=True)
-class TaxonomyEntry:
+class TaxonomyEntry(NamedTuple):
     swc_id: str | None = None
     dasp_class: int | None = None
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     title: str
     ref: str | None = None
 

@@ -5,9 +5,8 @@ from __future__ import annotations
 import random
 import threading
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .executor import ContainerBackend, execute
 from .model import ExecutionRecord, HarnessError, ParsedReport, RawResult, Task
@@ -166,8 +165,7 @@ def _in_threads(name: str, target: Callable[..., None], args: Sequence[tuple]) -
         t.join()
 
 
-@dataclass(frozen=True)
-class TaskResult:
+class TaskResult(NamedTuple):
     """Outcome of one dispatched task."""
 
     task: Task
@@ -186,15 +184,26 @@ class TaskResult:
         return self.exit_class
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """The record of one run; ``tally`` counts the tasks it executed by ``TaskResult.tally_key``."""
-
+class _RunSummary(NamedTuple):
     total: int
     skipped_as_done: int
-    tally: Counter[ExitClass | str] = field(default_factory=Counter)
-    finished: dict[str, ExitClass] = field(default_factory=dict)  # output dir -> exit class of every done task
-    infra_errors: dict[str, str] = field(default_factory=dict)  # output dir -> message, per unfinished task
+    tally: Counter[ExitClass | str] | None = None  # None: a new Counter
+    finished: dict[str, ExitClass] | None = None  # output dir -> exit class of every done task; None: a new dict
+    infra_errors: dict[str, str] | None = None  # output dir -> message, per unfinished task; None: a new dict
+
+
+class RunSummary(_RunSummary):
+    """The record of one run; ``tally`` counts the tasks it executed by ``TaskResult.tally_key``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return self._replace(
+            tally=Counter() if self.tally is None else self.tally,
+            finished={} if self.finished is None else self.finished,
+            infra_errors={} if self.infra_errors is None else self.infra_errors,
+        )
 
     @property
     def executed(self) -> int:

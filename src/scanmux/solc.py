@@ -6,9 +6,8 @@ import hashlib
 import os
 import re
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .model import HarnessError
 from .paths import replacing
@@ -40,8 +39,7 @@ class DigestMismatchError(HarnessError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class SemVer:
+class SemVer(NamedTuple):
     major: int
     minor: int
     patch: int
@@ -66,8 +64,7 @@ _TERM_RE = re.compile(r"(\^|~|>=|<=|>|<|=)?\s*(\d+)\.(\d+)(?:\.(\d+))?")
 _EXCLUSIVE_MAX = (10**9, 0, 0)
 
 
-@dataclass(frozen=True)
-class Comparator:
+class Comparator(NamedTuple):
     """One comparator term, e.g. ``^0.4.24`` or ``<0.6.0``.
 
     ``patch`` is None for a two-component exact term, which matches the whole
@@ -118,8 +115,7 @@ def _bump_patch(t: tuple[int, int, int]) -> tuple[int, int, int]:
     return (t[0], t[1], t[2] + 1)
 
 
-@dataclass(frozen=True)
-class VersionConstraint:
+class VersionConstraint(NamedTuple):
     """Conjunction of comparator terms over semantic versions."""
 
     terms: tuple[Comparator, ...]
@@ -176,8 +172,7 @@ def extract_pragma(source_text: str) -> VersionConstraint | None:
     return VersionConstraint.parse(m.group(1))
 
 
-@dataclass(frozen=True)
-class Release:
+class Release(NamedTuple):
     version: SemVer
     digest: str | None  # None: unpinned, recorded on first fetch
 

@@ -8,6 +8,9 @@ import os
 import re
 import shutil
 import signal
+import subprocess
+import sys
+import sysconfig
 import threading
 from pathlib import Path
 
@@ -98,6 +101,29 @@ def test_version_matches_pyproject():
     declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
     assert declared is not None
     assert scanmux.__version__ == declared.group(1)
+
+
+def test_limit_defaults_are_those_of_resource_limits():
+    args = cli.build_parser().parse_args(["run", "-f", "*.sol"])
+    limits = ResourceLimits()
+    assert (args.timeout, args.mem, args.cpu) == (limits.wall_timeout, limits.memory_bytes, limits.cpu_quota)
+
+
+def test_import_loads_no_dataclasses_inspect_resources_or_jsonschema():
+    # -S: a site that preloads modules would hide what scanmux itself imports
+    paths = sysconfig.get_paths()
+    src = Path(scanmux.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(dict.fromkeys([str(src), paths["purelib"], paths["platlib"]])))
+    script = (
+        "import sys\n"
+        "import scanmux.cli\n"
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'importlib.resources', 'jsonschema') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_no_command_is_usage_error(capsys):

@@ -24,6 +24,7 @@ from scanmux.parsing import (
     classify_exit,
     parse,
     read_findings,
+    report_bytes,
     report_to_doc,
     write_report,
 )
@@ -364,3 +365,58 @@ def test_bundled_parsers_survive_hostile_output(tool, name):
     if spec.kind == "structured_document":  # undecodable bytes are replaced, so only two inputs decode as JSON
         readable = name in ("invalid-utf8", "long-hex")
         assert ("unparseable tool output: stdout" in report.failures) != readable
+
+
+# Any JSON value, including the ones a field path's rule does not expect.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([2**64, -(2**70), 10**40, "", "0x1f", " 7 ", "\ud800"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+# A value of the expected type for each field path of a document rule.
+WELL_FORMED = {
+    "label_from": "Reentrancy", "message_from": "m", "file_from": "c.sol",
+    "line_from": 3, "offset_from": 7, "severity_from": "High",
+}
+
+DOCUMENT_FIELDS = [
+    (ref, index, name)
+    for ref, spec in sorted(BUNDLED.parsers.items()) if spec.kind == "structured_document"
+    for index, rule in enumerate(spec.document_rules)
+    for name in WELL_FORMED if getattr(rule, name) is not None
+]
+
+
+def _document(rule: DocumentRule, fuzzed: str, value):
+    """A document whose one node holds ``value`` at the ``fuzzed`` field path and well-formed values elsewhere."""
+    node: dict = {}
+    for name, expected in WELL_FORMED.items():
+        if (path := getattr(rule, name)) is not None:
+            *parents, last = path.split(".")
+            holder = node
+            for segment in parents:
+                holder = holder.setdefault(segment, {})
+            holder[last] = value if name == fuzzed else expected
+    doc = node
+    for segment in reversed(rule.path.split(".")):
+        doc = [doc] if segment == "*" else {segment: doc}
+    return doc
+
+
+def test_every_document_field_path_is_fuzzed():
+    assert {name for _, _, name in DOCUMENT_FIELDS} == set(WELL_FORMED)
+
+
+@pytest.mark.parametrize("ref,index,name", DOCUMENT_FIELDS)
+@given(value=json_values)
+def test_any_json_value_in_a_document_field_parses(ref, index, name, value):
+    spec = BUNDLED.parsers[ref]
+    data = json.dumps(_document(spec.document_rules[index], name, value)).encode()
+    sources = {source.replace("*", "doc"): data for source in spec.documents}
+    raw = RawResult(stdout=sources.pop("stdout", b""), stderr=sources.pop("stderr", b""), files=sources)
+    report = parse(raw, spec)
+    unlabelled = name == "label_from" and (value is None or value == "")
+    assert len(report.findings) == (0 if unlabelled else 1)
+    assert json.loads(report_bytes(report))["parser_version"] == spec.version

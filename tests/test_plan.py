@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -375,7 +374,7 @@ def test_plan_lock_interrupted_rewrite_keeps_the_previous_lock(
 
     monkeypatch.setattr(os, "replace", killed)
     with pytest.raises(OSError, match="killed"):  # an unchanged plan is not rewritten, so move the registry
-        write_plan_lock(dataclasses.replace(plan, registry_path=str(tmp_path / "moved")), root)
+        write_plan_lock(plan._replace(registry_path=str(tmp_path / "moved")), root)
     monkeypatch.undo()
     assert (root / "plan.lock").read_bytes() == before
     assert [p.name for p in root.iterdir()] == ["plan.lock"]
@@ -393,7 +392,7 @@ def test_plan_lock_is_rewritten_only_when_its_bytes_changed(
     if change == "version-1":
         path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
     if change == "registry-moved":
-        plan = dataclasses.replace(plan, registry_path=str(tmp_path / "moved"))
+        plan = plan._replace(registry_path=str(tmp_path / "moved"))
     if change == "other-byte-form":  # the same document, compact: no longer kept as it is
         path.write_text(json.dumps(json.loads(path.read_text())))
     before = os.stat(path)

@@ -248,3 +248,31 @@ def test_resolve_unknown_tool(mock_registry):
 def test_resolve_request_dedup(mock_registry):
     tools = resolve_tools(mock_registry, ["alpha", "alpha", "ALPHA:1.0"])
     assert [t.tool_id for t in tools] == ["alpha"]
+
+
+# Each bundled parser's version as every result.json carries it in parser_version.
+BUNDLED_PARSER_VERSIONS = {
+    "confuzzius/default": "9fe4097a6b10",
+    "conkas/default": "bbec4a2b4e38",
+    "ethainter/default": "4e942fb7f09e",
+    "ethor/default": "f99a51427910",
+    "honeybadger/default": "4501af680a74",
+    "madmax/default": "ed1bdc88ad04",
+    "maian/default": "74ba98a982cc",
+    "manticore/default": "740b5fe1eb12",
+    "mythril/default": "efa8347f8ba5",
+    "osiris/default": "1c0eded15cc6",
+    "oyente/default": "e1aa119a9210",
+    "pakala/default": "1f5e1498ace2",
+    "securify/default": "9578134eb992",
+    "sfuzz/default": "ec20f85f765b",
+    "slither/default": "b0ce51ea7b7f",
+    "smartcheck/default": "1be0679ee4c4",
+    "solhint/default": "b51972a980d5",
+    "teether/default": "9f4c62d59191",
+    "vandal/default": "8841bddedb8c",
+}
+
+
+def test_bundled_parser_versions_are_pinned(bundled):
+    assert {ref: spec.version for ref, spec in bundled.parsers.items()} == BUNDLED_PARSER_VERSIONS
