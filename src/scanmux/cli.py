@@ -201,25 +201,18 @@ def _own_results_root(results_root: Path):
         os.close(fd)
 
 
-def _report_stamp(lock: dict, keys: dict[str, int] | None, args) -> str:
-    return report_stamp(
+def _refresh_reports(
+    results_root: Path, lock: dict, finished: dict[str, ExitClass], keys: dict[str, int] | None, args, *, force: bool
+) -> None:
+    """Rebuild every report from the tree on disk when ``force`` holds or the stamp on disk is not current."""
+    stamp = report_stamp(
         bundled_taxonomy().read_bytes(), lock["tasks"], lock["skips"], keys, args.bin_size, args.sarif
     )
-
-
-def _withdraw_reports(results_root: Path) -> None:
-    """Delete ``summary.json``, and with it the stamp, before any ``result.json`` may change."""
-    (results_root / SUMMARY_FILENAME).unlink(missing_ok=True)
-
-
-def _emit_reports(
-    results_root: Path, lock: dict, finished: dict[str, ExitClass], keys: dict[str, int] | None, args, stamp: str
-) -> None:
-    """Rebuild every report from the tree on disk, whichever command wrote it."""
-    write_reports(
-        results_root, lock["tasks"], lock["skips"], finished, TaxonomyMap.load(bundled_taxonomy()),
-        keys=keys, bin_size=args.bin_size, sarif=args.sarif, stamp=stamp,
-    )
+    if force or not reports_current(results_root, stamp, args.sarif):
+        write_reports(
+            results_root, lock["tasks"], lock["skips"], finished, TaxonomyMap.load(bundled_taxonomy()),
+            keys=keys, bin_size=args.bin_size, sarif=args.sarif, stamp=stamp,
+        )
 
 
 def cmd_run(args) -> int:
@@ -285,13 +278,13 @@ def cmd_run(args) -> int:
 
         previous = signal.signal(signal.SIGINT, on_interrupt)
         try:
-            summary = runner.run(before_dispatch=lambda: _withdraw_reports(results_root))
+            summary = runner.run()
         finally:
             signal.signal(signal.SIGINT, previous)
 
-        stamp = _report_stamp(lock, keys, args)
-        if summary.skipped_as_done < summary.total or not reports_current(results_root, stamp, args.sarif):
-            _emit_reports(results_root, lock, summary.finished, keys, args, stamp)
+        # A pending task that never reached finalize left summary.json, so only force rebuilds for it.
+        _refresh_reports(results_root, lock, summary.finished, keys, args,
+                         force=summary.skipped_as_done < summary.total)
 
         tally = summary.tally
         print(
@@ -325,14 +318,6 @@ def cmd_reparse(args) -> int:
         if missing:  # checked before the loop, so a refused reparse rewrites nothing
             raise PlanningError(missing)
 
-        withdrawn = False
-
-        def withdraw_once() -> None:  # before the first task file changes, so no stamp outlives its result.json
-            nonlocal withdrawn
-            if not withdrawn:
-                _withdraw_reports(results_root)
-                withdrawn = True
-
         markers = read_done_markers(results_root, (entry["output_dir"] for entry in lock["tasks"]))
         finished: dict[str, ExitClass] = {}
         reparsed = 0
@@ -349,17 +334,15 @@ def cmd_reparse(args) -> int:
             except (OSError, ValueError, KeyError, TypeError):
                 continue
             tool = tools[entry["tool"], entry["tool_version"]]
-            exit_class, _ = finalize(
-                out_dir, record, raw, registry.parser_for(tool), content_hash, args_digest,
-                stored=exit_class, before_write=withdraw_once,
+            exit_class = finalize(
+                results_root, entry["output_dir"], record, raw, registry.parser_for(tool), content_hash, args_digest,
+                stored=exit_class,
             )
             finished[entry["output_dir"]] = exit_class
             reparsed += 1
 
         # The stamp covers neither markers nor stored output, so a task left out above means a rewrite.
-        stamp = _report_stamp(lock, keys, args)
-        if withdrawn or reparsed < len(lock["tasks"]) or not reports_current(results_root, stamp, args.sarif):
-            _emit_reports(results_root, lock, finished, keys, args, stamp)
+        _refresh_reports(results_root, lock, finished, keys, args, force=reparsed < len(lock["tasks"]))
         print(f"reparsed {reparsed} tasks under {results_root}")
         return EXIT_OK
 

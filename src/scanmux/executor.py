@@ -254,9 +254,10 @@ class DockerCliBackend(ContainerBackend):
     def available(self) -> bool:
         if shutil.which(self.binary) is None:
             return False
-        probe = subprocess.run(
-            [self.binary, "info"], capture_output=True, timeout=30, check=False
-        )
+        try:  # a hung or vanished engine is as unavailable as a stopped one
+            probe = subprocess.run([self.binary, "info"], capture_output=True, timeout=30, check=False)
+        except (subprocess.TimeoutExpired, OSError):
+            return False
         return probe.returncode == 0
 
     def pull(self, image_ref: str) -> str:

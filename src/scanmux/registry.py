@@ -176,8 +176,8 @@ def _parse_parser_spec(name: str, raw: dict, path: Path) -> ParserSpec:
     kind = raw.get("kind", "line_patterns")
     finding_rules = []
     for entry in raw.get("findings", []) or []:
-        if not isinstance(entry, dict) or "pattern" not in entry or "label" not in entry:
-            _fail(path, f"parser {name!r}: each finding rule needs pattern and label")
+        if not isinstance(entry, dict) or "pattern" not in entry or entry.get("label") in (None, ""):
+            _fail(path, f"parser {name!r}: each finding rule needs pattern and a nonempty label")
         finding_rules.append(FindingRule(pattern=str(entry["pattern"]), label=str(entry["label"])))
     document_rules = []
     for entry in raw.get("document_paths", []) or []:

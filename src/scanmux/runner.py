@@ -9,10 +9,11 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .executor import ContainerBackend, execute
-from .model import ExecutionRecord, HarnessError, ParsedReport, RawResult, Task
+from .model import ExecutionRecord, HarnessError, RawResult, Task
 from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, report_bytes, write_report
 from .plan import PlanningError, RunPlan
 from .registry import ParserSpec, Registry
+from .reporting import SUMMARY_FILENAME
 from .solc import CompilerCache, SemVer
 
 DONE_MARKER_FILENAME = "done"
@@ -44,7 +45,8 @@ def read_done_marker(out_dir: Path) -> tuple[str, str, str] | None:
 
 
 def finalize(
-    out_dir: Path,
+    results_root: Path,
+    output_dir: str,
     record: ExecutionRecord,
     raw: RawResult,
     parser: ParserSpec,
@@ -52,27 +54,26 @@ def finalize(
     args_digest: str,
     *,
     stored: ExitClass | None = None,
-    before_write: Callable[[], None] | None = None,
-) -> tuple[ExitClass, ParsedReport]:
+) -> ExitClass:
     """Parse, classify, write ``result.json``, then the done marker last.
 
     The one completion path for a task, shared by a run and by reparse, so
     reparsing stored output with an unchanged registry reproduces both files
-    byte for byte. With ``before_write``, as reparse passes it, a task whose
-    ``result.json`` on disk already holds the new bytes and whose exit class
-    equals ``stored``, its marker's, is left untouched; any other task calls
-    ``before_write()`` before either file is written.
+    byte for byte. A task whose exit class is ``stored``, as reparse passes
+    its marker's, and whose ``result.json`` already holds the new bytes is
+    left untouched. Any other task first deletes ``summary.json``, and with it
+    the reports' stamp: no stamp outlives the ``result.json`` it was built from.
     """
     report = parse(raw, parser)
     exit_class = classify_exit(record, report)
+    out_dir = results_root / output_dir
     result_path = out_dir / RESULT_FILENAME
-    if before_write is not None:
-        if exit_class is stored and _holds(result_path, report_bytes(report)):
-            return exit_class, report
-        before_write()
+    if exit_class is stored and _holds(result_path, report_bytes(report)):
+        return exit_class
+    (results_root / SUMMARY_FILENAME).unlink(missing_ok=True)
     write_report(result_path, report)
     write_done_marker(out_dir, content_hash, args_digest, exit_class.value)
-    return exit_class, report
+    return exit_class
 
 
 def _holds(path: Path, data: bytes) -> bool:
@@ -170,7 +171,6 @@ class TaskResult(NamedTuple):
 
     task: Task
     exit_class: ExitClass | None = None
-    report: ParsedReport | None = None
     error: str | None = None
     aborted: bool = False
 
@@ -237,15 +237,16 @@ class TaskExecutor:
         if aborted:
             # No done marker: the task must rerun on resume.
             return TaskResult(task, aborted=True)
-        exit_class, report = finalize(
-            results_root / task.output_dir,
+        exit_class = finalize(
+            results_root,
+            task.output_dir,
             record,
             raw,
             self.registry.parser_for(task.tool),
             task.contract.content_hash,
             self.plan.args_digest,
         )
-        return TaskResult(task, exit_class=exit_class, report=report)
+        return TaskResult(task, exit_class=exit_class)
 
 
 class Runner:
@@ -328,17 +329,11 @@ class Runner:
                 for version in failed
             ])
 
-    def run(self, before_dispatch: Callable[[], None] | None = None) -> RunSummary:
-        """Resume scan, compiler check, then every pending task on the worker pool.
-
-        ``before_dispatch`` is called once, when some task is pending, after
-        the compiler check and before the first task is dispatched.
-        """
+    def run(self) -> RunSummary:
+        """Resume scan, compiler check, then every pending task on the worker pool."""
         plan = self.executor.plan
         pending, done = resume_filter(plan, self.results_root)
         self._verify_compilers(pending)
-        if pending and before_dispatch is not None:
-            before_dispatch()
         summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=done)
         self._queue = deque(permute(pending, plan.seed))
         _in_threads("scanmux-worker", self._worker, [(summary, len(pending))] * min(self.workers, max(len(pending), 1)))

@@ -412,7 +412,10 @@ def ensure_compiler(
                 raise DigestMismatchError(
                     f"compiler {version}: digest {actual[:12]}… does not match pinned {expected_digest[:12]}…"
                 )
-        return cache.store(version, data)
+        try:
+            return cache.store(version, data)
+        except OSError as exc:
+            raise HarnessError(f"compiler {version}: cannot store it in {cache.cache_dir}: {exc}") from exc
     raise DownloadFailedError(f"could not fetch compiler {version}: {last_error}", FETCH_ATTEMPTS)
 
 

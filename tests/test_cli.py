@@ -559,6 +559,26 @@ class TestRunCommand:
                      if t["tool"] == "charlie"]
         assert f"infra error: {charlie}: engine went away\n1 tasks hit infrastructure errors" in err
 
+    def test_pending_task_that_never_finishes_still_rebuilds_the_reports(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
+    ):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        assert main(argv) == 0
+        [charlie] = [t["output_dir"] for t in json.loads((results / "plan.lock").read_text())["tasks"]
+                     if t["tool"] == "charlie"]
+        (results / charlie / "done").unlink()
+        run = MockBackend.run
+
+        def run_or_fail(self, image_digest, volume_dir, command, limits):
+            if self.digest_of("example.io/mock/charlie:0.9") == image_digest:
+                raise BackendFailureError("engine went away")
+            return run(self, image_digest, volume_dir, command, limits)
+
+        monkeypatch.setattr(MockBackend, "run", run_or_fail)
+        assert main(argv) == 3  # no result.json is written, so summary.json is still there, its stamp current
+        assert json.loads((results / SUMMARY_FILENAME).read_text())["incomplete"] == [charlie]
+
     def test_no_matching_files_is_planning_error(self, tmp_path, capsys, mock_registry_dir):
         argv = [
             "run", "-f", f"{tmp_path}/empty/*", "--registry", str(mock_registry_dir),
@@ -582,6 +602,30 @@ class TestRunCommand:
             "--compiler-cache", str(tmp_path / "cc"),
         ]
         assert main(argv) == 3
+
+    @pytest.mark.parametrize("failure", [
+        subprocess.TimeoutExpired(["docker", "info"], 30),
+        PermissionError(13, "Permission denied"),
+    ], ids=["hung", "not-executable"])
+    def test_engine_that_cannot_answer_exits_3(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch, failure
+    ):
+        def probe(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr("scanmux.executor.shutil.which", lambda name: f"/usr/bin/{name}")
+        monkeypatch.setattr("scanmux.executor.subprocess.run", probe)
+        argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc")
+        assert main([a for a in argv if a not in ("--backend", "mock")]) == 3
+        assert capsys.readouterr().err == "error: container engine is not available\n"
+
+    def test_unwritable_compiler_cache_is_planning_error(self, tmp_path, capsys, small_corpus, mock_registry_dir):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(run_argv(small_corpus, mock_registry_dir, tmp_path / "r", afile / "cc")) == 2
+        err = capsys.readouterr().err
+        assert f"cannot store it in {afile / 'cc'}" in err
+        assert "Traceback" not in err
 
     def test_interrupted_run_exits_130_and_resumes(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
@@ -1094,9 +1138,10 @@ class TestKilledCommands:
     @pytest.mark.parametrize("point, count", [
         ("kill-after-tasks", 1),
         ("kill-after-tasks", TestRunCommand.EXPECTED_TASKS - STOPPED_AFTER),
+        ("kill-after-results", 1),
         ("kill-after-csv", 1),
         ("kill-in-sarif", 2),
-    ], ids=["after-one-task", "after-every-task", "after-findings-csv", "inside-the-sarif-stream"])
+    ], ids=["after-one-task", "after-every-task", "after-one-result", "after-findings-csv", "inside-the-sarif-stream"])
     def test_killed_rerun_converges_to_an_uninterrupted_run(
         self, tmp_path, small_corpus, mock_registry_dir, point, count
     ):
@@ -1109,8 +1154,11 @@ class TestKilledCommands:
 
         killed = run_python(CUT_SHORT_CLI, point, str(count), *argv)
         assert killed.returncode == -signal.SIGKILL, killed.stderr
-        done = self.STOPPED_AFTER + count if point == "kill-after-tasks" else TestRunCommand.EXPECTED_TASKS
+        done = {"kill-after-tasks": self.STOPPED_AFTER + count, "kill-after-results": self.STOPPED_AFTER}.get(
+            point, TestRunCommand.EXPECTED_TASKS)
         assert len(list(results.rglob("done"))) == done
+        if point in ("kill-after-tasks", "kill-after-results"):
+            assert not (results / SUMMARY_FILENAME).exists()  # withdrawn at the first result.json write
         if point == "kill-in-sarif":
             assert len(list(results.glob(f".{SARIF_FILENAME}.*"))) == 1  # swept by the resume
 

@@ -178,6 +178,21 @@ def test_bad_finding_regex_rejected(tmp_path: Path):
         load_registry(tmp_path)
 
 
+@pytest.mark.parametrize("label", ["''", ""], ids=["empty", "null"])
+def test_empty_finding_label_rejected(tmp_path: Path, label):
+    # an empty label would fail on every matching line; a null one would label findings 'None'
+    empty_label = (
+        "schema: 1\nparsers:\n  default:\n    kind: line_patterns\n"
+        f"    findings:\n      - pattern: 'BUG'\n        label: {label}\n"
+    )
+    write_tool_dir(
+        tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"},
+        parser_yaml=empty_label,
+    )
+    with pytest.raises(ConfigSyntaxError, match=r"parser\.yaml: parser 'default': .*nonempty label"):
+        load_registry(tmp_path)
+
+
 def test_missing_aux_file_rejected(tmp_path: Path):
     write_tool_dir(tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"})
     cfg = tmp_path / "t" / "config.yaml"

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scanmux.executor import MockBackend, MockToolBehavior
-from scanmux.parsing import ExitClass
+from scanmux.executor import META_FILENAME, MockBackend, MockToolBehavior, read_meta, read_raw
+from scanmux.parsing import ExitClass, read_findings, write_report
+from scanmux.reporting import SUMMARY_FILENAME
 from scanmux.runner import (
     CorruptMarkerError,
     Runner,
     TaskExecutor,
+    finalize,
     permute,
     read_done_marker,
     resume_filter,
@@ -153,7 +155,7 @@ class TestTaskExecutor:
         assert (out / "meta.json").exists()
         marker = read_done_marker(out)
         assert marker == (task.contract.content_hash, plan.args_digest, "success")
-        assert len(result.report.findings) == 1
+        assert len(read_findings(out / "result.json")) == 1
 
     def test_aborted_task_leaves_no_marker(self, wired, tmp_path):
         behaviors = {IMG["delta"]: MockToolBehavior(sleep_s=60)}
@@ -164,6 +166,57 @@ class TestTaskExecutor:
         out = tmp_path / plan.tasks[0].output_dir
         assert read_done_marker(out) is None
         assert (out / "meta.json").exists()  # evidence of the attempt stays
+
+
+class TestFinalize:
+    @pytest.fixture
+    def finished(self, wired, tmp_path):
+        """A finished delta task beside a summary.json, and a call that finalizes its stored output again."""
+        behaviors = {IMG["delta"]: MockToolBehavior(stdout="VULN: Reentrancy at line 3\n")}
+        plan, executor, _ = wired(behaviors, tools=["delta"])
+        task = plan.tasks[0]
+        assert executor.run_task(task, tmp_path).exit_class is ExitClass.SUCCESS
+        (tmp_path / SUMMARY_FILENAME).write_text("{}\n")
+        out = tmp_path / task.output_dir
+
+        def again(stored):
+            record = read_meta(out / META_FILENAME)
+            return finalize(
+                tmp_path, task.output_dir, record, read_raw(out, record.result_files),
+                executor.registry.parser_for(task.tool), task.contract.content_hash, plan.args_digest,
+                stored=stored,
+            )
+
+        return out, again
+
+    def test_unchanged_task_leaves_the_summary_untouched(self, finished, tmp_path):
+        out, again = finished
+        before = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in (tmp_path / SUMMARY_FILENAME, out / "done")]
+        assert again(ExitClass.SUCCESS) is ExitClass.SUCCESS
+        assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in (tmp_path / SUMMARY_FILENAME, out / "done")] == before
+
+    @pytest.mark.parametrize("stored, result_json", [
+        (None, None),
+        (ExitClass.TOOL_ERROR, None),
+        (ExitClass.SUCCESS, b"{}\n"),
+    ], ids=["a-run", "class-changed", "report-changed"])
+    def test_changed_task_withdraws_the_summary_before_writing(
+        self, finished, tmp_path, monkeypatch, stored, result_json
+    ):
+        out, again = finished
+        if result_json is not None:
+            (out / "result.json").write_bytes(result_json)
+        summary_at_write = []
+
+        def watched(path, report):
+            summary_at_write.append((tmp_path / SUMMARY_FILENAME).exists())
+            write_report(path, report)
+
+        monkeypatch.setattr("scanmux.runner.write_report", watched)
+        assert again(stored) is ExitClass.SUCCESS
+        assert summary_at_write == [False]
+        assert read_done_marker(out)[2] == "success"
+        assert len(read_findings(out / "result.json")) == 1
 
 
 class TestRunner:
