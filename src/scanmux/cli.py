@@ -205,9 +205,7 @@ def _refresh_reports(
     results_root: Path, lock: dict, finished: dict[str, ExitClass], keys: dict[str, int] | None, args, *, force: bool
 ) -> None:
     """Rebuild every report from the tree on disk when ``force`` holds or the stamp on disk is not current."""
-    stamp = report_stamp(
-        bundled_taxonomy().read_bytes(), lock["tasks"], lock["skips"], keys, args.bin_size, args.sarif
-    )
+    stamp = report_stamp(bundled_taxonomy().read_bytes(), keys, args.bin_size, args.sarif)
     if force or not reports_current(results_root, stamp, args.sarif):
         write_reports(
             results_root, lock["tasks"], lock["skips"], finished, TaxonomyMap.load(bundled_taxonomy()),
@@ -250,7 +248,10 @@ def cmd_run(args) -> int:
         backend=backend, registry_path=str(registry_dir),
     )
     _check_series_keys(keys, (t.contract.id for t in plan.tasks))
-    results_root.mkdir(parents=True, exist_ok=True)
+    try:
+        results_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise HarnessError(f"{results_root}: cannot be used as the results root: {exc.strerror}") from None
     with _own_results_root(results_root):
         lock = write_plan_lock(plan, results_root)
         print(

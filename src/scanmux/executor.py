@@ -41,6 +41,11 @@ OUTPUT_DIRNAME = "output"
 # Tools get this long after the timeout signal to flush partial output.
 GRACE_SECONDS = 5.0
 
+# Seconds an engine query (``info``, ``image inspect``) may take before the
+# engine counts as hung, and a ``pull``, which may fetch a multi-GiB image.
+QUERY_TIMEOUT_SECONDS = 30
+PULL_TIMEOUT_SECONDS = 3600
+
 META_FILENAME = "meta.json"
 RAW_DIRNAME = "raw"
 STDOUT_FILENAME = "stdout"
@@ -255,21 +260,29 @@ class DockerCliBackend(ContainerBackend):
         if shutil.which(self.binary) is None:
             return False
         try:  # a hung or vanished engine is as unavailable as a stopped one
-            probe = subprocess.run([self.binary, "info"], capture_output=True, timeout=30, check=False)
+            probe = subprocess.run([self.binary, "info"], capture_output=True, timeout=QUERY_TIMEOUT_SECONDS)
         except (subprocess.TimeoutExpired, OSError):
             return False
         return probe.returncode == 0
 
     def pull(self, image_ref: str) -> str:
-        pull = subprocess.run(
-            [self.binary, "pull", image_ref], capture_output=True, text=True, check=False
-        )
-        if pull.returncode != 0:
-            raise BackendFailureError(f"cannot pull image {image_ref!r}: {pull.stderr.strip()}")
-        inspect = subprocess.run(
-            [self.binary, "image", "inspect", "--format", "{{.Id}}", image_ref],
-            capture_output=True, text=True, check=False,
-        )
+        try:
+            pull = subprocess.run(
+                [self.binary, "pull", image_ref],
+                capture_output=True, text=True, timeout=PULL_TIMEOUT_SECONDS, check=False,
+            )
+            if pull.returncode != 0:
+                raise BackendFailureError(f"cannot pull image {image_ref!r}: {pull.stderr.strip()}")
+            inspect = subprocess.run(
+                [self.binary, "image", "inspect", "--format", "{{.Id}}", image_ref],
+                capture_output=True, text=True, timeout=QUERY_TIMEOUT_SECONDS, check=False,
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise BackendFailureError(
+                f"cannot pull image {image_ref!r}: `{shlex.join(exc.cmd)}` gave no answer in {exc.timeout:g} s"
+            ) from None
+        except OSError as exc:
+            raise BackendFailureError(f"cannot pull image {image_ref!r}: {exc}") from None
         if inspect.returncode != 0:
             raise BackendFailureError(f"cannot inspect image {image_ref!r}: {inspect.stderr.strip()}")
         return inspect.stdout.strip()
@@ -483,8 +496,25 @@ def execute(
 
 
 def read_raw(out_dir: Path, result_files: Sequence[str]) -> RawResult:
-    """Reconstruct a RawResult from the ``raw/`` files that ``meta.json`` lists."""
+    """Reconstruct a RawResult from the ``raw/`` files that ``meta.json`` lists.
+
+    So that a shared results tree cannot make a reparse read host files, a
+    name that is absolute, has a ``..`` part or passes through a symlink
+    (``raw/`` included) raises ``ValueError``, or ``OSError`` when the file is
+    one; cheaper than ``os.path.realpath``, which lstats every component.
+    """
     raw_dir = out_dir / RAW_DIRNAME
-    files = {rel: (raw_dir / rel).read_bytes() for rel in result_files}
+    if os.path.islink(raw_dir):
+        raise ValueError(f"{raw_dir}: is a symlink")
+    files = {}
+    for rel in result_files:
+        path = raw_dir / rel  # before rel.split: a name that is not a str is a TypeError
+        parts = rel.split("/")
+        if os.path.isabs(rel) or ".." in parts:
+            raise ValueError(f"{path}: outside {raw_dir}")
+        if any(os.path.islink(raw_dir.joinpath(*parts[:i])) for i in range(1, len(parts))):
+            raise ValueError(f"{path}: passes through a symlink")
+        with open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW), "rb") as fh:
+            files[rel] = fh.read()
     stdout, stderr = files.pop(STDOUT_FILENAME), files.pop(STDERR_FILENAME)
     return RawResult(stdout=stdout, stderr=stderr, files=files)

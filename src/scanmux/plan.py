@@ -23,6 +23,7 @@ from .model import (
 )
 from .paths import json_digest, write_json
 from .registry import Registry, resolve_tools
+from .reporting import SUMMARY_FILENAME
 from .solc import (
     CompilerCache,
     Fetcher,
@@ -407,6 +408,8 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
             stored = hashlib.file_digest(fh, "sha256").hexdigest()
     except FileNotFoundError:
         stored = None
+    except OSError as exc:
+        raise HarnessError(f"{path}: cannot be read: {exc.strerror}") from None
     if stored is not None and stored == json_digest(doc):
         return doc
     existing = read_plan_lock(root) if stored is not None else None
@@ -418,6 +421,7 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
                 "use a fresh results root or rerun with the original arguments"
             ]
         )
+    (root / SUMMARY_FILENAME).unlink(missing_ok=True)
     write_json(path, doc)
     return doc
 
@@ -429,6 +433,8 @@ def read_plan_lock(results_root: str | Path) -> dict:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise PlanLockMissingError(f"{path}: no plan found (was a run started here?)") from None
+    except OSError as exc:
+        raise HarnessError(f"{path}: cannot be read: {exc.strerror}") from None
     except ValueError:
         raise HarnessError(f"{path}: not valid JSON; remove it and rerun with the original arguments") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list) and isinstance(doc.get("skips"), list)):

@@ -469,48 +469,29 @@ def build_summary(
     return doc
 
 
-def report_stamp(
-    taxonomy: bytes,
-    tasks: Sequence[Mapping],
-    skips: Sequence[Mapping],
-    keys: Mapping[str, int] | None,
-    bin_size: int,
-    sarif: bool,
-) -> str:
-    """Digest of every input the reports depend on besides the tasks' stored results.
+def report_stamp(taxonomy: bytes, keys: Mapping[str, int] | None, bin_size: int, sarif: bool) -> str:
+    """Digest of the report inputs that the command line and the package bring.
 
-    Those inputs are the taxonomy file's bytes, the plan lock's task and skip
-    entries, the ``--keys`` mapping, ``--bin-size``, ``--sarif`` and the
-    summary schema. It holds no path, so equal inputs give equal stamps
-    under any results root. The digest is of their compact, key-sorted JSON,
-    fed to SHA-256 a slice of entries at a time, so that text is never held whole.
+    Those are the taxonomy file's bytes, the ``--keys`` mapping,
+    ``--bin-size``, ``--sarif`` and the summary schema: the SHA-256 of their
+    compact, key-sorted JSON. It holds no path, so equal inputs give equal
+    stamps under any results root.
     """
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    digest = hashlib.sha256()
-    head = {"bin_size": bin_size, "keys": keys, "sarif": sarif, "schema": SUMMARY_SCHEMA}
-    digest.update(encode(head)[:-1].encode())  # the keys that sort before "skips", without the closing brace
-    for name, entries in (("skips", skips), ("tasks", tasks)):
-        digest.update(f',"{name}":['.encode())
-        for start in range(0, len(entries), _STAMP_SLICE):
-            if start:
-                digest.update(b",")
-            digest.update(encode(entries[start:start + _STAMP_SLICE])[1:-1].encode())  # without the brackets
-        digest.update(b"]")
-    digest.update(f',"taxonomy":"{hashlib.sha256(taxonomy).hexdigest()}"}}'.encode())
-    return digest.hexdigest()
-
-
-# Lock entries encoded at a time by report_stamp (~50 KiB of JSON).
-_STAMP_SLICE = 256
+    preimage = {
+        "bin_size": bin_size, "keys": keys, "sarif": sarif, "schema": SUMMARY_SCHEMA,
+        "taxonomy": hashlib.sha256(taxonomy).hexdigest(),
+    }
+    return hashlib.sha256(json.dumps(preimage, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 def reports_current(results_root: str | Path, stamp: str, sarif: bool) -> bool:
     """True when exactly the reports a command would write exist and ``summary.json`` carries ``stamp``.
 
     A missing, unreadable or unstamped ``summary.json`` is not current, nor
-    is a ``report.sarif`` beside ``sarif=False``. The stamp stays true only
-    while no ``result.json`` changes, so a command deletes ``summary.json``
-    before it changes one.
+    is a ``report.sarif`` beside ``sarif=False``. The reports are also built
+    from every ``result.json`` and from ``plan.lock``, which the stamp does
+    not cover: a command deletes ``summary.json`` before it changes any of
+    them, so the stamp covers only the options.
     """
     root = Path(results_root)
     if not (root / FINDINGS_FILENAME).is_file() or (root / SARIF_FILENAME).is_file() != sarif:

@@ -25,7 +25,15 @@ from scanmux.cli import (
     split_results,
     _split_tool_args,
 )
-from scanmux.executor import RAW_DIRNAME, STDOUT_FILENAME, BackendFailureError, MockBackend
+from scanmux.executor import (
+    META_FILENAME,
+    PULL_TIMEOUT_SECONDS,
+    QUERY_TIMEOUT_SECONDS,
+    RAW_DIRNAME,
+    STDOUT_FILENAME,
+    BackendFailureError,
+    MockBackend,
+)
 from scanmux.model import ResourceLimits
 from scanmux.parsing import report_bytes
 from scanmux.paths import bundled_registry, dump_json
@@ -619,12 +627,52 @@ class TestRunCommand:
         assert main([a for a in argv if a not in ("--backend", "mock")]) == 3
         assert capsys.readouterr().err == "error: container engine is not available\n"
 
+    @pytest.mark.parametrize("hang", ["pull", "inspect", "not-executable"])
+    def test_engine_that_hangs_on_pull_is_planning_error(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch, hang
+    ):
+        timeouts = []
+
+        def engine(argv, **kwargs):
+            timeouts.append((argv[1], kwargs["timeout"]))
+            if hang == "not-executable":
+                raise PermissionError(13, "Permission denied")
+            if argv[1] == hang or argv[1:3] == ["image", hang]:
+                raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+            return subprocess.CompletedProcess(argv, 0, stdout="sha256:feed\n", stderr="")
+
+        monkeypatch.setattr(cli.DockerCliBackend, "available", lambda self: True)
+        monkeypatch.setattr("scanmux.executor.subprocess.run", engine)
+        argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc")
+        assert main([a for a in argv if a not in ("--backend", "mock")]) == 2
+        err = capsys.readouterr().err
+        images = {tool.image_ref for tool in load_registry(mock_registry_dir).tools}
+        assert all(f"cannot pull image {ref!r}" in err for ref in images), err
+        assert "Traceback" not in err and not (tmp_path / "r").exists()
+        assert {("pull", PULL_TIMEOUT_SECONDS), ("image", QUERY_TIMEOUT_SECONDS)} >= set(timeouts)
+
     def test_unwritable_compiler_cache_is_planning_error(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         afile = tmp_path / "afile"
         afile.write_text("")
         assert main(run_argv(small_corpus, mock_registry_dir, tmp_path / "r", afile / "cc")) == 2
         err = capsys.readouterr().err
         assert f"cannot store it in {afile / 'cc'}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("unusable", ["under-a-file", "lock-is-a-directory"])
+    def test_unusable_results_root_is_an_error_naming_it(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, unusable
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        root = afile / "x" if unusable == "under-a-file" else tmp_path / "results"
+        if unusable == "lock-is-a-directory":
+            (root / PLAN_LOCK_FILENAME).mkdir(parents=True)
+        assert main(run_argv(small_corpus, mock_registry_dir, root, tmp_path / "cc")) == 2
+        err = capsys.readouterr().err
+        expected = {"under-a-file": f"{afile / 'x'}: cannot be used as the results root",
+                    "lock-is-a-directory": f"{root / PLAN_LOCK_FILENAME}: cannot be read"}[unusable]
+        assert f"error: {expected}" in err
         assert "Traceback" not in err
 
     def test_interrupted_run_exits_130_and_resumes(
@@ -803,6 +851,42 @@ class TestReparseCommand:
         (results / SUMMARY_FILENAME).unlink()  # forces the reports to be built again
         assert main(reparse) == 0
         assert {name: (results / name).read_bytes() for name in after} == written
+
+    def test_results_root_that_is_a_file_is_an_error_naming_its_lock(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["reparse", str(afile)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {afile / PLAN_LOCK_FILENAME}: cannot be read" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("escape", ["dotdot", "absolute", "symlink", "symlinked-raw", "symlinked-dir"])
+    def test_stored_output_is_read_only_inside_raw(self, tmp_path, capsys, small_corpus, mock_registry_dir, escape):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        secret = tmp_path / "secret.txt"
+        secret.write_text("VULN: Reentrancy at line 1\n")
+        task = sorted(results.rglob("done"))[0].parent
+        raw = task / RAW_DIRNAME
+        name = {"dotdot": os.path.relpath(secret, raw), "absolute": str(secret), "symlink": "leak",
+                "symlinked-raw": secret.name, "symlinked-dir": f"leak/{secret.name}"}[escape]
+        if escape == "symlink":
+            (raw / "leak").symlink_to(secret)
+        if escape == "symlinked-dir":
+            (raw / "leak").symlink_to(tmp_path)
+        if escape == "symlinked-raw":  # raw/ points at the secret's directory, holding copies of the real output
+            for stored in raw.iterdir():
+                stored.rename(tmp_path / stored.name)
+            raw.rmdir()
+            raw.symlink_to(tmp_path)
+        meta = json.loads((task / META_FILENAME).read_text())
+        meta["result_files"].append(name)
+        (task / META_FILENAME).write_text(json.dumps(meta))
+        kept = {p: p.read_bytes() for p in (task / "result.json", task / "done")}
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
+        assert f"reparsed {TestRunCommand.EXPECTED_TASKS - 1} tasks" in capsys.readouterr().out
+        assert {p: p.read_bytes() for p in kept} == kept  # unreadable stored output: the task keeps its result
 
     @pytest.mark.parametrize("hostile", HOSTILE_DOCUMENTS)
     def test_hostile_stored_document_is_a_tool_failure(self, tmp_path, capsys, small_corpus, hostile):
@@ -1087,6 +1171,7 @@ class TestReparseCommand:
 #   kill-after-results N  SIGKILL once N result.json files were written
 #   kill-after-markers N  SIGKILL once N done markers were written
 #   kill-after-csv 1      SIGKILL right after findings.csv is written
+#   kill-after-lock 1     SIGKILL right after a run wrote (or kept) plan.lock
 #   kill-in-sarif N       SIGKILL once report.sarif passed its Nth check (the header,
 #                         then each run's skeleton once its results are through),
 #                         each result handed to its temp file as soon as it is encoded
@@ -1125,6 +1210,8 @@ elif point == "kill-after-markers":
     runner.write_done_marker = kill_after(runner.write_done_marker)
 elif point == "kill-after-csv":
     reporting.write_findings_csv = kill_after(reporting.write_findings_csv)
+elif point == "kill-after-lock":
+    cli.write_plan_lock = kill_after(cli.write_plan_lock)
 elif point == "kill-in-sarif":
     paths._FLUSH_CHUNKS = 1
     reporting.validate_sarif = kill_after(reporting.validate_sarif)
@@ -1168,6 +1255,25 @@ class TestKilledCommands:
         reference = tmp_path / "reference"
         assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc", "--sarif")) == 0
         assert tree_digest(results) == tree_digest(reference)  # the reports' bytes included
+
+    def test_killed_after_a_rewritten_lock_leaves_no_summary(self, tmp_path, small_corpus, mock_registry_dir):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
+        assert main(argv) == 0
+        sorted(small_corpus.glob("*.sol"))[0].unlink()  # the next plan, and so its lock, has fewer tasks
+
+        killed = run_python(CUT_SHORT_CLI, "kill-after-lock", "1", *argv)
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert not (results / SUMMARY_FILENAME).exists()  # withdrawn with the lock it was built from
+
+        resumed = run_python(CUT_SHORT_CLI, "none", "0", *argv)
+        assert resumed.returncode == 0, resumed.stderr
+        assert "executed 0 of" in resumed.stdout
+        fresh = tmp_path / "fresh"
+        assert main(run_argv(small_corpus, mock_registry_dir, fresh, tmp_path / "cc", "--sarif")) == 0
+        assert {name: (results / name).read_bytes() for name in REPORTS} == {
+            name: (fresh / name).read_bytes() for name in REPORTS
+        }
 
     @pytest.mark.parametrize("point, count", [
         ("kill-after-results", 1),

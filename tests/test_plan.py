@@ -32,6 +32,7 @@ from scanmux.plan import (
 )
 from scanmux.paths import dump_json
 from scanmux.registry import load_registry
+from scanmux.reporting import SUMMARY_FILENAME
 from scanmux.solc import MockCompilerFetcher, PragmaSyntaxError
 
 from helpers import discover_corpus, plan_for, write_corpus, write_tool_dir
@@ -356,8 +357,10 @@ def test_plan_lock_refuses_foreign_root(
     write_plan_lock(plan, root)
     # a lock written by some other invocation occupies the root
     (root / "plan.lock").write_text(json.dumps({"args_digest": "feedfacefeedface", "tasks": [], "skips": []}))
+    (root / SUMMARY_FILENAME).write_text("{}\n")
     with pytest.raises(PlanningError):
         write_plan_lock(plan, root)
+    assert (root / SUMMARY_FILENAME).read_text() == "{}\n"  # the reports belong to the other invocation
 
 
 def test_plan_lock_interrupted_rewrite_keeps_the_previous_lock(
@@ -395,7 +398,10 @@ def test_plan_lock_is_rewritten_only_when_its_bytes_changed(
         plan = plan._replace(registry_path=str(tmp_path / "moved"))
     if change == "other-byte-form":  # the same document, compact: no longer kept as it is
         path.write_text(json.dumps(json.loads(path.read_text())))
+    summary = root / SUMMARY_FILENAME
+    summary.write_text("{}\n")
     before = os.stat(path)
+    summary_before = os.stat(summary)
     written = write_plan_lock(plan, root)
     after = os.stat(path)
     assert written == read_plan_lock(root)
@@ -403,6 +409,11 @@ def test_plan_lock_is_rewritten_only_when_its_bytes_changed(
     assert written["registry_path"] == plan.registry_path and written["version"] == 2
     unchanged = (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert unchanged == (change is None)
+    if change is None:  # the reports were built from this very lock
+        summary_after = os.stat(summary)
+        assert (summary_after.st_ino, summary_after.st_mtime_ns) == (summary_before.st_ino, summary_before.st_mtime_ns)
+    else:  # withdrawn with the lock they were built from
+        assert not summary.exists()
 
 
 def test_plan_lock_that_holds_the_plan_is_not_parsed(

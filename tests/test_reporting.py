@@ -875,31 +875,21 @@ class TestSummary:
         assert doc["unmapped_labels"] == [["mytool", "Mystery"]]
 
     def test_stamp_follows_every_report_input(self):
-        inputs = dict(taxonomy=TAXONOMY_YAML.encode(), tasks=[{"output_dir": "a"}], skips=[],
-                      keys=None, bin_size=100, sarif=False)
+        inputs = dict(taxonomy=TAXONOMY_YAML.encode(), keys=None, bin_size=100, sarif=False)
         stamp = report_stamp(**inputs)
         assert report_stamp(**inputs) == stamp
         assert build_summary(SummaryCounts(), stamp=stamp)["stamp"] == stamp
         assert "stamp" not in build_summary(SummaryCounts())
         for field, value in [
-            ("taxonomy", TAXONOMY_YAML.encode() + b"\n"), ("tasks", []), ("skips", [{"contract": "x"}]),
-            ("keys", {"a": 1}), ("bin_size", 7), ("sarif", True),
+            ("taxonomy", TAXONOMY_YAML.encode() + b"\n"), ("keys", {"a": 1}), ("bin_size", 7), ("sarif", True),
         ]:
             assert report_stamp(**inputs | {field: value}) != stamp, field
 
-    ENTRIES = st.lists(
-        st.dictionaries(st.sampled_from(["output_dir", "contract", "tool", "compiler"]),
-                        st.none() | st.text(max_size=5) | st.integers(-3, 3), max_size=4),
-        max_size=9,
-    )
-
-    @given(tasks=ENTRIES, skips=ENTRIES, keys=st.none() | st.dictionaries(st.text(max_size=4), st.integers()),
-           bin_size=st.integers(1, 10**6), sarif=st.booleans(), slice_size=st.integers(1, 4))
-    def test_stamp_is_the_digest_of_the_one_shot_encoding(self, tasks, skips, keys, bin_size, sarif, slice_size):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(reporting, "_STAMP_SLICE", slice_size)
-            stamp = report_stamp(b"taxonomy", tasks, skips, keys, bin_size, sarif)
-        inputs = {"bin_size": bin_size, "keys": keys, "sarif": sarif, "schema": 1, "skips": skips, "tasks": tasks,
+    @given(keys=st.none() | st.dictionaries(st.text(max_size=4), st.integers()),
+           bin_size=st.integers(1, 10**6), sarif=st.booleans())
+    def test_stamp_is_the_digest_of_the_one_shot_encoding(self, keys, bin_size, sarif):
+        stamp = report_stamp(b"taxonomy", keys, bin_size, sarif)
+        inputs = {"bin_size": bin_size, "keys": keys, "sarif": sarif, "schema": 1,
                   "taxonomy": hashlib.sha256(b"taxonomy").hexdigest()}
         assert stamp == hashlib.sha256(json.dumps(inputs, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
