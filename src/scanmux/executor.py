@@ -28,7 +28,6 @@ from .model import (
     Task,
 )
 from .paths import dump_json, load_yaml
-from .solc import CompilerCache, SemVer
 
 # Fixed mount point of the per-task volume inside the container.
 MOUNT_POINT = "/work"
@@ -343,8 +342,23 @@ class DockerCliBackend(ContainerBackend):
             self._abort_requested = True
 
 
-def stage_volume(task: Task, cache: CompilerCache) -> Path:
-    """Stage contract, compiler (if needed) and aux files in a fresh temp volume."""
+VerifiedCompilers = Mapping[str, tuple[Path, tuple[int, int, int, int]]]  # version -> (binary, stamp)
+
+
+def compiler_stamp(binary: Path) -> tuple[int, int, int, int] | None:
+    """(device, inode, size, mtime) of a binary, or None; not ``st_ctime``, which staging's links move."""
+    try:
+        st = os.stat(binary)
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+
+
+def stage_volume(task: Task, compilers: VerifiedCompilers) -> Path:
+    """Stage contract, compiler (if needed) and aux files in a fresh temp volume.
+
+    A compiler is staged only while its stamp is the one in ``compilers``, taken when the run verified it.
+    """
     try:
         volume = Path(tempfile.mkdtemp(prefix="scanmux-"))
     except OSError as exc:
@@ -354,11 +368,10 @@ def stage_volume(task: Task, cache: CompilerCache) -> Path:
         shutil.copyfile(task.contract.source_path, volume / contract_name)
         (volume / OUTPUT_DIRNAME).mkdir()
         if task.compiler_version is not None:
-            binary = cache.lookup(SemVer.parse(task.compiler_version))
-            if binary is None:
-                raise MissingCompilerError(
-                    f"compiler {task.compiler_version} requested by {task.tool.key} is not cached"
-                )
+            binary, stamp = compilers.get(task.compiler_version, (None, None))
+            if binary is None or compiler_stamp(binary) != stamp:
+                why = "was not verified by this run" if binary is None else "changed since this run verified it"
+                raise MissingCompilerError(f"compiler {task.compiler_version} requested by {task.tool.key} {why}")
             staged = volume / COMPILER_FILENAME
             try:  # the cache's inode, already 0o755: no copy and no chmod
                 os.link(binary, staged)
@@ -432,17 +445,17 @@ def execute(
     task: Task,
     backend: ContainerBackend,
     *,
-    cache: CompilerCache,
+    compilers: VerifiedCompilers,
     results_root: Path,
     image_digest: str,
 ) -> tuple[ExecutionRecord, RawResult, bool]:
-    """Stage, run and harvest one task.
+    """Stage (with the ``compilers`` this run verified), run and harvest one task.
 
     Writes ``raw/`` artifacts and ``meta.json`` into the task's output folder.
     Returns (record, raw result, aborted). The temp volume is removed even on
     error.
     """
-    volume = stage_volume(task, cache)
+    volume = stage_volume(task, compilers)
     command = render_command(task)
     try:
         started = time.time()

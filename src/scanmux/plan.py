@@ -136,6 +136,11 @@ def validate_scheme(scheme: str) -> None:
         raise SchemeError(f"unbalanced braces in scheme {scheme!r}")
 
 
+def stays_inside_root(output_dir: str) -> bool:
+    """Whether an output folder lies inside the results root: relative, with no empty, ``.`` or ``..`` part."""
+    return all(part not in ("", ".", "..") for part in output_dir.split("/"))
+
+
 def plan_output_dir(
     scheme: str,
     contract: ContractInput,
@@ -318,6 +323,9 @@ def build_plan(
                 if compiler is None:
                     continue  # problem already recorded; planning will abort
             out_dir = plan_output_dir(scheme, contract, tool, taken, runid)
+            if not stays_inside_root(out_dir):
+                problems.append(f"{contract.id}: output folder {out_dir!r} is not inside the results root")
+                continue
             tasks.append(
                 Task(
                     contract=contract,
@@ -426,8 +434,16 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
     return doc
 
 
+_LOCK_TASK_KEYS = ("output_dir", "contract", "source_path", "tool", "tool_version")
+
+
 def read_plan_lock(results_root: str | Path) -> dict:
-    """The lock document; refuses one that is not JSON or not an object with ``tasks`` and ``skips`` lists."""
+    """The lock document; refuses one that is not JSON or not an object with ``tasks`` and ``skips`` lists.
+
+    It also refuses a task entry without the string keys that resume and
+    reparse read or whose output folder is not inside the results root, and
+    a skip entry that is not an object.
+    """
     path = Path(results_root) / PLAN_LOCK_FILENAME
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -441,4 +457,21 @@ def read_plan_lock(results_root: str | Path) -> dict:
         raise HarnessError(
             f"{path}: not a plan lock (no 'tasks' and 'skips' lists); remove it and rerun with the original arguments"
         )
+    for i, entry in enumerate(doc["tasks"]):
+        if not (
+            isinstance(entry, dict)
+            and all(isinstance(entry.get(key), str) for key in _LOCK_TASK_KEYS)
+            and "compiler" in entry and (entry["compiler"] is None or isinstance(entry["compiler"], str))
+        ):
+            raise HarnessError(
+                f"{path}: task {i} lacks a string {', '.join(_LOCK_TASK_KEYS)} or a string or null compiler; "
+                "remove it and rerun with the original arguments"
+            )
+        if not stays_inside_root(entry["output_dir"]):
+            raise HarnessError(
+                f"{path}: task {i} has the output folder {entry['output_dir']!r}, outside the results root; "
+                "remove it and rerun with the original arguments"
+            )
+    if not all(isinstance(entry, dict) for entry in doc["skips"]):
+        raise HarnessError(f"{path}: a skip entry is not an object; remove it and rerun with the original arguments")
     return doc

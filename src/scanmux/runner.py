@@ -8,7 +8,7 @@ from collections import Counter, deque
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .executor import ContainerBackend, execute
+from .executor import ContainerBackend, VerifiedCompilers, compiler_stamp, execute
 from .model import ExecutionRecord, HarnessError, RawResult, Task
 from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, report_bytes, write_report
 from .plan import PlanningError, RunPlan
@@ -223,12 +223,12 @@ class TaskExecutor:
         self.registry = registry
         self.cache = cache
 
-    def run_task(self, task: Task, results_root: Path) -> TaskResult:
+    def run_task(self, task: Task, results_root: Path, compilers: VerifiedCompilers) -> TaskResult:
         try:
             record, raw, aborted = execute(
                 task,
                 self.backend,
-                cache=self.cache,
+                compilers=compilers,
                 results_root=results_root,
                 image_digest=self.plan.image_digests[task.tool.image_ref],
             )
@@ -284,13 +284,13 @@ class Runner:
                 return None
             return self._queue.popleft()
 
-    def _worker(self, summary: RunSummary, pending_total: int) -> None:
+    def _worker(self, summary: RunSummary, pending_total: int, compilers: VerifiedCompilers) -> None:
         while True:
             task = self._next_task()
             if task is None:
                 return
             try:
-                result = self.executor.run_task(task, self.results_root)
+                result = self.executor.run_task(task, self.results_root, compilers)
             except Exception as exc:  # defensive: a worker crash must not hang the pool
                 result = TaskResult(task, error=f"unexpected: {exc!r}")
             with self._lock:
@@ -302,39 +302,44 @@ class Runner:
                 if self.on_progress is not None:  # under the lock: calls never overlap
                     self.on_progress(summary.executed, pending_total)
 
-    def _verify_compilers(self, pending: Sequence[Task]) -> None:
+    def _verify_compilers(self, pending: Sequence[Task]) -> VerifiedCompilers:
         """Hash, in parallel, each compiler that a pending task stages, before any task is dispatched.
 
-        Planning only fetched what was absent. A binary that fails its digest
-        is dropped from the cache, so the next run fetches it again, and the
-        run fails as planning would.
+        Returns version -> (binary, its stat stamp taken before hashing), for
+        staging to compare. Planning only fetched what was absent. A binary
+        that fails its digest is dropped from the cache, so the next run
+        fetches it again, and the run fails as planning would.
         """
-        versions = sorted({SemVer.parse(t.compiler_version) for t in pending if t.compiler_version})
+        versions = sorted({t.compiler_version for t in pending if t.compiler_version}, key=SemVer.parse)
         cache = self.executor.cache
         width = min(self.workers, len(versions))
-        verified: dict[SemVer, Path | None] = {}
+        verified: dict[str, tuple[Path, tuple[int, int, int, int]]] = {}
 
-        def verify(share: Sequence[SemVer]) -> None:
+        def verify(share: Sequence[str]) -> None:
             for version in share:
-                verified[version] = cache.lookup(version)  # hashlib releases the GIL
+                stamp = compiler_stamp(cache.path_for(version))  # before hashing: a write during it moves the stamp
+                if stamp is not None and (binary := cache.lookup(SemVer.parse(version))):  # hashlib releases the GIL
+                    verified[version] = (binary, stamp)
 
         _in_threads("scanmux-verify", verify, [(versions[i::width],) for i in range(width)])
-        failed = [version for version in versions if verified.get(version) is None]
+        failed = [version for version in versions if version not in verified]
         for version in failed:
-            cache.discard(version)
+            cache.discard(SemVer.parse(version))
         if failed:
             raise PlanningError([
                 f"compiler {version}: cached binary {cache.path_for(version)} is missing or fails its digest "
                 "check; it was removed from the cache, so the next run fetches it again"
                 for version in failed
             ])
+        return verified
 
     def run(self) -> RunSummary:
         """Resume scan, compiler check, then every pending task on the worker pool."""
         plan = self.executor.plan
         pending, done = resume_filter(plan, self.results_root)
-        self._verify_compilers(pending)
+        compilers = self._verify_compilers(pending)
         summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=done)
         self._queue = deque(permute(pending, plan.seed))
-        _in_threads("scanmux-worker", self._worker, [(summary, len(pending))] * min(self.workers, max(len(pending), 1)))
+        args = (summary, len(pending), compilers)
+        _in_threads("scanmux-worker", self._worker, [args] * min(self.workers, max(len(pending), 1)))
         return summary

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import time
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -281,12 +280,6 @@ class UrlCompilerFetcher:
             raise DownloadFailedError(f"GET {url} failed: {exc}", 1) from exc
 
 
-# A cached binary modified less than this long ago is not trusted on its stat
-# stamp: a same-size rewrite could keep its mtime on a filesystem with coarse
-# timestamps (FAT keeps 2 s).
-_SETTLED_NS = 2_000_000_000
-
-
 class CompilerCache:
     """Digest-verified store of downloaded compiler binaries.
 
@@ -294,15 +287,14 @@ class CompilerCache:
     ``version digest size`` line per entry. A binary is deleted only by
     ``discard``; its index line then stays until the version is stored again.
 
-    ``holds`` reads only the index and the file's size. ``lookup`` hashes a
-    binary once per process: after it verifies, later lookups trust it while
-    its stat stamp (device, inode, size, mtime) is unchanged.
+    ``holds`` reads only the index and the file's size; ``lookup`` hashes the
+    file. ``store`` gives each binary mtime 0, so a later write in place moves
+    its mtime even on a file system with coarse timestamps.
     """
 
     def __init__(self, cache_dir: str | Path):
         self.cache_dir = Path(cache_dir)
         self._index: dict[SemVer, tuple[str, int]] = {}
-        self._verified: dict[SemVer, tuple[int, int, int, int]] = {}
         self._load_index()
 
     @property
@@ -343,28 +335,17 @@ class CompilerCache:
         self.path_for(version).unlink(missing_ok=True)
 
     def lookup(self, version: SemVer) -> Path | None:
-        """Path of a cached, digest-verified binary, or None."""
+        """Path of a cached binary whose bytes match the index digest, or None; hashes it."""
         entry = self._index.get(version)
         if entry is None:
             return None
         path = self.path_for(version)
-        now_ns = time.time_ns()
-        try:
-            st = os.stat(path)
-        except OSError:
-            return None
-        # st_ctime is left out: staging links and unlinks the file.
-        stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
-        if self._verified.get(version) == stamp:
-            return path
         try:
             with open(path, "rb") as f:
                 if hashlib.file_digest(f, "sha256").hexdigest() != entry[0]:
                     return None
         except OSError:
             return None
-        if now_ns - st.st_mtime_ns > _SETTLED_NS:
-            self._verified[version] = stamp
         return path
 
     def store(self, version: SemVer, data: bytes) -> Path:
@@ -372,7 +353,8 @@ class CompilerCache:
         path = self.path_for(version)
         with replacing(path, 0o755) as f:
             f.write(data)
-        self._verified.pop(version, None)
+            f.flush()
+            os.utime(f.fileno(), ns=(0, 0))  # the rename keeps it; a later write in place moves it
         digest = hashlib.sha256(data).hexdigest()
         self._index[version] = (digest, len(data))
         lines = [f"{v} {d} {s}" for v, (d, s) in sorted(self._index.items())]
@@ -393,9 +375,9 @@ def ensure_compiler(
     """Idempotently provision one compiler binary into the cache.
 
     A second call for the same version performs no fetch. A cached binary is
-    taken on its index entry and size, unhashed: ``CompilerCache.lookup``
-    checks its digest before a task stages it. Corrupted downloads are
-    discarded without touching the cache.
+    taken on its index entry and size, unhashed: a run hashes it once with
+    ``CompilerCache.lookup`` and stages it while its stat stamp is unchanged.
+    Corrupted downloads are discarded without touching the cache.
     """
     if cache.holds(version):
         return cache.path_for(version)

@@ -11,7 +11,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 from pathlib import Path
 
 import scanmux
@@ -168,12 +167,6 @@ def plan_for(
 
 def discover_corpus(corpus: Path):
     return discover_contracts([str(corpus / "*")])
-
-
-def backdate(path: Path, seconds: float = 3600.0) -> None:
-    """Set a file's mtime ``seconds`` into the past, like a compiler cached by an earlier run."""
-    then = time.time_ns() - int(seconds * 1e9)
-    os.utime(path, ns=(then, then))
 
 
 def run_python(script: str, *args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:

@@ -420,7 +420,7 @@ def test_criterion_7_timeout_enforced(tmp_path, release_index):
     root = tmp_path / "results"
     write_plan_lock(plan, root)
     executor = TaskExecutor(plan, backend, registry, cache)
-    result = executor.run_task(plan.tasks[0], root)
+    result = executor.run_task(plan.tasks[0], root, {})
     assert result.exit_class is ExitClass.TIMEOUT
     # cut off near the 1s limit; a broken timeout would run the full 3s sleep
     out_dir = root / plan.tasks[0].output_dir

@@ -240,6 +240,15 @@ def warning_delta(tmp_path: Path, registry_dir: Path) -> tuple[Path, Path]:
     return fixtures, changed
 
 
+def edited_lock(change):
+    """A lock damage: ``change`` the parsed document in place and encode it again."""
+    def damage(data: bytes) -> bytes:
+        doc = json.loads(data)
+        change(doc)
+        return dump_json(doc).encode()
+    return damage
+
+
 @pytest.fixture
 def small_corpus(tmp_path):
     return write_corpus(tmp_path / "contracts", n_sol=2, n_creation=1, n_runtime=1)
@@ -356,6 +365,61 @@ class TestRunCommand:
             assert main(argv) == 0
         assert binary.read_bytes() == MockCompilerFetcher.payload(SemVer.parse(version))
         assert len(list(results.rglob("done"))) == len(runs) == self.EXPECTED_TASKS
+
+    def test_compiler_changed_mid_run_fails_its_tasks_and_the_next_run_completes(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
+    ):
+        results, cache = tmp_path / "results", tmp_path / "cc"
+        argv = run_argv(small_corpus, mock_registry_dir, results, cache)
+        verify = Runner._verify_compilers
+        changed = []
+
+        def verify_then_rewrite(runner, pending):
+            compilers = verify(runner, pending)
+            version, (binary, _) = sorted(compilers.items())[0]
+            binary.write_bytes(binary.read_bytes())  # in place, same bytes: only the mtime moves
+            changed.append(version)
+            return compilers
+
+        monkeypatch.setattr(Runner, "_verify_compilers", verify_then_rewrite)
+        assert main(argv) == 3
+        [version] = changed
+        lock = json.loads((results / PLAN_LOCK_FILENAME).read_text())
+        hit = sorted((t["output_dir"], f"{t['tool']}:{t['tool_version']}") for t in lock["tasks"]
+                     if t["compiler"] == version)
+        assert hit
+        err = capsys.readouterr().err
+        for output_dir, tool in hit:
+            assert (
+                f"infra error: {output_dir}: compiler {version} requested by {tool} "
+                "changed since this run verified it\n"
+            ) in err
+        assert f"\n{len(hit)} tasks hit infrastructure errors" in err
+        assert len(list(results.rglob("done"))) == self.EXPECTED_TASKS - len(hit)
+
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert f"executed {len(hit)} of {self.EXPECTED_TASKS} tasks" in capsys.readouterr().out
+        assert len(list(results.rglob("done"))) == self.EXPECTED_TASKS
+
+    @pytest.mark.parametrize("name, scheme, folder", [
+        ("...sol", "{filename}/{toolid}", "../delta"),
+        ("..sol", "{filename}/{toolid}", "./delta"),
+        ("a.sol", "{filename}/../{toolid}", "a/../delta"),
+    ], ids=["dotdot-stem", "dot-stem", "dotdot-in-scheme"])
+    def test_output_folder_outside_the_root_is_planning_error(
+        self, tmp_path, capsys, mock_registry_dir, name, scheme, folder
+    ):
+        contract = tmp_path / "contracts" / name
+        contract.parent.mkdir()
+        contract.write_text("pragma solidity ^0.8.0;\ncontract C {}\n")
+        argv = [
+            "run", "-f", str(contract), "--registry", str(mock_registry_dir), "-t", "delta",
+            "--results", f"{tmp_path}/out/res/{scheme}", "--compiler-cache", str(tmp_path / "cc"), "--backend", "mock",
+        ]
+        assert main(argv) == 2
+        assert f"{contract}: output folder {folder!r} is not inside the results root" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_held_root_refuses_run_and_reparse(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         results = tmp_path / "results"
@@ -1080,7 +1144,17 @@ class TestReparseCommand:
         (lambda text: text[:300], "not valid JSON"),
         (lambda text: b"[]\n", "not a plan lock"),
         (lambda text: b'{"version": 2}\n', "not a plan lock"),
-    ], ids=["torn", "list", "no-tasks"])
+        (edited_lock(lambda doc: doc["tasks"][0].pop("tool_version")), "task 0 lacks a string output_dir, "),
+        (edited_lock(lambda doc: doc["tasks"][3].update(compiler=8)), "task 3 lacks a string output_dir, "),
+        (edited_lock(lambda doc: doc["tasks"][0].pop("compiler")), "task 0 lacks a string output_dir, "),
+        (edited_lock(lambda doc: doc["tasks"].append("a/b")), "task 12 lacks a string output_dir, "),
+        (edited_lock(lambda doc: doc["tasks"][1].update(output_dir="../b")),
+         "task 1 has the output folder '../b', outside the results root"),
+        (edited_lock(lambda doc: doc["tasks"][1].update(output_dir="/tmp/b")),
+         "task 1 has the output folder '/tmp/b', outside the results root"),
+        (edited_lock(lambda doc: doc["skips"].append(None)), "a skip entry is not an object"),
+    ], ids=["torn", "list", "no-tasks", "no-tool-version", "compiler-not-a-string", "no-compiler",
+            "task-not-an-object", "dotdot-output-dir", "absolute-output-dir", "skip-not-an-object"])
     def test_torn_plan_lock_is_an_error_naming_it(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, damage, problem
     ):

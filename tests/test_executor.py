@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import shutil
+import tempfile
 import time
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from scanmux.executor import (
     MockBackend,
     MockToolBehavior,
     BackendFailureError,
+    compiler_stamp,
     execute,
     read_meta,
     read_raw,
@@ -37,8 +39,6 @@ from scanmux.model import (
     content_hash,
 )
 from scanmux.solc import CompilerCache, MockCompilerFetcher, SemVer
-
-from helpers import backdate
 
 
 def make_contract(tmp_path: Path, fmt=ContractFormat.SOLIDITY, body="contract A {}"):
@@ -83,37 +83,38 @@ def make_task(tmp_path: Path, *, fmt=ContractFormat.SOLIDITY, compiler=None, **t
     )
 
 
+def verified(cache: CompilerCache, version: str) -> dict:
+    """The map a run's compiler check records for one cached version: binary and stat stamp."""
+    binary = cache.path_for(version)
+    return {version: (binary, compiler_stamp(binary))}
+
+
 class TestStaging:
-    def test_contract_lands_under_fixed_name(self, tmp_path, compiler_cache):
+    def test_contract_lands_under_fixed_name(self, tmp_path):
         for fmt, name in CONTRACT_FILENAMES.items():
             task = make_task(tmp_path / fmt.value, fmt=fmt)
-            volume = stage_volume(task, compiler_cache)
+            volume = stage_volume(task, {})
             try:
                 assert (volume / name).read_bytes() == task.contract.source_path.read_bytes()
                 assert (volume / "output").is_dir()
             finally:
-                import shutil
-
                 shutil.rmtree(volume)
 
     def test_compiler_staged_executable(self, tmp_path, compiler_cache):
         compiler_cache.store(SemVer.parse("0.8.4"), MockCompilerFetcher.payload(SemVer.parse("0.8.4")))
         task = make_task(tmp_path, compiler="0.8.4")
-        volume = stage_volume(task, compiler_cache)
+        volume = stage_volume(task, verified(compiler_cache, "0.8.4"))
         try:
             solc = volume / "solc"
             assert solc.exists()
             assert solc.stat().st_mode & 0o111
         finally:
-            import shutil
-
             shutil.rmtree(volume)
 
     def test_linked_compiler_leaves_cache_file_unchanged(self, tmp_path, compiler_cache):
         cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
-        backdate(cached)
         before = cached.stat()
-        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), compiler_cache)
+        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"))
         try:
             assert os.path.samefile(volume / "solc", cached)
         finally:
@@ -123,16 +124,49 @@ class TestStaging:
         assert (after.st_mode, after.st_mtime_ns) == (before.st_mode, before.st_mtime_ns)
 
     def test_write_through_staged_link_is_caught(self, tmp_path, compiler_cache):
-        backdate(compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4"))
+        compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
         task = make_task(tmp_path, compiler="0.8.4")
-        volume = stage_volume(task, compiler_cache)
+        compilers = verified(compiler_cache, "0.8.4")
+        volume = stage_volume(task, compilers)
         try:
             (volume / "solc").write_bytes(b"evil-0.8.4")
         finally:
             shutil.rmtree(volume)
         assert compiler_cache.lookup(SemVer.parse("0.8.4")) is None
-        with pytest.raises(MissingCompilerError):
-            stage_volume(task, compiler_cache)
+        with pytest.raises(MissingCompilerError, match="changed since this run verified it"):
+            stage_volume(task, compilers)
+
+    def test_same_size_rewrite_right_after_store_and_check_is_refused(self, tmp_path, compiler_cache):
+        # No waiting: store's mtime 0 makes the rewrite move the stamp even within one timestamp tick.
+        cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
+        compilers = verified(compiler_cache, "0.8.4")
+        with open(cached, "r+b") as fh:
+            fh.write(b"evil")
+        before = set(Path(tempfile.gettempdir()).iterdir())
+        with pytest.raises(
+            MissingCompilerError, match=r"^compiler 0\.8\.4 requested by t:1 changed since this run verified it$"
+        ):
+            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers)
+        after = set(Path(tempfile.gettempdir()).iterdir())
+        assert not {p for p in after - before if p.name.startswith("scanmux-")}
+
+    def test_rename_replace_with_identical_bytes_is_refused(self, tmp_path, compiler_cache):
+        cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
+        compilers = verified(compiler_cache, "0.8.4")
+        twin = cached.with_name("twin")
+        twin.write_bytes(b"solc-0.8.4")
+        os.utime(twin, ns=(0, 0))  # only the inode tells it apart
+        os.replace(twin, cached)
+        assert compiler_cache.lookup(SemVer.parse("0.8.4")) == cached
+        with pytest.raises(MissingCompilerError, match="changed since this run verified it"):
+            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers)
+
+    def test_removed_compiler_is_refused(self, tmp_path, compiler_cache):
+        compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
+        compilers = verified(compiler_cache, "0.8.4")
+        compiler_cache.discard(SemVer.parse("0.8.4"))
+        with pytest.raises(MissingCompilerError, match="changed since this run verified it"):
+            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers)
 
     def test_compiler_copied_when_link_fails(self, tmp_path, compiler_cache, monkeypatch):
         cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
@@ -141,7 +175,7 @@ class TestStaging:
             raise OSError(errno.EXDEV, "Invalid cross-device link")
 
         monkeypatch.setattr(os, "link", cross_device)
-        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), compiler_cache)
+        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"))
         try:
             solc = volume / "solc"
             assert not os.path.samefile(solc, cached)
@@ -150,15 +184,15 @@ class TestStaging:
         finally:
             shutil.rmtree(volume)
 
-    def test_missing_compiler_raises_and_cleans_up(self, tmp_path, compiler_cache):
+    def test_unverified_compiler_raises_and_cleans_up(self, tmp_path):
         task = make_task(tmp_path, compiler="0.8.4")
-        before = set(Path(tempfile_dir()).iterdir())
-        with pytest.raises(MissingCompilerError):
-            stage_volume(task, compiler_cache)
-        after = set(Path(tempfile_dir()).iterdir())
+        before = set(Path(tempfile.gettempdir()).iterdir())
+        with pytest.raises(MissingCompilerError, match="was not verified by this run"):
+            stage_volume(task, {})
+        after = set(Path(tempfile.gettempdir()).iterdir())
         assert not {p for p in after - before if p.name.startswith("scanmux-")}
 
-    def test_aux_files_copied(self, tmp_path, compiler_cache):
+    def test_aux_files_copied(self, tmp_path):
         aux = tmp_path / "rules.txt"
         aux.write_text("r1")
         task_dir = tmp_path / "c"
@@ -166,19 +200,11 @@ class TestStaging:
         tool = make_tool(aux_files=(aux,))
         contract = make_contract(task_dir)
         task = Task(contract=contract, tool=tool, output_dir="o", limits=ResourceLimits())
-        volume = stage_volume(task, compiler_cache)
+        volume = stage_volume(task, {})
         try:
             assert (volume / "rules.txt").read_text() == "r1"
         finally:
-            import shutil
-
             shutil.rmtree(volume)
-
-
-def tempfile_dir() -> str:
-    import tempfile
-
-    return tempfile.gettempdir()
 
 
 class TestRenderCommand:
@@ -215,7 +241,7 @@ class TestDockerArgv:
 
     def test_staged_compiler_mounted_read_only(self, tmp_path, compiler_cache):
         compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
-        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), compiler_cache)
+        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"))
         try:
             argv = DockerCliBackend().run_argv("img", volume, "tool", ResourceLimits())
             at = argv.index(f"{volume}:/work")
@@ -397,10 +423,7 @@ class TestExecute:
         digest = backend.pull("example.io/x:1")
         task = make_task(tmp_path / "src", fmt=fmt, result_sources=result_sources)
         root = tmp_path / "results"
-        cache = CompilerCache(tmp_path / "cc")
-        record, raw, aborted = execute(
-            task, backend, cache=cache, results_root=root, image_digest=digest
-        )
+        record, raw, aborted = execute(task, backend, compilers={}, results_root=root, image_digest=digest)
         return task, root, record, raw, aborted
 
     def test_writes_raw_and_meta(self, tmp_path):
@@ -446,9 +469,7 @@ class TestExecute:
         digest = backend.pull("example.io/x:1")
         task = make_task(tmp_path / "src", result_sources=("stdout", "output/*.json"))
         root = tmp_path / "results"
-        record, raw, _ = execute(
-            task, backend, cache=CompilerCache(tmp_path / "cc"), results_root=root, image_digest=digest
-        )
+        record, raw, _ = execute(task, backend, compilers={}, results_root=root, image_digest=digest)
         out = root / task.output_dir
         assert raw.files == {}
         assert record.result_files == ("stdout", "stderr")
@@ -464,7 +485,7 @@ class TestExecute:
         stale = root / task.output_dir / "raw"
         stale.mkdir(parents=True)
         (stale / "leftover").write_text("junk")
-        execute(task, backend, cache=CompilerCache(tmp_path / "cc"), results_root=root, image_digest=digest)
+        execute(task, backend, compilers={}, results_root=root, image_digest=digest)
         assert not (stale / "leftover").exists()
         assert (stale / "stdout").read_bytes() == b"fresh\n"
 
@@ -479,8 +500,7 @@ class TestExecute:
             limits=ResourceLimits(wall_timeout=0.1),
         )
         record, raw, aborted = execute(
-            task, backend, cache=CompilerCache(tmp_path / "cc"),
-            results_root=tmp_path / "r", image_digest=digest,
+            task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest,
         )
         assert record.exit_code == KILLED
         assert record.limit_hit is LimitHit.TIMEOUT
@@ -497,8 +517,6 @@ class TestExecute:
         assert back == raw
 
     def test_volume_cleaned_up(self, tmp_path):
-        import tempfile
-
         before = {p.name for p in Path(tempfile.gettempdir()).iterdir()}
         self._run(tmp_path, MockToolBehavior(stdout="x"))
         after = {p.name for p in Path(tempfile.gettempdir()).iterdir()}

@@ -26,7 +26,7 @@ from scanmux.runner import (
 )
 from scanmux.solc import CompilerCache
 
-from helpers import backdate, discover_corpus, plan_for
+from helpers import discover_corpus, plan_for
 
 
 def test_permute_frozen_seed_0():
@@ -147,7 +147,7 @@ class TestTaskExecutor:
         behaviors = {IMG["delta"]: MockToolBehavior(stdout="VULN: Reentrancy at line 3\n")}
         plan, executor, _ = wired(behaviors, tools=["delta"])
         task = plan.tasks[0]
-        result = executor.run_task(task, tmp_path)
+        result = executor.run_task(task, tmp_path, {})
         assert result.exit_class is ExitClass.SUCCESS
         assert result.error is None
         out = tmp_path / task.output_dir
@@ -161,7 +161,7 @@ class TestTaskExecutor:
         behaviors = {IMG["delta"]: MockToolBehavior(sleep_s=60)}
         plan, executor, backend = wired(behaviors, tools=["delta"])
         backend.request_abort()
-        result = executor.run_task(plan.tasks[0], tmp_path)
+        result = executor.run_task(plan.tasks[0], tmp_path, {})
         assert result.aborted
         out = tmp_path / plan.tasks[0].output_dir
         assert read_done_marker(out) is None
@@ -175,7 +175,7 @@ class TestFinalize:
         behaviors = {IMG["delta"]: MockToolBehavior(stdout="VULN: Reentrancy at line 3\n")}
         plan, executor, _ = wired(behaviors, tools=["delta"])
         task = plan.tasks[0]
-        assert executor.run_task(task, tmp_path).exit_class is ExitClass.SUCCESS
+        assert executor.run_task(task, tmp_path, {}).exit_class is ExitClass.SUCCESS
         (tmp_path / SUMMARY_FILENAME).write_text("{}\n")
         out = tmp_path / task.output_dir
 
@@ -330,10 +330,10 @@ class TestRunner:
         victim = plan.tasks[7]
         run_task = TaskExecutor.run_task
 
-        def crash_on_victim(self, task, results_root):
+        def crash_on_victim(self, task, results_root, compilers):
             if task == victim:
                 raise RuntimeError("worker crashed")
-            return run_task(self, task, results_root)
+            return run_task(self, task, results_root, compilers)
 
         monkeypatch.setattr(TaskExecutor, "run_task", crash_on_victim)
         summary = Runner(executor, tmp_path, workers=4).run()
@@ -366,9 +366,7 @@ class TestRunner:
     def test_compilers_are_hashed_once_before_dispatch_and_only_for_pending_tasks(
         self, wired, tmp_path, monkeypatch
     ):
-        plan, executor, backend = wired()
-        for binary in executor.cache.cache_dir.glob("solc-*"):
-            backdate(binary)  # cached by an earlier run: trusted on its stat stamp once verified
+        plan, executor, backend = wired()  # the compilers were stored just now
         hashed = []
         file_digest = hashlib.file_digest
 

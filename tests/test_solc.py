@@ -30,8 +30,6 @@ from scanmux.solc import (
     resolve_version,
 )
 
-from helpers import backdate
-
 versions = st.builds(
     SemVer,
     major=st.integers(0, 2),
@@ -251,34 +249,10 @@ def test_cache_survives_reload(tmp_path: Path):
     assert reloaded.known_versions() == (v,)
 
 
-@pytest.mark.parametrize("settled, hashes", [(True, 1), (False, 3)])
-def test_lookup_hashes_a_settled_file_once(tmp_path: Path, monkeypatch, settled, hashes):
-    # A file written moments ago could be rewritten within one timestamp
-    # tick, so only a settled file is trusted on its stat stamp.
-    cache = CompilerCache(tmp_path / "cc")
-    v = SemVer.parse("0.8.1")
-    path = cache.store(v, b"binary-bytes")
-    if settled:
-        backdate(path)
-    hashed = []
-    file_digest = hashlib.file_digest
-
-    def counted(f, name):
-        hashed.append(f.name)
-        return file_digest(f, name)
-
-    monkeypatch.setattr(hashlib, "file_digest", counted)
-    assert [cache.lookup(v) for _ in range(3)] == [path] * 3
-    assert len(hashed) == hashes
-
-
-@pytest.mark.parametrize("settled", [True, False])
-def test_cache_detects_same_size_tamper_after_verified_lookup(tmp_path: Path, settled):
+def test_cache_detects_same_size_tamper_after_verified_lookup(tmp_path: Path):
     cache = CompilerCache(tmp_path / "cc")
     v = SemVer.parse("0.8.1")
     path = cache.store(v, b"good")
-    if settled:
-        backdate(path)
     assert cache.lookup(v) == path
     path.write_bytes(b"evil")
     assert cache.lookup(v) is None
@@ -288,11 +262,20 @@ def test_store_replaces_a_verified_binary(tmp_path: Path):
     cache = CompilerCache(tmp_path / "cc")
     v = SemVer.parse("0.8.1")
     path = cache.store(v, b"first-")
-    backdate(path)
     assert cache.lookup(v) == path
     cache.store(v, b"second")
     assert cache.lookup(v) == path
     assert path.read_bytes() == b"second"
+
+
+def test_store_leaves_mtime_0_so_a_write_in_place_moves_it(tmp_path: Path):
+    cache = CompilerCache(tmp_path / "cc")
+    path = cache.store(SemVer.parse("0.8.1"), b"binary-bytes")
+    assert path.stat().st_mtime_ns == 0
+    assert path.stat().st_mode & 0o777 == 0o755
+    assert sorted(p.name for p in path.parent.iterdir()) == ["index", "solc-0.8.1"]  # renamed into place
+    path.write_bytes(b"binary-bytes")  # same size, same bytes, at once
+    assert path.stat().st_mtime_ns != 0
 
 
 def test_cache_skips_torn_index_line(tmp_path: Path):
