@@ -27,6 +27,7 @@ from .paths import bundled_registry, bundled_release_index, bundled_taxonomy
 from .plan import (
     DEFAULT_SCHEME,
     PLAN_LOCK_FILENAME,
+    LockedTask,
     PlanningError,
     SchemeError,
     build_plan,
@@ -202,13 +203,14 @@ def _own_results_root(results_root: Path):
 
 
 def _refresh_reports(
-    results_root: Path, lock: dict, finished: dict[str, ExitClass], keys: dict[str, int] | None, args, *, force: bool
+    results_root: Path, tasks, skips: int, finished: dict[str, ExitClass], keys: dict[str, int] | None, args, *,
+    force: bool,
 ) -> None:
     """Rebuild every report from the tree on disk when ``force`` holds or the stamp on disk is not current."""
     stamp = report_stamp(bundled_taxonomy().read_bytes(), keys, args.bin_size, args.sarif)
     if force or not reports_current(results_root, stamp, args.sarif):
         write_reports(
-            results_root, lock["tasks"], lock["skips"], finished, TaxonomyMap.load(bundled_taxonomy()),
+            results_root, tasks, skips, finished, TaxonomyMap.load(bundled_taxonomy()),
             keys=keys, bin_size=args.bin_size, sarif=args.sarif, stamp=stamp,
         )
 
@@ -253,7 +255,7 @@ def cmd_run(args) -> int:
     except OSError as exc:
         raise HarnessError(f"{results_root}: cannot be used as the results root: {exc.strerror}") from None
     with _own_results_root(results_root):
-        lock = write_plan_lock(plan, results_root)
+        write_plan_lock(plan, results_root)
         print(
             f"planned {len(plan.tasks)} tasks ({len(plan.skips)} skips) into {results_root}",
             flush=True,
@@ -284,7 +286,7 @@ def cmd_run(args) -> int:
             signal.signal(signal.SIGINT, previous)
 
         # A pending task that never reached finalize left summary.json, so only force rebuilds for it.
-        _refresh_reports(results_root, lock, summary.finished, keys, args,
+        _refresh_reports(results_root, map(LockedTask.of, plan.tasks), len(plan.skips), summary.finished, keys, args,
                          force=summary.skipped_as_done < summary.total)
 
         tally = summary.tally
@@ -308,42 +310,42 @@ def cmd_reparse(args) -> int:
     results_root = Path(args.results_root)
     lock = read_plan_lock(results_root)
     with _own_results_root(results_root):
-        registry_dir = Path(args.registry or lock.get("registry_path") or bundled_registry())
+        registry_dir = Path(args.registry or lock.registry_path or bundled_registry())
         registry = load_registry(registry_dir)
         keys = _read_series_keys(args)
-        _check_series_keys(keys, (entry["contract"] for entry in lock["tasks"]))
-        locked = sorted({(entry["tool"], entry["tool_version"]) for entry in lock["tasks"]})
+        _check_series_keys(keys, (task.contract for task in lock.tasks))
+        locked = sorted({(task.tool, task.tool_version) for task in lock.tasks})
         tools = {key: registry.find(*key) for key in locked}
         missing = [f"registry at {registry_dir} no longer defines {tool_id}:{version}"
                    for (tool_id, version), tool in tools.items() if tool is None]
         if missing:  # checked before the loop, so a refused reparse rewrites nothing
             raise PlanningError(missing)
 
-        markers = read_done_markers(results_root, (entry["output_dir"] for entry in lock["tasks"]))
+        markers = read_done_markers(results_root, (task.output_dir for task in lock.tasks))
         finished: dict[str, ExitClass] = {}
         reparsed = 0
-        for entry in lock["tasks"]:
-            out_dir = results_root / entry["output_dir"]
-            marker = markers.get(entry["output_dir"])
+        for task in lock.tasks:
+            out_dir = results_root / task.output_dir
+            marker = markers.get(task.output_dir)
             if marker is None:  # absent or corrupt: collect_outcomes reports it as incomplete
                 continue
             content_hash, args_digest, exit_class = marker
-            finished[entry["output_dir"]] = exit_class
+            finished[task.output_dir] = exit_class
             try:  # unreadable stored output: the task keeps its result.json
                 record = read_meta(out_dir / META_FILENAME)
                 raw = read_raw(out_dir, record.result_files)
-            except (OSError, ValueError, KeyError, TypeError):
+            except (OSError, ValueError, KeyError, TypeError, RecursionError):
                 continue
-            tool = tools[entry["tool"], entry["tool_version"]]
+            tool = tools[task.tool, task.tool_version]
             exit_class = finalize(
-                results_root, entry["output_dir"], record, raw, registry.parser_for(tool), content_hash, args_digest,
+                results_root, task.output_dir, record, raw, registry.parser_for(tool), content_hash, args_digest,
                 stored=exit_class,
             )
-            finished[entry["output_dir"]] = exit_class
+            finished[task.output_dir] = exit_class
             reparsed += 1
 
         # The stamp covers neither markers nor stored output, so a task left out above means a rewrite.
-        _refresh_reports(results_root, lock, finished, keys, args, force=reparsed < len(lock["tasks"]))
+        _refresh_reports(results_root, lock.tasks, lock.skips, finished, keys, args, force=reparsed < len(lock.tasks))
         print(f"reparsed {reparsed} tasks under {results_root}")
         return EXIT_OK
 

@@ -132,8 +132,14 @@ def validate_scheme(scheme: str) -> None:
             + ", ".join("{%s}" % p for p in unknown)
             + " (known: {filename}, {toolid}, {toolversion}, {runid})"
         )
-    if scheme.count("{") != len(_PLACEHOLDER_RE.findall(scheme)):
+    try:
+        sample = scheme.format_map(dict.fromkeys(KNOWN_PLACEHOLDERS, "x"))
+    except ValueError:  # a lone "}"
+        sample = None
+    if sample is None or scheme.count("{") != len(_PLACEHOLDER_RE.findall(scheme)):
         raise SchemeError(f"unbalanced braces in scheme {scheme!r}")
+    if not stays_inside_root(sample):  # each placeholder rendered "x", so the scheme's own text is at fault
+        raise SchemeError(f"scheme {scheme!r} has an empty, '.' or '..' folder name, outside the results root")
 
 
 def stays_inside_root(output_dir: str) -> bool:
@@ -214,6 +220,31 @@ class SkipRecord(NamedTuple):
     contract_id: str
     tool_key: str
     reason: str
+
+
+class LockedTask(NamedTuple):
+    """A task as ``plan.lock`` records it: what resume, reparse and the reports read."""
+
+    output_dir: str
+    contract: str
+    source_path: str
+    tool: str
+    tool_version: str
+    compiler: str | None
+
+    @classmethod
+    def of(cls, task: Task) -> LockedTask:
+        return cls(task.output_dir, task.contract.id, str(task.contract.source_path),
+                   task.tool.tool_id, task.tool.version_label, task.compiler_version)
+
+
+class PlanLock(NamedTuple):
+    """What commands read back from ``plan.lock``."""
+
+    args_digest: str | None
+    registry_path: str | None
+    tasks: list[LockedTask]
+    skips: int
 
 
 class _RunPlan(NamedTuple):
@@ -311,10 +342,12 @@ def build_plan(
     tasks: list[Task] = []
     skips: list[SkipRecord] = []
     taken: set[str] = set()
+    keyed = [(tool, tool.key) for tool in tools]  # one key string per tool, and one reason per format, for all skips
+    unsupported = {fmt: f"does not support {fmt.value}" for fmt in ContractFormat}
     for contract in ordered:
-        for tool in tools:
+        for tool, tool_key in keyed:
             if contract.format not in tool.supported_formats:
-                skips.append(SkipRecord(contract.id, tool.key, f"does not support {contract.format.value}"))
+                skips.append(SkipRecord(contract.id, tool_key, unsupported[contract.format]))
                 continue
             compiler = None
             warnings: tuple[str, ...] = ()
@@ -370,7 +403,8 @@ def build_plan(
 def plan_to_doc(plan: RunPlan) -> dict:
     """JSON-ready view of a plan; no timestamps, so rebuilds are byte-identical.
 
-    A task entry holds only the keys that resume, reparse and the reports read.
+    A task entry holds its ``LockedTask``'s fields. The entry lists are callables that yield
+    them, so ``write_plan_lock`` encodes the document twice, if need be, without holding them.
     """
     return {
         "version": 2,
@@ -381,26 +415,13 @@ def plan_to_doc(plan: RunPlan) -> dict:
         "scheme": plan.scheme,
         "registry_path": plan.registry_path,
         "image_digests": dict(sorted(plan.image_digests.items())),
-        "tasks": [
-            {
-                "output_dir": t.output_dir,
-                "contract": t.contract.id,
-                "source_path": str(t.contract.source_path),
-                "tool": t.tool.tool_id,
-                "tool_version": t.tool.version_label,
-                "compiler": t.compiler_version,
-            }
-            for t in plan.tasks
-        ],
-        "skips": [
-            {"contract": s.contract_id, "tool": s.tool_key, "reason": s.reason}
-            for s in plan.skips
-        ],
+        "tasks": lambda: (LockedTask.of(t)._asdict() for t in plan.tasks),
+        "skips": lambda: ({"contract": s.contract_id, "tool": s.tool_key, "reason": s.reason} for s in plan.skips),
     }
 
 
-def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
-    """Serialize the plan into the results root and return its document.
+def write_plan_lock(plan: RunPlan, results_root: str | Path) -> None:
+    """Serialize the plan into the results root.
 
     A lock on disk that already holds this document's bytes is left as it
     is; the two are compared by digest, and the lock is parsed only when they
@@ -419,30 +440,29 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> dict:
     except OSError as exc:
         raise HarnessError(f"{path}: cannot be read: {exc.strerror}") from None
     if stored is not None and stored == json_digest(doc):
-        return doc
+        return
     existing = read_plan_lock(root) if stored is not None else None
-    if existing is not None and existing.get("args_digest") != plan.args_digest:
+    if existing is not None and existing.args_digest != plan.args_digest:
         raise PlanningError(
             [
                 f"{path}: created by a different invocation "
-                f"(args digest {existing.get('args_digest')!r} != {plan.args_digest!r}); "
+                f"(args digest {existing.args_digest!r} != {plan.args_digest!r}); "
                 "use a fresh results root or rerun with the original arguments"
             ]
         )
     (root / SUMMARY_FILENAME).unlink(missing_ok=True)
     write_json(path, doc)
-    return doc
 
 
-_LOCK_TASK_KEYS = ("output_dir", "contract", "source_path", "tool", "tool_version")
+_LOCK_TASK_KEYS = LockedTask._fields[:-1]  # the string keys; "compiler" may be null
 
 
-def read_plan_lock(results_root: str | Path) -> dict:
-    """The lock document; refuses one that is not JSON or not an object with ``tasks`` and ``skips`` lists.
+def read_plan_lock(results_root: str | Path) -> PlanLock:
+    """The lock as a ``PlanLock``; refuses one that is not JSON or not an object with ``tasks`` and ``skips`` lists.
 
     It also refuses a task entry without the string keys that resume and
     reparse read or whose output folder is not inside the results root, and
-    a skip entry that is not an object.
+    a skip entry that is not an object. Other keys (version 1 has more) are left out of the task rows.
     """
     path = Path(results_root) / PLAN_LOCK_FILENAME
     try:
@@ -451,7 +471,7 @@ def read_plan_lock(results_root: str | Path) -> dict:
         raise PlanLockMissingError(f"{path}: no plan found (was a run started here?)") from None
     except OSError as exc:
         raise HarnessError(f"{path}: cannot be read: {exc.strerror}") from None
-    except ValueError:
+    except (ValueError, RecursionError):  # malformed, or nested too deep to decode
         raise HarnessError(f"{path}: not valid JSON; remove it and rerun with the original arguments") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list) and isinstance(doc.get("skips"), list)):
         raise HarnessError(
@@ -472,6 +492,7 @@ def read_plan_lock(results_root: str | Path) -> dict:
                 f"{path}: task {i} has the output folder {entry['output_dir']!r}, outside the results root; "
                 "remove it and rerun with the original arguments"
             )
+        doc["tasks"][i] = LockedTask._make(map(entry.__getitem__, LockedTask._fields))  # drops the entry's dict
     if not all(isinstance(entry, dict) for entry in doc["skips"]):
         raise HarnessError(f"{path}: a skip entry is not an object; remove it and rerun with the original arguments")
-    return doc
+    return PlanLock(doc.get("args_digest"), doc.get("registry_path"), doc["tasks"], len(doc["skips"]))

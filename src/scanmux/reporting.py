@@ -9,7 +9,7 @@ import json
 import numbers
 import os
 from itertools import groupby
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -124,12 +124,12 @@ class TaskOutcome(NamedTuple):
 
 def collect_outcomes(
     results_root: str | Path,
-    entries: Iterable[Mapping],
+    entries: Iterable,
     finished: Mapping[str, ExitClass],
     taxonomy: TaxonomyMap,
     incomplete: list[str] | None = None,
 ) -> Iterator[TaskOutcome]:
-    """Yield the outcome of each plan lock task entry, in the entries' order.
+    """Yield the outcome of each ``plan.LockedTask`` in ``entries``, in their order.
 
     ``finished`` maps an output dir to its exit class. A task's
     ``result.json`` is read only when its outcome is due, so one task's
@@ -138,21 +138,20 @@ def collect_outcomes(
     ``incomplete``. Incomplete tasks are reported, not fatal: a stopped run
     can still be summarized, and reparse rewrites a torn result.json.
     """
+    fields = attrgetter("output_dir", "contract", "source_path", "tool", "tool_version")  # plan imports this module
     for entry in entries:
-        output_dir, tool_id = entry["output_dir"], entry["tool"]
+        output_dir, contract_id, source_path, tool_id, version_label = fields(entry)
         try:
             exit_class = finished[output_dir]
             findings = []
             for label, message, location in read_findings(os.path.join(results_root, output_dir, RESULT_FILENAME)):
                 mapped = taxonomy.lookup(tool_id, label) or _UNMAPPED
                 findings.append((label, message, location, mapped.swc_id, mapped.dasp_class))
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, RecursionError):
             if incomplete is not None:
                 incomplete.append(output_dir)
             continue
-        yield TaskOutcome(
-            output_dir, entry["contract"], entry["source_path"], tool_id, entry["tool_version"], exit_class, findings
-        )
+        yield TaskOutcome(output_dir, contract_id, source_path, tool_id, version_label, exit_class, findings)
 
 
 def _sarif_location(outcome: TaskOutcome, location: tuple | int) -> dict:
@@ -432,11 +431,11 @@ class SummaryCounts:
 
 def build_summary(
     counts: SummaryCounts,
-    skips: Sequence[Mapping] = (),
+    skips: int = 0,
     incomplete: Sequence[str] = (),
     stamp: str | None = None,
 ) -> dict:
-    """Per-tool exit-class counts and rates, ready for summary.json.
+    """Per-tool exit-class counts and rates and the plan's number of ``skips``, ready for summary.json.
 
     With ``counts.keys`` the document holds ``error_rate_series``: per tool
     key, the (bin, error percentage) pairs of its nonempty bins. ``stamp`` is
@@ -456,7 +455,7 @@ def build_summary(
         "tools": per_tool,
         "totals": totals,
         "unmapped_labels": [list(pair) for pair in sorted(counts.unmapped)],
-        "skips": len(skips),
+        "skips": skips,
         "incomplete": sorted(incomplete),
     }
     if counts.keys is not None:
@@ -539,8 +538,8 @@ def write_findings_csv(path: str | Path, outcomes: Iterable[TaskOutcome]) -> Non
 
 def write_reports(
     results_root: Path,
-    tasks: Sequence[Mapping],
-    skips: Sequence[Mapping],
+    tasks: Iterable,
+    skips: int,
     finished: Mapping[str, ExitClass],
     taxonomy: TaxonomyMap,
     *,
@@ -551,21 +550,21 @@ def write_reports(
 ) -> None:
     """Build every report from the tasks' ``result.json`` files, ``summary.json`` last.
 
-    ``tasks`` and ``skips`` are the plan lock's entries and ``finished`` maps
-    each done task's output dir to its exit class. Each ``result.json`` is
-    read once for ``findings.csv`` and ``summary.json``, in output dir order,
-    and once more for ``report.sarif``, in (tool, version, output dir) order;
-    one task's findings are held at a time. ``summary.json`` comes last, so
-    its stamp lands only once the others are in place.
+    ``tasks`` are the plan's ``plan.LockedTask`` rows and ``skips`` its skip count;
+    ``finished`` maps each done task's output dir to its exit class. Each
+    ``result.json`` is read once for ``findings.csv`` and ``summary.json``, in
+    output dir order, and once more for ``report.sarif``, in (tool, version,
+    output dir) order; one task's findings are held at a time. ``summary.json``
+    comes last, so its stamp lands only once the others are in place.
     """
-    by_dir = sorted(tasks, key=itemgetter("output_dir"))
+    by_dir = sorted(tasks, key=attrgetter("output_dir"))
     counts = SummaryCounts(keys, bin_size)
     incomplete: list[str] = []
     outcomes = collect_outcomes(results_root, by_dir, finished, taxonomy, incomplete)
     write_findings_csv(results_root / FINDINGS_FILENAME, counts.counting(outcomes))
     if sarif:
-        by_run = sorted(by_dir, key=itemgetter("tool_version"))
-        by_run.sort(key=itemgetter("tool"))  # stable, so each run keeps output dir order
+        by_run = sorted(by_dir, key=attrgetter("tool_version"))
+        by_run.sort(key=attrgetter("tool"))  # stable, so each run keeps output dir order
         write_sarif(results_root / SARIF_FILENAME, collect_outcomes(results_root, by_run, finished, taxonomy), taxonomy)
     else:  # one left by an earlier --sarif command would disagree with the new reports
         (results_root / SARIF_FILENAME).unlink(missing_ok=True)

@@ -125,15 +125,15 @@ def release_versions():
 def test_criterion_1_full_matrix_completes(env, full_run):
     assert full_run.code == 0
     lock = read_plan_lock(full_run.root)
-    assert len(lock["tasks"]) == 60
-    assert len(lock["skips"]) == 40
-    assert len(lock["tasks"]) + len(lock["skips"]) == 100
-    for entry in lock["tasks"]:
-        out_dir = full_run.root / entry["output_dir"]
-        assert (out_dir / "meta.json").is_file(), entry["output_dir"]
-        assert (out_dir / "result.json").is_file(), entry["output_dir"]
-        assert (out_dir / "done").is_file(), entry["output_dir"]
-        assert (out_dir / "raw" / "stdout").is_file(), entry["output_dir"]
+    assert len(lock.tasks) == 60
+    assert lock.skips == 40
+    assert len(lock.tasks) + lock.skips == 100
+    for task in lock.tasks:
+        out_dir = full_run.root / task.output_dir
+        assert (out_dir / "meta.json").is_file(), task.output_dir
+        assert (out_dir / "result.json").is_file(), task.output_dir
+        assert (out_dir / "done").is_file(), task.output_dir
+        assert (out_dir / "raw" / "stdout").is_file(), task.output_dir
     assert full_run.elapsed < 60.0
 
 
@@ -289,7 +289,7 @@ def test_criterion_5_sarif_valid_and_versioned_runs(env, full_run, tmp_path, rel
 def reports_of(root: Path, finished, keys=None, bin_size=100_000, sarif=False) -> dict:
     """The reports that write_reports builds from a results root, by file name, each parsed."""
     lock = read_plan_lock(root)
-    write_reports(root, lock["tasks"], lock["skips"], finished, TaxonomyMap.load(bundled_taxonomy()),
+    write_reports(root, lock.tasks, lock.skips, finished, TaxonomyMap.load(bundled_taxonomy()),
                   keys=keys, bin_size=bin_size, sarif=sarif, stamp="")
     return {name: json.loads((root / name).read_text()) for name in ("summary.json", "report.sarif")[:1 + sarif]}
 

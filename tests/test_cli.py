@@ -12,6 +12,7 @@ import subprocess
 import sys
 import sysconfig
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -405,8 +406,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("name, scheme, folder", [
         ("...sol", "{filename}/{toolid}", "../delta"),
         ("..sol", "{filename}/{toolid}", "./delta"),
-        ("a.sol", "{filename}/../{toolid}", "a/../delta"),
-    ], ids=["dotdot-stem", "dot-stem", "dotdot-in-scheme"])
+    ], ids=["dotdot-stem", "dot-stem"])
     def test_output_folder_outside_the_root_is_planning_error(
         self, tmp_path, capsys, mock_registry_dir, name, scheme, folder
     ):
@@ -419,6 +419,28 @@ class TestRunCommand:
         ]
         assert main(argv) == 2
         assert f"{contract}: output folder {folder!r} is not inside the results root" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("scheme, problem", [
+        ("{filename}/../{toolid}", "scheme '{filename}/../{toolid}' has an empty, '.' or '..' folder name"),
+        ("{filename}/{toolid}/..", "scheme '{filename}/{toolid}/..' has an empty, '.' or '..' folder name"),
+        ("{filename}}/{toolid}", "unbalanced braces in scheme '{filename}}/{toolid}'"),
+    ], ids=["dotdot-in-scheme", "dotdot-at-the-end", "lone-brace"])
+    def test_scheme_that_cannot_render_a_folder_is_a_usage_error(
+        self, tmp_path, capsys, mock_registry_dir, scheme, problem
+    ):
+        contracts = tmp_path / "contracts"
+        contracts.mkdir()
+        for name in ("a.sol", "b.sol", "c.sol"):
+            (contracts / name).write_text("pragma solidity ^0.8.0;\ncontract C {}\n")
+        argv = [
+            "run", "-f", f"{contracts}/*", "--registry", str(mock_registry_dir),
+            "--results", f"{tmp_path}/out/res/{scheme}", "--compiler-cache", str(tmp_path / "cc"), "--backend", "mock",
+        ]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {problem}")
+        assert err.count("\n") == 1  # once, not once per task
         assert not (tmp_path / "out").exists()
 
     def test_held_root_refuses_run_and_reparse(self, tmp_path, capsys, small_corpus, mock_registry_dir):
@@ -835,6 +857,35 @@ class TestRunCommand:
         assert counts["reparse"].get("read", 0) + counts["reparse"].get("write", 0) <= 5 * n + 10, counts
         assert counts["reparse"].get("scandir", 0) == 0, counts
 
+    def test_no_op_resume_memory_grows_little_with_the_tasks(self, tmp_path, capsys):
+        def peak(n: int) -> tuple[int, int]:
+            """(planned tasks, traced peak of a no-op resume) over 2n .sol, n .hex and n .rt.hex with every tool."""
+            corpus = tmp_path / f"corpus{n}"
+            corpus.mkdir()
+            for i in range(2 * n):  # one source without a pragma
+                (corpus / f"c{i:03d}.sol").write_text(("pragma solidity ^0.8.0;\n" if i else "") + f"contract C{i} {{}}\n")
+            for i in range(n):
+                (corpus / f"h{i:03d}.hex").write_text(f"0x6080604052{i:04x}\n")
+                (corpus / f"r{i:03d}.rt.hex").write_text(f"0x6080604052{i:04x}\n")
+            argv = ["run", "-f", f"{corpus}/*", "--results", str(tmp_path / f"results{n}"),
+                    "--compiler-cache", str(tmp_path / "cc"), "--backend", "mock"]
+            assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                traced = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = capsys.readouterr().out
+            assert "executed 0 of" in out
+            return int(re.search(r"planned (\d+) tasks", out).group(1)), traced
+
+        peak(2)  # the registry, compiled checks and other one-time state
+        (few, low), (many, high) = peak(5), peak(20)
+        assert (few, many) == (205, 820)
+        # the plan and the resume scan take ~340 bytes a task; a lock document held beside them took ~560 more
+        assert (high - low) / (many - few) < 600, (low, high)
+
 
 class TestReparseCommand:
     def test_reproduces_results_byte_for_byte(self, tmp_path, capsys, small_corpus, mock_registry_dir):
@@ -1072,22 +1123,23 @@ class TestReparseCommand:
         results = tmp_path / "results"
         argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
         assert main(argv) == 0
-        torn = sorted(results.rglob("result.json"))[0]
-        intact = torn.read_bytes()
-        torn.write_bytes(intact[:50])
-        task = torn.parent.relative_to(results).as_posix()
+        torn, deep = sorted(results.rglob("result.json"))[:2]
+        intact = {path: path.read_bytes() for path in (torn, deep)}
+        torn.write_bytes(intact[torn][:50])
+        deep.write_bytes(b"[" * 100_000 + b"]" * 100_000)  # nested too deep to decode
+        tasks = [path.parent.relative_to(results).as_posix() for path in (torn, deep)]
         for report in ("summary.json", "findings.csv", "report.sarif"):
             (results / report).unlink()
 
         assert main(argv) == 0  # the no-op resume still writes every report
         summary = json.loads((results / "summary.json").read_text())
-        assert summary["incomplete"] == [task]
-        assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS - 1
+        assert summary["incomplete"] == sorted(tasks)
+        assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS - 2
         assert (results / "findings.csv").exists()
         assert (results / "report.sarif").exists()
 
         assert main(["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"]) == 0
-        assert torn.read_bytes() == intact
+        assert {path: path.read_bytes() for path in intact} == intact
         summary = json.loads((results / "summary.json").read_text())
         assert summary["incomplete"] == []
         assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS
@@ -1097,8 +1149,9 @@ class TestReparseCommand:
         [
             lambda task: (task / "meta.json").write_bytes((task / "meta.json").read_bytes()[:40]),
             lambda task: (task / "raw" / "stdout").unlink(),
+            lambda task: (task / "meta.json").write_bytes(b"[" * 100_000 + b"]" * 100_000),
         ],
-        ids=["torn-meta", "deleted-stdout"],
+        ids=["torn-meta", "deleted-stdout", "meta-nested-too-deep"],
     )
     def test_unreadable_stored_output_keeps_its_result(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, damage
@@ -1142,6 +1195,7 @@ class TestReparseCommand:
 
     @pytest.mark.parametrize("damage, problem", [
         (lambda text: text[:300], "not valid JSON"),
+        (lambda text: b"[" * 100_000 + b"]" * 100_000, "not valid JSON"),
         (lambda text: b"[]\n", "not a plan lock"),
         (lambda text: b'{"version": 2}\n', "not a plan lock"),
         (edited_lock(lambda doc: doc["tasks"][0].pop("tool_version")), "task 0 lacks a string output_dir, "),
@@ -1153,7 +1207,7 @@ class TestReparseCommand:
         (edited_lock(lambda doc: doc["tasks"][1].update(output_dir="/tmp/b")),
          "task 1 has the output folder '/tmp/b', outside the results root"),
         (edited_lock(lambda doc: doc["skips"].append(None)), "a skip entry is not an object"),
-    ], ids=["torn", "list", "no-tasks", "no-tool-version", "compiler-not-a-string", "no-compiler",
+    ], ids=["torn", "nested-too-deep", "list", "no-tasks", "no-tool-version", "compiler-not-a-string", "no-compiler",
             "task-not-an-object", "dotdot-output-dir", "absolute-output-dir", "skip-not-an-object"])
     def test_torn_plan_lock_is_an_error_naming_it(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, damage, problem

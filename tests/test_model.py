@@ -34,7 +34,7 @@ from scanmux.model import (
     validate_hex_payload,
 )
 from scanmux.parsing import ExitClass
-from scanmux.plan import RunPlan, SkipRecord
+from scanmux.plan import LockedTask, PlanLock, RunPlan, SkipRecord
 from scanmux.registry import DocumentRule, FindingRule, ParserSpec, Registry
 from scanmux.reporting import CatalogEntry, TaskOutcome, TaxonomyEntry
 from scanmux.runner import RunSummary, TaskResult
@@ -319,6 +319,8 @@ def _every_record():
         Release(version, None),
         SkipRecord("c", "t:1.0", "why"),
         _plan((task,)),
+        LockedTask.of(task),
+        PlanLock("0" * 16, "registry", [LockedTask.of(task)], 1),
         RunOutcome(0, b"out"),
         MockToolBehavior(stdout="hi\n"),
         TaskResult(task, exit_class=ExitClass.SUCCESS),

@@ -16,6 +16,7 @@ from scanmux.model import ContractFormat, HarnessError, ResourceLimits
 from scanmux.plan import (
     DEFAULT_SCHEME,
     PLAN_LOCK_FILENAME,
+    LockedTask,
     NoMatchesError,
     PlanningError,
     SchemeError,
@@ -108,9 +109,14 @@ def test_filename_stem(cid, stem):
 def test_validate_scheme_accepts_known():
     validate_scheme(DEFAULT_SCHEME)
     validate_scheme("{filename}/{toolid}/{toolversion}")
+    validate_scheme(".{filename}/{toolid}..")  # dots inside a part are a folder name like any other
+    validate_scheme("a}}b/{toolid}")  # an escaped brace renders one "}"
 
 
-@pytest.mark.parametrize("scheme", ["", "{bogus}", "{filename", "results/{"])
+@pytest.mark.parametrize("scheme", [
+    "", "{bogus}", "{filename", "results/{", "{filename}}/{toolid}", "{filename}/x}",
+    "{filename}/../{toolid}", "{filename}/./{toolid}", "{filename}//{toolid}", "{filename}/", "/abs/{filename}", "..",
+])
 def test_validate_scheme_rejects(scheme):
     with pytest.raises(SchemeError):
         validate_scheme(scheme)
@@ -313,12 +319,14 @@ def test_plan_lock_roundtrip(tmp_path, corpus_dir, mock_registry, compiler_cache
     contracts = discover_corpus(corpus_dir)
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     root = tmp_path / "results"
-    write_plan_lock(plan, root)
-    doc = read_plan_lock(root)
-    assert doc["args_digest"] == plan.args_digest
-    assert doc["runid"] == plan.runid
-    assert len(doc["tasks"]) == 60
-    assert len(doc["skips"]) == 40
+    assert write_plan_lock(plan, root) is None
+    lock = read_plan_lock(root)
+    assert lock.args_digest == plan.args_digest
+    assert lock.registry_path == plan.registry_path
+    assert lock.tasks == [LockedTask.of(t) for t in plan.tasks]
+    assert len(lock.tasks) == 60
+    assert lock.skips == 40
+    assert json.loads((root / PLAN_LOCK_FILENAME).read_text())["runid"] == plan.runid
     assert (root / PLAN_LOCK_FILENAME).read_text().endswith("\n")
 
 
@@ -327,12 +335,41 @@ def test_plan_lock_task_entries_hold_only_what_readers_use(
 ):
     contracts = discover_corpus(corpus_dir)
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
-    written = write_plan_lock(plan, tmp_path)
-    assert written == read_plan_lock(tmp_path)
+    write_plan_lock(plan, tmp_path)
+    written = json.loads((tmp_path / PLAN_LOCK_FILENAME).read_text())
     assert written["version"] == 2
     assert {frozenset(entry) for entry in written["tasks"]} == {
         frozenset({"output_dir", "contract", "source_path", "tool", "tool_version", "compiler"})
     }
+    assert [LockedTask(**entry) for entry in written["tasks"]] == read_plan_lock(tmp_path).tasks
+
+
+def test_plan_lock_of_version_1_reads_as_the_same_rows(
+    tmp_path, corpus_dir, mock_registry, compiler_cache, release_index
+):
+    contracts = discover_corpus(corpus_dir)
+    plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
+    write_plan_lock(plan, tmp_path)
+    version_2 = read_plan_lock(tmp_path)
+    path = tmp_path / PLAN_LOCK_FILENAME
+    doc = json.loads(path.read_text())
+    by_dir = {t.output_dir: t for t in plan.tasks}
+    for entry in doc["tasks"]:  # version 1 repeated these facts in every task entry
+        task = by_dir[entry["output_dir"]]
+        entry |= {
+            "format": task.contract.format.value,
+            "content_hash": task.contract.content_hash,
+            "pragma": str(task.contract.pragma_constraint) if task.contract.pragma_constraint else None,
+            "image": task.tool.image_ref,
+            "warnings": list(task.warnings),
+            "limits": {"timeout_s": task.limits.wall_timeout, "memory_bytes": task.limits.memory_bytes,
+                       "cpu": task.limits.cpu_quota},
+        }
+    doc["version"] = 1
+    path.write_text(dump_json(doc))
+    version_1 = read_plan_lock(tmp_path)
+    assert version_1 == version_2
+    assert all(type(task) is LockedTask for task in version_1.tasks)
 
 
 def test_plan_lock_byte_identical_across_rebuilds(
@@ -402,10 +439,10 @@ def test_plan_lock_is_rewritten_only_when_its_bytes_changed(
     summary.write_text("{}\n")
     before = os.stat(path)
     summary_before = os.stat(summary)
-    written = write_plan_lock(plan, root)
+    assert write_plan_lock(plan, root) is None
     after = os.stat(path)
-    assert written == read_plan_lock(root)
-    assert path.read_bytes() == dump_json(written).encode()
+    assert path.read_bytes() == dump_json(plan_to_doc(plan)).encode()
+    written = json.loads(path.read_text())
     assert written["registry_path"] == plan.registry_path and written["version"] == 2
     unchanged = (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert unchanged == (change is None)
@@ -423,7 +460,7 @@ def test_plan_lock_that_holds_the_plan_is_not_parsed(
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     write_plan_lock(plan, tmp_path)
     monkeypatch.setattr(json, "loads", lambda *args, **kwargs: pytest.fail("the lock was parsed"))
-    assert write_plan_lock(plan, tmp_path) == plan_to_doc(plan)
+    assert write_plan_lock(plan, tmp_path) is None
 
 
 def test_plan_lock_torn_is_an_error_naming_it(
@@ -434,11 +471,12 @@ def test_plan_lock_torn_is_an_error_naming_it(
     root = tmp_path / "results"
     write_plan_lock(plan, root)
     path = root / PLAN_LOCK_FILENAME
-    path.write_bytes(path.read_bytes()[:300])
-    for call in (lambda: read_plan_lock(root), lambda: write_plan_lock(plan, root)):
-        with pytest.raises(HarnessError, match=re.escape(f"{path}: not valid JSON")):
-            call()
-    assert len(path.read_bytes()) == 300
+    for damaged in (path.read_bytes()[:300], b"[" * 100_000 + b"]" * 100_000):  # torn; nested too deep to decode
+        path.write_bytes(damaged)
+        for call in (lambda: read_plan_lock(root), lambda: write_plan_lock(plan, root)):
+            with pytest.raises(HarnessError, match=re.escape(f"{path}: not valid JSON")):
+                call()
+        assert path.read_bytes() == damaged
 
 
 def test_plan_lock_missing(tmp_path):

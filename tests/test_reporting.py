@@ -28,6 +28,7 @@ from scanmux.model import (
 )
 from scanmux.parsing import ExitClass, write_report
 from scanmux.paths import bundled_registry, bundled_taxonomy, dump_json, sarif_schema_path
+from scanmux.plan import LockedTask
 from scanmux.registry import load_registry
 from scanmux.reporting import (
     CatalogEntry,
@@ -226,8 +227,7 @@ class TestNormalize:
         ))
         (tmp_path / "run").mkdir()
         write_report(tmp_path / "run" / "result.json", report)
-        entry = {"output_dir": "run", "contract": "c.sol", "source_path": "c.sol", "tool": "MyTool",
-                 "tool_version": "1.0"}
+        entry = LockedTask("run", "c.sol", "c.sol", "MyTool", "1.0", None)
         [collected] = collect_outcomes(tmp_path, [entry], {"run": ExitClass.SUCCESS}, taxonomy)
         assert collected.findings == [
             ("Reentrancy", "m1", None, "SWC-107", 1),
@@ -692,7 +692,7 @@ def reference_summary(outcomes, skips, incomplete, keys, bin_size, stamp) -> dic
     totals = {field: sum(stats[field] for stats in per_tool.values())
               for field in [c.value for c in ExitClass] + ["total", "findings"]}
     doc = {"schema": 1, "tools": per_tool, "totals": totals, "unmapped_labels": [list(p) for p in sorted(unmapped)],
-           "skips": len(skips), "incomplete": sorted(incomplete), "stamp": stamp}
+           "skips": skips, "incomplete": sorted(incomplete), "stamp": stamp}
     if keys is not None:
         doc["error_rate_series"] = {
             tool: [[b, 100.0 * err / total] for b, (err, total) in sorted(tool_bins.items())]
@@ -845,7 +845,7 @@ class TestSummary:
             outcome(output_dir="d", exit_class=ExitClass.TIMEOUT),
             outcome(output_dir="e", tool="other", exit_class=ExitClass.OUT_OF_MEMORY),
         ]
-        doc = build_summary(counted(outcomes), skips=[{}, {}], incomplete=["z", "a"])
+        doc = build_summary(counted(outcomes), skips=2, incomplete=["z", "a"])
         mytool = doc["tools"]["mytool:1.0"]
         assert mytool["total"] == 4
         assert mytool["success"] == 1
@@ -962,12 +962,12 @@ class TestCollectOutcomes:
         summary = Runner(executor, root, workers=2).run()
 
         taxonomy = TaxonomyMap.load(bundled_taxonomy())
-        entries = read_plan_lock(root)["tasks"][::-1]
+        entries = read_plan_lock(root).tasks[::-1]
         incomplete = []
         outcomes = list(collect_outcomes(root, entries, summary.finished, taxonomy, incomplete))
         assert incomplete == []
         assert len(outcomes) == 12
-        assert [o.output_dir for o in outcomes] == [e["output_dir"] for e in entries]  # the entries' order
+        assert [o.output_dir for o in outcomes] == [e.output_dir for e in entries]  # the entries' order
         assert all(o.exit_class is ExitClass.SUCCESS for o in outcomes)
         assert all(len(o.findings) == 1 for o in outcomes)
 
@@ -1002,16 +1002,15 @@ class StreamedRoot:
         entries, finished = [], {}
         for i in range(tasks):
             tool = cls.TOOLS[i % 3]
-            entry = {"output_dir": f"r/{i:05d}/{tool}", "contract": f"c{i % 7}.sol", "source_path": f"src/c{i % 7}.sol",
-                     "tool": tool, "tool_version": "1.0", "compiler": None}
+            entry = LockedTask(f"r/{i:05d}/{tool}", f"c{i % 7}.sol", f"src/c{i % 7}.sol", tool, "1.0", None)
             report = ParsedReport(findings=tuple(
                 Finding(cls.LABELS[j % 5], f"finding {j} of task {i}", SourceLocation(j, None if j % 2 else "x.sol"))
                 for j in range(findings)
             ))
-            (root / entry["output_dir"]).mkdir(parents=True)
-            write_report(root / entry["output_dir"] / "result.json", report)
+            (root / entry.output_dir).mkdir(parents=True)
+            write_report(root / entry.output_dir / "result.json", report)
             entries.append(entry)
-            finished[entry["output_dir"]] = ExitClass.SUCCESS if i % 4 else ExitClass.TOOL_ERROR
+            finished[entry.output_dir] = ExitClass.SUCCESS if i % 4 else ExitClass.TOOL_ERROR
         return entries, finished
 
 
@@ -1039,9 +1038,8 @@ def outcome_sets(draw):
             st.text(max_size=8), LOCATIONS,
         ), max_size=5)) if tool != "zeta" else []
         tasks.append({
-            "entry": {"output_dir": f"run/{draw(st.sampled_from(['b', 'a', 'c']))}{i}/{tool}", "contract": contract,
-                      "source_path": f"corpus/{contract}", "tool": tool,
-                      "tool_version": draw(st.sampled_from(["1.0", "2.0"])), "compiler": None},
+            "entry": LockedTask(f"run/{draw(st.sampled_from(['b', 'a', 'c']))}{i}/{tool}", contract, f"corpus/{contract}",
+                                tool, draw(st.sampled_from(["1.0", "2.0"])), None),
             "exit_class": draw(st.none() | st.sampled_from(list(ExitClass))),
             "torn": draw(st.booleans()) and draw(st.booleans()),
             "report": ParsedReport(findings=tuple(findings)),
@@ -1060,22 +1058,22 @@ class TestStreamedReports:
         finished, complete, incomplete = {}, [], []
         for task in tasks:
             entry = task["entry"]
-            (root / entry["output_dir"]).mkdir(parents=True)
-            write_report(root / entry["output_dir"] / "result.json", task["report"])
+            (root / entry.output_dir).mkdir(parents=True)
+            write_report(root / entry.output_dir / "result.json", task["report"])
             if task["torn"]:
-                path = root / entry["output_dir"] / "result.json"
+                path = root / entry.output_dir / "result.json"
                 path.write_bytes(path.read_bytes()[:-3])
             if task["exit_class"] is not None:
-                finished[entry["output_dir"]] = task["exit_class"]
+                finished[entry.output_dir] = task["exit_class"]
             if task["exit_class"] is None or task["torn"]:
-                incomplete.append(entry["output_dir"])
+                incomplete.append(entry.output_dir)
             else:
                 complete.append(outcome(
-                    output_dir=entry["output_dir"], contract_id=entry["contract"], tool=entry["tool"],
-                    version=entry["tool_version"], exit_class=task["exit_class"],
+                    output_dir=entry.output_dir, contract_id=entry.contract, tool=entry.tool,
+                    version=entry.tool_version, exit_class=task["exit_class"],
                     findings=task["report"].findings, taxonomy=SARIF_TAXONOMY,
-                )._replace(source_path=entry["source_path"]))
-        skips = [{"contract": "x.sol", "tool": "zeta:1.0", "reason": "r"}]
+                )._replace(source_path=entry.source_path))
+        skips = 1
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(paths, "_FLUSH_CHUNKS", bound)
             write_reports(root, [t["entry"] for t in tasks], skips, finished, SARIF_TAXONOMY,
@@ -1092,8 +1090,8 @@ class TestStreamedReports:
         entries, finished = StreamedRoot.write(tmp_path, tasks=9, findings=3)
         for sarif, times in ((False, 1), (True, 2)):
             reads.clear()
-            write_reports(tmp_path, entries, [], finished, SARIF_TAXONOMY, keys=None, bin_size=1, sarif=sarif, stamp="s")
-            assert sorted(reads) == sorted([str(tmp_path / e["output_dir"] / "result.json") for e in entries] * times)
+            write_reports(tmp_path, entries, 0, finished, SARIF_TAXONOMY, keys=None, bin_size=1, sarif=sarif, stamp="s")
+            assert sorted(reads) == sorted([str(tmp_path / e.output_dir / "result.json") for e in entries] * times)
 
     def test_report_memory_does_not_grow_with_the_findings(self, tmp_path):
         keys = {f"c{i}.sol": i * 1000 for i in range(7)}
@@ -1103,7 +1101,7 @@ class TestStreamedReports:
             entries, finished = StreamedRoot.write(root, tasks=tasks, findings=60)
             tracemalloc.start()
             try:
-                write_reports(root, entries, [], finished, SARIF_TAXONOMY, keys=keys, bin_size=10, sarif=True,
+                write_reports(root, entries, 0, finished, SARIF_TAXONOMY, keys=keys, bin_size=10, sarif=True,
                               stamp="s")
                 return tracemalloc.get_traced_memory()[1]
             finally:
