@@ -15,11 +15,12 @@ import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
-from typing import Mapping, NamedTuple, Sequence
+from typing import BinaryIO, Mapping, NamedTuple, Sequence
 
 from .model import (
     _EXTENSION_FORMATS,
     KILLED,
+    ContractInput,
     ExecutionRecord,
     HarnessError,
     LimitHit,
@@ -29,7 +30,7 @@ from .model import (
 )
 from .paths import dump_json, load_yaml
 
-# Fixed mount point of the per-task volume inside the container.
+# Fixed mount point of the task volume inside the container.
 MOUNT_POINT = "/work"
 
 CONTRACT_FILENAMES = {fmt: "contract" + ext for ext, fmt in _EXTENSION_FORMATS}
@@ -354,39 +355,146 @@ def compiler_stamp(binary: Path) -> tuple[int, int, int, int] | None:
     return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
 
 
-def stage_volume(task: Task, compilers: VerifiedCompilers) -> Path:
-    """Stage contract, compiler (if needed) and aux files in a fresh temp volume.
+def _lstat_key(path: Path) -> tuple[int, int, int]:
+    st = os.lstat(path)
+    return st.st_mode, st.st_uid, st.st_gid
 
-    A compiler is staged only while its stamp is the one in ``compilers``, taken when the run verified it.
+
+def _entries(path: Path) -> list[os.DirEntry]:
+    with os.scandir(path) as entries:
+        return list(entries)
+
+
+def _remove(entry: os.DirEntry) -> None:
+    if entry.is_dir(follow_symlinks=False):
+        shutil.rmtree(entry.path)
+    else:
+        os.unlink(entry.path)
+
+
+def _rewritable(path: Path, mode: int) -> BinaryIO | None:
+    """``path`` opened for writing and truncated, if it is a regular file with one link, ours, with ``mode``."""
+    try:  # O_NOFOLLOW: a symlink fails; O_NONBLOCK: a FIFO fails instead of blocking
+        fh = open(os.open(path, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "wb")
+    except OSError:
+        return None
+    st = os.fstat(fh.fileno())
+    if (st.st_mode, st.st_nlink, st.st_uid) == (mode, 1, os.geteuid()):
+        fh.truncate(0)
+        return fh
+    fh.close()
+    return None
+
+
+class ScratchVolume:
+    """One worker's scratch directory, mounted at MOUNT_POINT for each of its tasks in turn.
+
+    It is made on first use (``mkdtemp``, mode 0700). After a task, ``empty``
+    keeps only ``output/``, emptied, and the contract file, which the next task
+    rewrites, so a task creates neither. A volume that a container may still
+    hold, or that cannot be emptied to what a fresh one shows, is discarded,
+    and the next task gets a new one. Its owner discards it when done.
+    """
+
+    def __init__(self) -> None:
+        self.path: Path | None = None
+        self._contract: str | None = None  # the contract file in the volume, for the next task to rewrite
+        self._contract_mode = 0  # its st_mode when it was created
+        self._dirs: tuple = ()  # (mode, uid, gid) of the volume and output/ when they were made
+
+    def __enter__(self) -> "ScratchVolume":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.discard()
+
+    def ready(self) -> Path:
+        """The volume's path, made now if there is none."""
+        if self.path is None:
+            self.path = Path(tempfile.mkdtemp(prefix="scanmux-"))
+            output = self.path / OUTPUT_DIRNAME
+            output.mkdir()
+            self._dirs = (_lstat_key(self.path), _lstat_key(output))
+        return self.path
+
+    def put_contract(self, contract: ContractInput) -> None:
+        """Write the contract under its format's name, rewriting (and renaming) the last task's file in place.
+
+        That file is rewritten only while it is a regular file with one link,
+        owned by this process's user, with the mode it was created with.
+        Otherwise it is unlinked and created anew, so no write follows a link.
+        """
+        target = self.ready() / CONTRACT_FILENAMES[contract.format]
+        out = None
+        if self._contract is not None:
+            if target.name != self._contract:
+                os.rename(self.path / self._contract, target)
+            self._contract = None
+            out = _rewritable(target, self._contract_mode)
+            if out is None:
+                target.unlink(missing_ok=True)
+        if out is None:
+            out = open(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666), "wb")
+            self._contract_mode = os.fstat(out.fileno()).st_mode
+        self._contract = target.name
+        with out, open(contract.source_path, "rb") as src:
+            shutil.copyfileobj(src, out)
+
+    def discard(self) -> None:
+        if self.path is not None:
+            shutil.rmtree(self.path, ignore_errors=True)
+        self.path = self._contract = None
+
+    def empty(self) -> None:
+        """Leave an empty ``output/`` and the contract file, or discard the volume if anything else stays."""
+        path = self.path
+        output = path / OUTPUT_DIRNAME
+        try:
+            contract = None
+            for entry in _entries(path):
+                if entry.name == self._contract and entry.is_file(follow_symlinks=False):
+                    contract = entry.name
+                elif not (entry.name == OUTPUT_DIRNAME and entry.is_dir(follow_symlinks=False)):
+                    _remove(entry)
+            self._contract = contract
+            for entry in _entries(output):  # a real directory: a symlink was removed above
+                _remove(entry)
+            if sorted(os.listdir(path)) == sorted(filter(None, (OUTPUT_DIRNAME, contract))) \
+                    and not os.listdir(output) and (_lstat_key(path), _lstat_key(output)) == self._dirs:
+                return
+        except OSError:
+            pass
+        self.discard()
+
+
+def stage_volume(task: Task, compilers: VerifiedCompilers, volume: ScratchVolume) -> Path:
+    """Stage contract, compiler (if needed) and aux files in the worker's ``volume``; returns its path.
+
+    The volume holds an empty ``output/`` and at most the contract file of an
+    earlier task (see ``ScratchVolume``). A compiler is staged only while its
+    stamp is the one in ``compilers``, taken when the run verified it; a task
+    refused for that leaves the volume reusable. Any other failure discards it.
     """
     try:
-        volume = Path(tempfile.mkdtemp(prefix="scanmux-"))
-    except OSError as exc:
-        raise StagingIOError(f"cannot create temp volume: {exc}") from exc
-    try:
-        contract_name = CONTRACT_FILENAMES[task.contract.format]
-        shutil.copyfile(task.contract.source_path, volume / contract_name)
-        (volume / OUTPUT_DIRNAME).mkdir()
+        volume.put_contract(task.contract)
+        path = volume.path
         if task.compiler_version is not None:
             binary, stamp = compilers.get(task.compiler_version, (None, None))
             if binary is None or compiler_stamp(binary) != stamp:
                 why = "was not verified by this run" if binary is None else "changed since this run verified it"
                 raise MissingCompilerError(f"compiler {task.compiler_version} requested by {task.tool.key} {why}")
-            staged = volume / COMPILER_FILENAME
+            staged = path / COMPILER_FILENAME
             try:  # the cache's inode, already 0o755: no copy and no chmod
                 os.link(binary, staged)
             except OSError:  # another filesystem, or links not permitted
                 shutil.copyfile(binary, staged)
                 staged.chmod(0o755)
         for aux in task.tool.aux_files:
-            shutil.copyfile(aux, volume / aux.name)
-    except MissingCompilerError:
-        shutil.rmtree(volume, ignore_errors=True)
-        raise
+            shutil.copyfile(aux, path / aux.name)
     except OSError as exc:
-        shutil.rmtree(volume, ignore_errors=True)
+        volume.discard()
         raise StagingIOError(f"staging failed for {task.output_dir}: {exc}") from exc
-    return volume
+    return path
 
 
 def render_command(task: Task) -> str:
@@ -448,19 +556,23 @@ def execute(
     compilers: VerifiedCompilers,
     results_root: Path,
     image_digest: str,
+    volume: ScratchVolume,
 ) -> tuple[ExecutionRecord, RawResult, bool]:
-    """Stage (with the ``compilers`` this run verified), run and harvest one task.
+    """Stage into the worker's ``volume`` (with the ``compilers`` this run verified), run and harvest one task.
 
     Writes ``raw/`` artifacts and ``meta.json`` into the task's output folder.
-    Returns (record, raw result, aborted). The temp volume is removed even on
-    error.
+    Returns (record, raw result, aborted). Afterwards, even on error, the
+    volume is emptied for the next task, or discarded when ``backend.run``
+    raised or the task timed out or was aborted: its container may still hold it.
     """
-    volume = stage_volume(task, compilers)
+    path = stage_volume(task, compilers, volume)
     command = render_command(task)
+    reusable = False
     try:
         started = time.time()
-        outcome = backend.run(image_digest, volume, command, task.limits)
+        outcome = backend.run(image_digest, path, command, task.limits)
         finished = time.time()
+        reusable = not outcome.aborted and outcome.limit_hit is not LimitHit.TIMEOUT
 
         out_dir = results_root / task.output_dir
         raw_dir = out_dir / RAW_DIRNAME
@@ -473,7 +585,7 @@ def execute(
         file_patterns = [
             s for s in task.tool.result_sources if s not in ("stdout", "stderr")
         ]
-        harvested = backend.copy_out(volume, file_patterns) if file_patterns else {}
+        harvested = backend.copy_out(path, file_patterns) if file_patterns else {}
         missing = [
             p for p in file_patterns
             if not any(fnmatch.fnmatch(rel, p) for rel in harvested)
@@ -505,7 +617,10 @@ def execute(
         raw = RawResult(stdout=outcome.stdout, stderr=outcome.stderr, files=harvested)
         return record, raw, outcome.aborted
     finally:
-        shutil.rmtree(volume, ignore_errors=True)
+        if reusable:
+            volume.empty()
+        else:
+            volume.discard()
 
 
 def read_raw(out_dir: Path, result_files: Sequence[str]) -> RawResult:

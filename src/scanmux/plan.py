@@ -460,9 +460,10 @@ _LOCK_TASK_KEYS = LockedTask._fields[:-1]  # the string keys; "compiler" may be 
 def read_plan_lock(results_root: str | Path) -> PlanLock:
     """The lock as a ``PlanLock``; refuses one that is not JSON or not an object with ``tasks`` and ``skips`` lists.
 
-    It also refuses a task entry without the string keys that resume and
-    reparse read or whose output folder is not inside the results root, and
-    a skip entry that is not an object. Other keys (version 1 has more) are left out of the task rows.
+    It also refuses a ``registry_path`` that is neither a string nor null, a
+    task entry without the string keys that resume and reparse read or whose
+    output folder is not inside the results root, and a skip entry that is not
+    an object. Other keys (version 1 has more) are left out of the task rows.
     """
     path = Path(results_root) / PLAN_LOCK_FILENAME
     try:
@@ -477,6 +478,8 @@ def read_plan_lock(results_root: str | Path) -> PlanLock:
         raise HarnessError(
             f"{path}: not a plan lock (no 'tasks' and 'skips' lists); remove it and rerun with the original arguments"
         )
+    if not isinstance(doc.get("registry_path"), (str, type(None))):
+        raise HarnessError(f"{path}: registry_path is neither a string nor null; remove it and rerun with the original arguments")
     for i, entry in enumerate(doc["tasks"]):
         if not (
             isinstance(entry, dict)

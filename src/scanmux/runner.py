@@ -8,7 +8,7 @@ from collections import Counter, deque
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .executor import ContainerBackend, VerifiedCompilers, compiler_stamp, execute
+from .executor import ContainerBackend, ScratchVolume, VerifiedCompilers, compiler_stamp, execute
 from .model import ExecutionRecord, HarnessError, RawResult, Task
 from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, report_bytes, write_report
 from .plan import PlanningError, RunPlan
@@ -39,6 +39,8 @@ def read_done_marker(out_dir: Path) -> tuple[str, str, str] | None:
         parts = path.read_text(encoding="utf-8", errors="replace").split()
     except FileNotFoundError:
         return None
+    except OSError as exc:  # e.g. a directory: as corrupt as a torn marker
+        raise CorruptMarkerError(f"{path}: unreadable marker: {exc.strerror}") from None
     if len(parts) != 4 or parts[0] != MARKER_VERSION or parts[3] not in _EXIT_CLASSES:
         raise CorruptMarkerError(f"{path}: malformed marker")
     return parts[1], parts[2], parts[3]
@@ -223,7 +225,9 @@ class TaskExecutor:
         self.registry = registry
         self.cache = cache
 
-    def run_task(self, task: Task, results_root: Path, compilers: VerifiedCompilers) -> TaskResult:
+    def run_task(
+        self, task: Task, results_root: Path, compilers: VerifiedCompilers, volume: ScratchVolume
+    ) -> TaskResult:
         try:
             record, raw, aborted = execute(
                 task,
@@ -231,6 +235,7 @@ class TaskExecutor:
                 compilers=compilers,
                 results_root=results_root,
                 image_digest=self.plan.image_digests[task.tool.image_ref],
+                volume=volume,
             )
         except HarnessError as exc:
             return TaskResult(task, error=str(exc))
@@ -285,22 +290,21 @@ class Runner:
             return self._queue.popleft()
 
     def _worker(self, summary: RunSummary, pending_total: int, compilers: VerifiedCompilers) -> None:
-        while True:
-            task = self._next_task()
-            if task is None:
-                return
-            try:
-                result = self.executor.run_task(task, self.results_root, compilers)
-            except Exception as exc:  # defensive: a worker crash must not hang the pool
-                result = TaskResult(task, error=f"unexpected: {exc!r}")
-            with self._lock:
-                summary.tally[result.tally_key] += 1
-                if result.error is not None:
-                    summary.infra_errors[task.output_dir] = result.error
-                if result.exit_class is not None:
-                    summary.finished[task.output_dir] = result.exit_class
-                if self.on_progress is not None:  # under the lock: calls never overlap
-                    self.on_progress(summary.executed, pending_total)
+        with ScratchVolume() as volume:  # every task of this worker stages into it; removed however the loop ends
+            while (task := self._next_task()) is not None:
+                try:
+                    result = self.executor.run_task(task, self.results_root, compilers, volume)
+                except Exception as exc:  # defensive: a worker crash must not hang the pool
+                    volume.discard()
+                    result = TaskResult(task, error=f"unexpected: {exc!r}")
+                with self._lock:
+                    summary.tally[result.tally_key] += 1
+                    if result.error is not None:
+                        summary.infra_errors[task.output_dir] = result.error
+                    if result.exit_class is not None:
+                        summary.finished[task.output_dir] = result.exit_class
+                    if self.on_progress is not None:  # under the lock: calls never overlap
+                        self.on_progress(summary.executed, pending_total)
 
     def _verify_compilers(self, pending: Sequence[Task]) -> VerifiedCompilers:
         """Hash, in parallel, each compiler that a pending task stages, before any task is dispatched.

@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from scanmux.executor import ScratchVolume
 from scanmux.registry import load_registry
 from scanmux.solc import CompilerCache, ReleaseIndex
 
@@ -42,6 +43,13 @@ def corpus_dir(tmp_path: Path) -> Path:
 @pytest.fixture
 def compiler_cache(tmp_path: Path) -> CompilerCache:
     return CompilerCache(tmp_path / "compilers")
+
+
+@pytest.fixture
+def volume():
+    """A worker's scratch volume, discarded when the test ends."""
+    with ScratchVolume() as volume:
+        yield volume
 
 
 @pytest.fixture

@@ -406,7 +406,7 @@ def test_criterion_6_rate_analytics(tmp_path, release_index):
     assert abs(summary["tools"]["probe:1.0"]["failure_rate"] - 25.00) <= 0.01
 
 
-def test_criterion_7_timeout_enforced(tmp_path, release_index):
+def test_criterion_7_timeout_enforced(tmp_path, release_index, volume):
     registry = _probe_registry(tmp_path)
     cache = CompilerCache(tmp_path / "cc")
     corpus = tmp_path / "contracts"
@@ -420,7 +420,7 @@ def test_criterion_7_timeout_enforced(tmp_path, release_index):
     root = tmp_path / "results"
     write_plan_lock(plan, root)
     executor = TaskExecutor(plan, backend, registry, cache)
-    result = executor.run_task(plan.tasks[0], root, {})
+    result = executor.run_task(plan.tasks[0], root, {}, volume)
     assert result.exit_class is ExitClass.TIMEOUT
     # cut off near the 1s limit; a broken timeout would run the full 3s sleep
     out_dir = root / plan.tasks[0].output_dir

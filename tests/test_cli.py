@@ -41,7 +41,7 @@ from scanmux.paths import bundled_registry, dump_json
 from scanmux.plan import PLAN_LOCK_FILENAME, discover_contracts
 from scanmux.registry import load_registry
 from scanmux.reporting import FINDINGS_FILENAME, SARIF_FILENAME, SUMMARY_FILENAME
-from scanmux.runner import Runner
+from scanmux.runner import Runner, read_done_marker
 from scanmux.solc import MockCompilerFetcher, SemVer
 
 from helpers import run_python, write_corpus, write_tool_dir
@@ -782,6 +782,19 @@ class TestRunCommand:
         assert f"{done_after_stop} already done" in out
         assert len(list((tmp_path / "results").rglob("done"))) == self.EXPECTED_TASKS
 
+    def test_unreadable_marker_is_archived_and_its_task_reruns(self, tmp_path, capsys, small_corpus, mock_registry_dir):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        assert main(argv) == 0
+        task = sorted(results.rglob("done"))[0].parent
+        (task / "done").unlink()
+        (task / "done").mkdir()  # exists, but cannot be read
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert f"executed 1 of {self.EXPECTED_TASKS} tasks" in capsys.readouterr().out
+        assert (task.with_name(task.name + ".stale.1") / "done").is_dir()
+        assert read_done_marker(task)[2] == "success"
+
     def test_format_override(self, tmp_path, capsys, mock_registry_dir):
         blob = tmp_path / "payload.bin"
         blob.write_text("6080fdfe")
@@ -1094,7 +1107,7 @@ class TestReparseCommand:
         assert all(path.read_bytes() == b"" for path in stored)
         assert {path: path.read_bytes() for path in results.rglob("done")} == markers
 
-    @pytest.mark.parametrize("garbage", [b"garbage", b"v1 abc def nonsense\n", b"\xff\xfe"])
+    @pytest.mark.parametrize("garbage", [b"garbage", b"v1 abc def nonsense\n", b"\xff\xfe", None])  # None: a directory
     def test_corrupt_marker_is_incomplete_not_fatal(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, garbage
     ):
@@ -1105,7 +1118,11 @@ class TestReparseCommand:
             for p in results.rglob("result.json")
         }
         corrupt = sorted(results.rglob("done"))[0].parent
-        (corrupt / "done").write_bytes(garbage)
+        if garbage is None:  # exists, but cannot be read
+            (corrupt / "done").unlink()
+            (corrupt / "done").mkdir()
+        else:
+            (corrupt / "done").write_bytes(garbage)
         capsys.readouterr()
         assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
         assert f"reparsed {TestRunCommand.EXPECTED_TASKS - 1} tasks" in capsys.readouterr().out
@@ -1207,8 +1224,10 @@ class TestReparseCommand:
         (edited_lock(lambda doc: doc["tasks"][1].update(output_dir="/tmp/b")),
          "task 1 has the output folder '/tmp/b', outside the results root"),
         (edited_lock(lambda doc: doc["skips"].append(None)), "a skip entry is not an object"),
+        (edited_lock(lambda doc: doc.update(registry_path=5)), "registry_path is neither a string nor null"),
     ], ids=["torn", "nested-too-deep", "list", "no-tasks", "no-tool-version", "compiler-not-a-string", "no-compiler",
-            "task-not-an-object", "dotdot-output-dir", "absolute-output-dir", "skip-not-an-object"])
+            "task-not-an-object", "dotdot-output-dir", "absolute-output-dir", "skip-not-an-object",
+            "registry-path-not-a-string"])
     def test_torn_plan_lock_is_an_error_naming_it(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, damage, problem
     ):

@@ -19,6 +19,7 @@ from scanmux.executor import (
     MockBackend,
     MockToolBehavior,
     BackendFailureError,
+    ScratchVolume,
     compiler_stamp,
     execute,
     read_meta,
@@ -90,53 +91,82 @@ def verified(cache: CompilerCache, version: str) -> dict:
 
 
 class TestStaging:
-    def test_contract_lands_under_fixed_name(self, tmp_path):
-        for fmt, name in CONTRACT_FILENAMES.items():
+    def test_contract_lands_under_fixed_name(self, tmp_path, volume):
+        for fmt, name in [*CONTRACT_FILENAMES.items(), *CONTRACT_FILENAMES.items()]:  # each format after another
             task = make_task(tmp_path / fmt.value, fmt=fmt)
-            volume = stage_volume(task, {})
-            try:
-                assert (volume / name).read_bytes() == task.contract.source_path.read_bytes()
-                assert (volume / "output").is_dir()
-            finally:
-                shutil.rmtree(volume)
+            path = stage_volume(task, {}, volume)
+            assert path == volume.path
+            assert sorted(os.listdir(path)) == sorted([name, "output"])
+            assert (path / name).read_bytes() == task.contract.source_path.read_bytes()
+            assert (path / "output").is_dir()
+            assert path.stat().st_mode & 0o777 == 0o700
+            volume.empty()
+        assert volume.path == path
 
-    def test_compiler_staged_executable(self, tmp_path, compiler_cache):
+    def test_restaged_contract_holds_exactly_its_source(self, tmp_path, volume):
+        bodies = ["contract A {}", "contract B {\n" + "    uint x;\n" * 500 + "}\n", "contract C {}"]
+        for i, body in enumerate(bodies):  # short, long, short
+            contract = make_contract(tmp_path / str(i), body=body)
+            task = Task(contract=contract, tool=make_tool(), output_dir="o", limits=ResourceLimits())
+            assert (stage_volume(task, {}, volume) / "contract.sol").read_text() == body
+            volume.empty()
+
+    @pytest.mark.parametrize("tamper", ["symlink", "hard-link", "mode", "fifo", "removed"])
+    def test_restaging_never_writes_through_what_a_tool_left(self, tmp_path, volume, tamper):
+        host = tmp_path / "host.sol"
+        host.write_text("host file\n")
+        path = stage_volume(make_task(tmp_path / "a"), {}, volume)
+        contract = path / "contract.sol"
+        fresh = contract.stat()
+        if tamper == "mode":
+            contract.chmod(0o600)
+        else:
+            contract.unlink()
+            if tamper == "symlink":
+                contract.symlink_to(host)
+            elif tamper == "hard-link":
+                os.link(host, contract)
+            elif tamper == "fifo":
+                os.mkfifo(contract)
+        task = Task(contract=make_contract(tmp_path / "b", body="contract B { uint x; }"), tool=make_tool(),
+                    output_dir="o", limits=ResourceLimits())
+        assert stage_volume(task, {}, volume) == path  # no emptying in between: staging alone must cope
+        assert host.read_text() == "host file\n"
+        st = os.lstat(contract)
+        assert (st.st_mode, st.st_nlink, st.st_uid) == (fresh.st_mode, 1, fresh.st_uid)
+        assert contract.read_text() == "contract B { uint x; }"
+
+    def test_compiler_staged_executable(self, tmp_path, compiler_cache, volume):
         compiler_cache.store(SemVer.parse("0.8.4"), MockCompilerFetcher.payload(SemVer.parse("0.8.4")))
         task = make_task(tmp_path, compiler="0.8.4")
-        volume = stage_volume(task, verified(compiler_cache, "0.8.4"))
-        try:
-            solc = volume / "solc"
-            assert solc.exists()
-            assert solc.stat().st_mode & 0o111
-        finally:
-            shutil.rmtree(volume)
+        solc = stage_volume(task, verified(compiler_cache, "0.8.4"), volume) / "solc"
+        assert solc.exists()
+        assert solc.stat().st_mode & 0o111
 
     def test_linked_compiler_leaves_cache_file_unchanged(self, tmp_path, compiler_cache):
         cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
         before = cached.stat()
-        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"))
-        try:
-            assert os.path.samefile(volume / "solc", cached)
-        finally:
-            shutil.rmtree(volume)
+        with ScratchVolume() as volume:
+            path = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"), volume)
+            assert os.path.samefile(path / "solc", cached)
+            volume.empty()
+            assert not (path / "solc").exists()
         after = cached.stat()
         assert cached.read_bytes() == b"solc-0.8.4"
         assert (after.st_mode, after.st_mtime_ns) == (before.st_mode, before.st_mtime_ns)
 
-    def test_write_through_staged_link_is_caught(self, tmp_path, compiler_cache):
+    def test_write_through_staged_link_is_caught(self, tmp_path, compiler_cache, volume):
         compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
         task = make_task(tmp_path, compiler="0.8.4")
         compilers = verified(compiler_cache, "0.8.4")
-        volume = stage_volume(task, compilers)
-        try:
-            (volume / "solc").write_bytes(b"evil-0.8.4")
-        finally:
-            shutil.rmtree(volume)
+        (stage_volume(task, compilers, volume) / "solc").write_bytes(b"evil-0.8.4")
+        volume.empty()
         assert compiler_cache.lookup(SemVer.parse("0.8.4")) is None
         with pytest.raises(MissingCompilerError, match="changed since this run verified it"):
-            stage_volume(task, compilers)
+            stage_volume(task, compilers, volume)
+        assert not (volume.path / "solc").exists()
 
-    def test_same_size_rewrite_right_after_store_and_check_is_refused(self, tmp_path, compiler_cache):
+    def test_same_size_rewrite_right_after_store_and_check_is_refused(self, tmp_path, compiler_cache, volume):
         # No waiting: store's mtime 0 makes the rewrite move the stamp even within one timestamp tick.
         cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
         compilers = verified(compiler_cache, "0.8.4")
@@ -146,11 +176,12 @@ class TestStaging:
         with pytest.raises(
             MissingCompilerError, match=r"^compiler 0\.8\.4 requested by t:1 changed since this run verified it$"
         ):
-            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers)
+            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers, volume)
+        volume.discard()
         after = set(Path(tempfile.gettempdir()).iterdir())
         assert not {p for p in after - before if p.name.startswith("scanmux-")}
 
-    def test_rename_replace_with_identical_bytes_is_refused(self, tmp_path, compiler_cache):
+    def test_rename_replace_with_identical_bytes_is_refused(self, tmp_path, compiler_cache, volume):
         cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
         compilers = verified(compiler_cache, "0.8.4")
         twin = cached.with_name("twin")
@@ -159,40 +190,36 @@ class TestStaging:
         os.replace(twin, cached)
         assert compiler_cache.lookup(SemVer.parse("0.8.4")) == cached
         with pytest.raises(MissingCompilerError, match="changed since this run verified it"):
-            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers)
+            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers, volume)
 
-    def test_removed_compiler_is_refused(self, tmp_path, compiler_cache):
+    def test_removed_compiler_is_refused(self, tmp_path, compiler_cache, volume):
         compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
         compilers = verified(compiler_cache, "0.8.4")
         compiler_cache.discard(SemVer.parse("0.8.4"))
         with pytest.raises(MissingCompilerError, match="changed since this run verified it"):
-            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers)
+            stage_volume(make_task(tmp_path, compiler="0.8.4"), compilers, volume)
 
-    def test_compiler_copied_when_link_fails(self, tmp_path, compiler_cache, monkeypatch):
+    def test_compiler_copied_when_link_fails(self, tmp_path, compiler_cache, monkeypatch, volume):
         cached = compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
 
         def cross_device(src, dst):
             raise OSError(errno.EXDEV, "Invalid cross-device link")
 
         monkeypatch.setattr(os, "link", cross_device)
-        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"))
-        try:
-            solc = volume / "solc"
-            assert not os.path.samefile(solc, cached)
-            assert solc.read_bytes() == b"solc-0.8.4"
-            assert solc.stat().st_mode & 0o777 == 0o755
-        finally:
-            shutil.rmtree(volume)
+        solc = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"), volume) / "solc"
+        assert not os.path.samefile(solc, cached)
+        assert solc.read_bytes() == b"solc-0.8.4"
+        assert solc.stat().st_mode & 0o777 == 0o755
 
     def test_unverified_compiler_raises_and_cleans_up(self, tmp_path):
         task = make_task(tmp_path, compiler="0.8.4")
         before = set(Path(tempfile.gettempdir()).iterdir())
-        with pytest.raises(MissingCompilerError, match="was not verified by this run"):
-            stage_volume(task, {})
+        with ScratchVolume() as volume, pytest.raises(MissingCompilerError, match="was not verified by this run"):
+            stage_volume(task, {}, volume)
         after = set(Path(tempfile.gettempdir()).iterdir())
         assert not {p for p in after - before if p.name.startswith("scanmux-")}
 
-    def test_aux_files_copied(self, tmp_path):
+    def test_aux_files_copied(self, tmp_path, volume):
         aux = tmp_path / "rules.txt"
         aux.write_text("r1")
         task_dir = tmp_path / "c"
@@ -200,11 +227,7 @@ class TestStaging:
         tool = make_tool(aux_files=(aux,))
         contract = make_contract(task_dir)
         task = Task(contract=contract, tool=tool, output_dir="o", limits=ResourceLimits())
-        volume = stage_volume(task, {})
-        try:
-            assert (volume / "rules.txt").read_text() == "r1"
-        finally:
-            shutil.rmtree(volume)
+        assert (stage_volume(task, {}, volume) / "rules.txt").read_text() == "r1"
 
 
 class TestRenderCommand:
@@ -239,18 +262,15 @@ class TestDockerArgv:
             "tool", "--flag", "value",
         ]
 
-    def test_staged_compiler_mounted_read_only(self, tmp_path, compiler_cache):
+    def test_staged_compiler_mounted_read_only(self, tmp_path, compiler_cache, volume):
         compiler_cache.store(SemVer.parse("0.8.4"), b"solc-0.8.4")
-        volume = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"))
-        try:
-            argv = DockerCliBackend().run_argv("img", volume, "tool", ResourceLimits())
-            at = argv.index(f"{volume}:/work")
-            assert argv[at + 1:at + 3] == ["--volume", f"{volume}/solc:/work/solc:ro"]
-            (volume / "solc").unlink()
-            argv = DockerCliBackend().run_argv("img", volume, "tool", ResourceLimits())
-            assert not any(a.endswith(":ro") for a in argv)
-        finally:
-            shutil.rmtree(volume)
+        path = stage_volume(make_task(tmp_path, compiler="0.8.4"), verified(compiler_cache, "0.8.4"), volume)
+        argv = DockerCliBackend().run_argv("img", path, "tool", ResourceLimits())
+        at = argv.index(f"{path}:/work")
+        assert argv[at + 1:at + 3] == ["--volume", f"{path}/solc:/work/solc:ro"]
+        (path / "solc").unlink()
+        argv = DockerCliBackend().run_argv("img", path, "tool", ResourceLimits())
+        assert not any(a.endswith(":ro") for a in argv)
 
     def test_quoted_command_splits_like_a_shell(self, tmp_path):
         backend = DockerCliBackend()
@@ -423,7 +443,10 @@ class TestExecute:
         digest = backend.pull("example.io/x:1")
         task = make_task(tmp_path / "src", fmt=fmt, result_sources=result_sources)
         root = tmp_path / "results"
-        record, raw, aborted = execute(task, backend, compilers={}, results_root=root, image_digest=digest)
+        with ScratchVolume() as volume:
+            record, raw, aborted = execute(
+                task, backend, compilers={}, results_root=root, image_digest=digest, volume=volume
+            )
         return task, root, record, raw, aborted
 
     def test_writes_raw_and_meta(self, tmp_path):
@@ -456,7 +479,7 @@ class TestExecute:
         doc = json.loads((root / task.output_dir / "meta.json").read_text())
         assert doc["missing_results"] == ["output/*.json"]
 
-    def test_symlink_left_by_the_tool_is_not_harvested(self, tmp_path):
+    def test_symlink_left_by_the_tool_is_not_harvested(self, tmp_path, volume):
         host_file = tmp_path / "host.json"
         host_file.write_text('{"from": "host"}')
 
@@ -469,14 +492,14 @@ class TestExecute:
         digest = backend.pull("example.io/x:1")
         task = make_task(tmp_path / "src", result_sources=("stdout", "output/*.json"))
         root = tmp_path / "results"
-        record, raw, _ = execute(task, backend, compilers={}, results_root=root, image_digest=digest)
+        record, raw, _ = execute(task, backend, compilers={}, results_root=root, image_digest=digest, volume=volume)
         out = root / task.output_dir
         assert raw.files == {}
         assert record.result_files == ("stdout", "stderr")
         assert json.loads((out / "meta.json").read_text())["missing_results"] == ["output/*.json"]
         assert not (out / "raw" / "output").exists()
 
-    def test_stale_raw_dir_replaced(self, tmp_path):
+    def test_stale_raw_dir_replaced(self, tmp_path, volume):
         behavior = MockToolBehavior(stdout="fresh\n")
         backend = MockBackend({"example.io/x:1": behavior})
         digest = backend.pull("example.io/x:1")
@@ -485,11 +508,11 @@ class TestExecute:
         stale = root / task.output_dir / "raw"
         stale.mkdir(parents=True)
         (stale / "leftover").write_text("junk")
-        execute(task, backend, compilers={}, results_root=root, image_digest=digest)
+        execute(task, backend, compilers={}, results_root=root, image_digest=digest, volume=volume)
         assert not (stale / "leftover").exists()
         assert (stale / "stdout").read_bytes() == b"fresh\n"
 
-    def test_timeout_recorded(self, tmp_path):
+    def test_timeout_recorded(self, tmp_path, volume):
         behavior = MockToolBehavior(stdout="partial", sleep_s=60)
         backend = MockBackend({"example.io/x:1": behavior})
         digest = backend.pull("example.io/x:1")
@@ -500,11 +523,12 @@ class TestExecute:
             limits=ResourceLimits(wall_timeout=0.1),
         )
         record, raw, aborted = execute(
-            task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest,
+            task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest, volume=volume,
         )
         assert record.exit_code == KILLED
         assert record.limit_hit is LimitHit.TIMEOUT
         assert raw.stdout == b"partial"
+        assert volume.path is None  # its container may still hold it
 
     def test_read_raw_reconstructs(self, tmp_path):
         behavior = MockToolBehavior(
@@ -515,6 +539,22 @@ class TestExecute:
         )
         back = read_raw(root / task.output_dir, record.result_files)
         assert back == raw
+
+    def test_volume_is_emptied_for_the_next_task(self, tmp_path, volume):
+        backend = MockBackend({"example.io/x:1": MockToolBehavior(files={"output/r.json": "[]", "junk/x": "j"})})
+        digest = backend.pull("example.io/x:1")
+        task = make_task(tmp_path / "src")
+        execute(task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest, volume=volume)
+        assert sorted(os.listdir(volume.path)) == ["contract.sol", "output"]
+        assert os.listdir(volume.path / "output") == []
+
+    def test_volume_is_discarded_when_the_backend_raises(self, tmp_path, volume):
+        backend = MockBackend(default=None)  # no scripted behavior: run raises
+        digest = backend.pull("example.io/x:1")
+        with pytest.raises(BackendFailureError):
+            execute(make_task(tmp_path / "src"), backend, compilers={}, results_root=tmp_path / "r",
+                    image_digest=digest, volume=volume)
+        assert volume.path is None
 
     def test_volume_cleaned_up(self, tmp_path):
         before = {p.name for p in Path(tempfile.gettempdir()).iterdir()}

@@ -143,11 +143,11 @@ class TestResumeFilter:
 
 
 class TestTaskExecutor:
-    def test_happy_path_writes_result_then_marker(self, wired, tmp_path):
+    def test_happy_path_writes_result_then_marker(self, wired, tmp_path, volume):
         behaviors = {IMG["delta"]: MockToolBehavior(stdout="VULN: Reentrancy at line 3\n")}
         plan, executor, _ = wired(behaviors, tools=["delta"])
         task = plan.tasks[0]
-        result = executor.run_task(task, tmp_path, {})
+        result = executor.run_task(task, tmp_path, {}, volume)
         assert result.exit_class is ExitClass.SUCCESS
         assert result.error is None
         out = tmp_path / task.output_dir
@@ -157,11 +157,11 @@ class TestTaskExecutor:
         assert marker == (task.contract.content_hash, plan.args_digest, "success")
         assert len(read_findings(out / "result.json")) == 1
 
-    def test_aborted_task_leaves_no_marker(self, wired, tmp_path):
+    def test_aborted_task_leaves_no_marker(self, wired, tmp_path, volume):
         behaviors = {IMG["delta"]: MockToolBehavior(sleep_s=60)}
         plan, executor, backend = wired(behaviors, tools=["delta"])
         backend.request_abort()
-        result = executor.run_task(plan.tasks[0], tmp_path, {})
+        result = executor.run_task(plan.tasks[0], tmp_path, {}, volume)
         assert result.aborted
         out = tmp_path / plan.tasks[0].output_dir
         assert read_done_marker(out) is None
@@ -170,12 +170,12 @@ class TestTaskExecutor:
 
 class TestFinalize:
     @pytest.fixture
-    def finished(self, wired, tmp_path):
+    def finished(self, wired, tmp_path, volume):
         """A finished delta task beside a summary.json, and a call that finalizes its stored output again."""
         behaviors = {IMG["delta"]: MockToolBehavior(stdout="VULN: Reentrancy at line 3\n")}
         plan, executor, _ = wired(behaviors, tools=["delta"])
         task = plan.tasks[0]
-        assert executor.run_task(task, tmp_path, {}).exit_class is ExitClass.SUCCESS
+        assert executor.run_task(task, tmp_path, {}, volume).exit_class is ExitClass.SUCCESS
         (tmp_path / SUMMARY_FILENAME).write_text("{}\n")
         out = tmp_path / task.output_dir
 
@@ -330,10 +330,10 @@ class TestRunner:
         victim = plan.tasks[7]
         run_task = TaskExecutor.run_task
 
-        def crash_on_victim(self, task, results_root, compilers):
+        def crash_on_victim(self, task, results_root, compilers, volume):
             if task == victim:
                 raise RuntimeError("worker crashed")
-            return run_task(self, task, results_root, compilers)
+            return run_task(self, task, results_root, compilers, volume)
 
         monkeypatch.setattr(TaskExecutor, "run_task", crash_on_victim)
         summary = Runner(executor, tmp_path, workers=4).run()
