@@ -15,11 +15,12 @@ import threading
 import time
 from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
-from typing import BinaryIO, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import (
     _EXTENSION_FORMATS,
     KILLED,
+    NO_FILES,
     ContractInput,
     ExecutionRecord,
     HarnessError,
@@ -117,23 +118,15 @@ class ContainerBackend(abc.ABC):
         """Kill in-flight runs (second-interrupt semantics). Default: no-op."""
 
 
-class _MockToolBehavior(NamedTuple):
+class MockToolBehavior(NamedTuple):
+    """Scripted behavior of one mock image."""
+
     stdout: str = ""
     stderr: str = ""
     exit_code: int = 0
     sleep_s: float = 0.0
-    files: Mapping[str, str] | None = None  # None: a new dict
+    files: Mapping[str, str] = NO_FILES
     oom: bool = False
-
-
-class MockToolBehavior(_MockToolBehavior):
-    """Scripted behavior of one mock image."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.files is not None else self._replace(files={})
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "MockToolBehavior":
@@ -175,7 +168,6 @@ class MockBackend(ContainerBackend):
         self.unpullable = set(unpullable)
         self.default = default
         self.pull_calls: list[str] = []
-        self.run_calls: list[str] = []
         self._by_digest: dict[str, str] = {}
         self._abort = threading.Event()
 
@@ -215,7 +207,6 @@ class MockBackend(ContainerBackend):
         image_ref = self._by_digest.get(image_digest)
         if image_ref is None:
             raise BackendFailureError(f"image digest {image_digest[:19]}… was never pulled")
-        self.run_calls.append(image_ref)
         behavior = self.behaviors.get(image_ref, self.default)
         if behavior is None:
             raise BackendFailureError(f"no scripted behavior for image {image_ref!r}")
@@ -372,34 +363,18 @@ def _remove(entry: os.DirEntry) -> None:
         os.unlink(entry.path)
 
 
-def _rewritable(path: Path, mode: int) -> BinaryIO | None:
-    """``path`` opened for writing and truncated, if it is a regular file with one link, ours, with ``mode``."""
-    try:  # O_NOFOLLOW: a symlink fails; O_NONBLOCK: a FIFO fails instead of blocking
-        fh = open(os.open(path, os.O_WRONLY | os.O_NOFOLLOW | os.O_NONBLOCK), "wb")
-    except OSError:
-        return None
-    st = os.fstat(fh.fileno())
-    if (st.st_mode, st.st_nlink, st.st_uid) == (mode, 1, os.geteuid()):
-        fh.truncate(0)
-        return fh
-    fh.close()
-    return None
-
-
 class ScratchVolume:
     """One worker's scratch directory, mounted at MOUNT_POINT for each of its tasks in turn.
 
-    It is made on first use (``mkdtemp``, mode 0700). After a task, ``empty``
-    keeps only ``output/``, emptied, and the contract file, which the next task
-    rewrites, so a task creates neither. A volume that a container may still
-    hold, or that cannot be emptied to what a fresh one shows, is discarded,
-    and the next task gets a new one. Its owner discards it when done.
+    It is made on first use (``mkdtemp``, mode 0700). Between tasks it holds
+    an empty ``output/`` and nothing else. ``execute`` alone decides whether
+    it is reused: only after a task whose container ran to its end, and only
+    when ``empty`` leaves what a fresh volume shows. Otherwise it is
+    discarded, and the next task gets a new one. Its owner discards it when done.
     """
 
     def __init__(self) -> None:
         self.path: Path | None = None
-        self._contract: str | None = None  # the contract file in the volume, for the next task to rewrite
-        self._contract_mode = 0  # its st_mode when it was created
         self._dirs: tuple = ()  # (mode, uid, gid) of the volume and output/ when they were made
 
     def __enter__(self) -> "ScratchVolume":
@@ -418,49 +393,32 @@ class ScratchVolume:
         return self.path
 
     def put_contract(self, contract: ContractInput) -> None:
-        """Write the contract under its format's name, rewriting (and renaming) the last task's file in place.
+        """Write the contract as a new file under its format's name.
 
-        That file is rewritten only while it is a regular file with one link,
-        owned by this process's user, with the mode it was created with.
-        Otherwise it is unlinked and created anew, so no write follows a link.
+        Whatever a tool left at that name is unlinked first. No container
+        holds a reused volume, so nothing can put a link there in between.
         """
         target = self.ready() / CONTRACT_FILENAMES[contract.format]
-        out = None
-        if self._contract is not None:
-            if target.name != self._contract:
-                os.rename(self.path / self._contract, target)
-            self._contract = None
-            out = _rewritable(target, self._contract_mode)
-            if out is None:
-                target.unlink(missing_ok=True)
-        if out is None:
-            out = open(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666), "wb")
-            self._contract_mode = os.fstat(out.fileno()).st_mode
-        self._contract = target.name
-        with out, open(contract.source_path, "rb") as src:
-            shutil.copyfileobj(src, out)
+        target.unlink(missing_ok=True)
+        shutil.copyfile(contract.source_path, target)
 
     def discard(self) -> None:
         if self.path is not None:
             shutil.rmtree(self.path, ignore_errors=True)
-        self.path = self._contract = None
+        self.path = None
 
     def empty(self) -> None:
-        """Leave an empty ``output/`` and the contract file, or discard the volume if anything else stays."""
+        """Leave only an empty ``output/``, or discard the volume if anything else stays."""
         path = self.path
         output = path / OUTPUT_DIRNAME
         try:
-            contract = None
             for entry in _entries(path):
-                if entry.name == self._contract and entry.is_file(follow_symlinks=False):
-                    contract = entry.name
-                elif not (entry.name == OUTPUT_DIRNAME and entry.is_dir(follow_symlinks=False)):
+                if not (entry.name == OUTPUT_DIRNAME and entry.is_dir(follow_symlinks=False)):
                     _remove(entry)
-            self._contract = contract
             for entry in _entries(output):  # a real directory: a symlink was removed above
                 _remove(entry)
-            if sorted(os.listdir(path)) == sorted(filter(None, (OUTPUT_DIRNAME, contract))) \
-                    and not os.listdir(output) and (_lstat_key(path), _lstat_key(output)) == self._dirs:
+            if os.listdir(path) == [OUTPUT_DIRNAME] and not os.listdir(output) \
+                    and (_lstat_key(path), _lstat_key(output)) == self._dirs:
                 return
         except OSError:
             pass
@@ -470,10 +428,9 @@ class ScratchVolume:
 def stage_volume(task: Task, compilers: VerifiedCompilers, volume: ScratchVolume) -> Path:
     """Stage contract, compiler (if needed) and aux files in the worker's ``volume``; returns its path.
 
-    The volume holds an empty ``output/`` and at most the contract file of an
-    earlier task (see ``ScratchVolume``). A compiler is staged only while its
-    stamp is the one in ``compilers``, taken when the run verified it; a task
-    refused for that leaves the volume reusable. Any other failure discards it.
+    The volume holds an empty ``output/`` (see ``ScratchVolume``). A compiler
+    is staged only while its stamp is the one in ``compilers``, taken when the
+    run verified it.
     """
     try:
         volume.put_contract(task.contract)
@@ -492,7 +449,6 @@ def stage_volume(task: Task, compilers: VerifiedCompilers, volume: ScratchVolume
         for aux in task.tool.aux_files:
             shutil.copyfile(aux, path / aux.name)
     except OSError as exc:
-        volume.discard()
         raise StagingIOError(f"staging failed for {task.output_dir}: {exc}") from exc
     return path
 
@@ -561,14 +517,16 @@ def execute(
     """Stage into the worker's ``volume`` (with the ``compilers`` this run verified), run and harvest one task.
 
     Writes ``raw/`` artifacts and ``meta.json`` into the task's output folder.
-    Returns (record, raw result, aborted). Afterwards, even on error, the
-    volume is emptied for the next task, or discarded when ``backend.run``
-    raised or the task timed out or was aborted: its container may still hold it.
+    Returns (record, raw result, aborted). This is the one place that decides
+    what happens to the volume after a task: it is emptied for the next task
+    only when ``backend.run`` returned and the task neither timed out nor was
+    aborted; otherwise, staging failures included, it is discarded, since a
+    container may still hold it.
     """
-    path = stage_volume(task, compilers, volume)
-    command = render_command(task)
     reusable = False
     try:
+        path = stage_volume(task, compilers, volume)
+        command = render_command(task)
         started = time.time()
         outcome = backend.run(image_digest, path, command, task.limits)
         finished = time.time()

@@ -6,6 +6,7 @@ import hashlib
 import string
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 if TYPE_CHECKING:
@@ -293,17 +294,13 @@ class ParsedReport(_ParsedReport):
         )
 
 
-class _RawResult(NamedTuple):
-    stdout: bytes = b""
-    stderr: bytes = b""
-    files: Mapping[str, bytes] | None = None  # None: a new dict
+# The default ``files`` of the records below: read-only, so one instance serves them all.
+NO_FILES: Mapping = MappingProxyType({})
 
 
-class RawResult(_RawResult):
+class RawResult(NamedTuple):
     """Captured outputs of one tool run, before parsing."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self if self.files is not None else self._replace(files={})
+    stdout: bytes = b""
+    stderr: bytes = b""
+    files: Mapping[str, bytes] = NO_FILES

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import threading
 from collections import Counter, deque
@@ -98,15 +99,31 @@ def _archive_stale(out_dir: Path) -> None:
         k += 1
 
 
+def _symlink_in(results_root: Path, output_dir: str) -> str | None:
+    """The first component of ``output_dir`` below ``results_root`` that is a symlink, or None.
+
+    Such a task folder may point anywhere on the host, so nothing is read or
+    written through it: it has no marker, and running its task is an error.
+    """
+    path = str(results_root)
+    for part in output_dir.split("/"):
+        path = os.path.join(path, part)
+        if os.path.islink(path):
+            return path
+    return None
+
+
 def read_done_markers(
     results_root: Path, output_dirs: Iterable[str]
 ) -> dict[str, tuple[str, str, ExitClass] | None]:
     """Output dir -> (content hash, args digest, exit class) of its done marker, None if corrupt.
 
-    An output dir without a marker has no entry.
+    An output dir without a marker, or reached through a symlink, has no entry.
     """
     markers: dict[str, tuple[str, str, ExitClass] | None] = {}
     for output_dir in output_dirs:
+        if _symlink_in(results_root, output_dir) is not None:
+            continue
         try:
             marker = read_done_marker(results_root / output_dir)
         except CorruptMarkerError:
@@ -121,8 +138,9 @@ def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], 
     """(tasks still to run, output dir -> exit class of each task already done).
 
     A task is pending when its marker is absent, corrupt, or does not match
-    this plan. A folder with a corrupt or stale marker is moved aside (suffix
-    ``.stale.<k>``) so the rerun starts clean without destroying evidence.
+    this plan, or when its folder is reached through a symlink. A folder with
+    a corrupt or stale marker is moved aside (suffix ``.stale.<k>``) so the
+    rerun starts clean without destroying evidence.
     """
     root = Path(results_root)
     markers = read_done_markers(root, (task.output_dir for task in plan.tasks))
@@ -228,6 +246,8 @@ class TaskExecutor:
     def run_task(
         self, task: Task, results_root: Path, compilers: VerifiedCompilers, volume: ScratchVolume
     ) -> TaskResult:
+        if (link := _symlink_in(results_root, task.output_dir)) is not None:
+            return TaskResult(task, error=f"{link} is a symlink; nothing is read or written through it")
         try:
             record, raw, aborted = execute(
                 task,
@@ -295,7 +315,6 @@ class Runner:
                 try:
                     result = self.executor.run_task(task, self.results_root, compilers, volume)
                 except Exception as exc:  # defensive: a worker crash must not hang the pool
-                    volume.discard()
                     result = TaskResult(task, error=f"unexpected: {exc!r}")
                 with self._lock:
                     summary.tally[result.tally_key] += 1

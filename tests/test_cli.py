@@ -12,7 +12,6 @@ import subprocess
 import sys
 import sysconfig
 import threading
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -795,6 +794,43 @@ class TestRunCommand:
         assert (task.with_name(task.name + ".stale.1") / "done").is_dir()
         assert read_done_marker(task)[2] == "success"
 
+    @pytest.mark.parametrize("linked", ["empty-task-folder", "finished-parent-folder"])
+    def test_task_folder_reached_through_a_symlink_is_neither_read_nor_written(self, tmp_path, capsys, linked):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "a.rt.hex").write_text("0x6080604052\n")
+        results, host = tmp_path / "res", tmp_path / "host"
+        argv = ["run", "-f", f"{tmp_path}/c/*", "--backend", "mock", "--results", str(results),
+                "--compiler-cache", str(tmp_path / "cc"), "-t", "mythril"]
+        assert main(argv) == 0
+        if linked == "empty-task-folder":
+            link = results / "a" / "mythril"
+            shutil.rmtree(link)
+            host.mkdir()
+        else:  # the host directory holds a finished task: a marker, meta.json, raw/ and result.json
+            link = results / "a"
+            link.rename(host)
+        link.symlink_to(host)
+
+        def host_tree() -> dict[str, tuple]:
+            return {p.relative_to(host).as_posix(): (p.lstat().st_ino, p.lstat().st_mtime_ns,
+                                                     p.read_bytes() if p.is_file() else None)
+                    for p in [host, *host.rglob("*")]}
+
+        before = host_tree()
+        for _ in range(2):  # the task stays pending
+            capsys.readouterr()
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert "executed 1 of 1 tasks" in out and "0 already done" in out
+            assert f"infra error: a/mythril: {link} is a symlink; nothing is read or written through it" in err
+            assert host_tree() == before
+            assert json.loads((results / SUMMARY_FILENAME).read_text())["incomplete"] == ["a/mythril"]
+        (results / SUMMARY_FILENAME).unlink()
+        assert main(["reparse", str(results)]) == 0
+        assert "reparsed 0 tasks" in capsys.readouterr().out
+        assert host_tree() == before
+        assert json.loads((results / SUMMARY_FILENAME).read_text())["incomplete"] == ["a/mythril"]
+
     def test_format_override(self, tmp_path, capsys, mock_registry_dir):
         blob = tmp_path / "payload.bin"
         blob.write_text("6080fdfe")
@@ -870,7 +906,19 @@ class TestRunCommand:
         assert counts["reparse"].get("read", 0) + counts["reparse"].get("write", 0) <= 5 * n + 10, counts
         assert counts["reparse"].get("scandir", 0) == 0, counts
 
-    def test_no_op_resume_memory_grows_little_with_the_tasks(self, tmp_path, capsys):
+    # A first run and then a traced no-op resume, in a new interpreter: what earlier tests left behind
+    # (say, a table of interned strings about to grow) cannot land in the traced window.
+    RESUME_PEAK = (
+        "import sys, tracemalloc\n"
+        "import scanmux.cli\n"
+        "argv = sys.argv[1:]\n"
+        "assert scanmux.cli.main(argv) == 0\n"
+        "tracemalloc.start()\n"
+        "assert scanmux.cli.main(argv) == 0\n"
+        "print('traced peak', tracemalloc.get_traced_memory()[1])\n"
+    )
+
+    def test_no_op_resume_memory_grows_little_with_the_tasks(self, tmp_path):
         def peak(n: int) -> tuple[int, int]:
             """(planned tasks, traced peak of a no-op resume) over 2n .sol, n .hex and n .rt.hex with every tool."""
             corpus = tmp_path / f"corpus{n}"
@@ -882,18 +930,12 @@ class TestRunCommand:
                 (corpus / f"r{i:03d}.rt.hex").write_text(f"0x6080604052{i:04x}\n")
             argv = ["run", "-f", f"{corpus}/*", "--results", str(tmp_path / f"results{n}"),
                     "--compiler-cache", str(tmp_path / "cc"), "--backend", "mock"]
-            assert main(argv) == 0
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                traced = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            out = capsys.readouterr().out
-            assert "executed 0 of" in out
-            return int(re.search(r"planned (\d+) tasks", out).group(1)), traced
+            proc = run_python(self.RESUME_PEAK, *argv)
+            assert proc.returncode == 0, proc.stderr
+            resume = proc.stdout.split("planned ")[-1]  # the second command's output
+            assert "executed 0 of" in resume
+            return int(re.match(r"(\d+) tasks", resume).group(1)), int(re.search(r"traced peak (\d+)", resume).group(1))
 
-        peak(2)  # the registry, compiled checks and other one-time state
         (few, low), (many, high) = peak(5), peak(20)
         assert (few, many) == (205, 820)
         # the plan and the resume scan take ~340 bytes a task; a lock document held beside them took ~560 more

@@ -19,7 +19,9 @@ from scanmux.executor import (
     MockBackend,
     MockToolBehavior,
     BackendFailureError,
+    RunOutcome,
     ScratchVolume,
+    StagingIOError,
     compiler_stamp,
     execute,
     read_meta,
@@ -288,10 +290,8 @@ class TestMockBackend:
         backend = MockBackend({"img:a": MockToolBehavior(stdout="hi\n", exit_code=3)})
         digest = backend.pull("img:a")
         outcome = backend.run(digest, tmp_path, "cmd", ResourceLimits())
-        assert outcome.exit_code == 3
-        assert outcome.stdout == b"hi\n"
+        assert outcome == RunOutcome(exit_code=3, stdout=b"hi\n")
         assert backend.pull_calls == ["img:a"]
-        assert backend.run_calls == ["img:a"]
 
     def test_unpulled_digest_rejected(self, tmp_path):
         backend = MockBackend()
@@ -545,7 +545,7 @@ class TestExecute:
         digest = backend.pull("example.io/x:1")
         task = make_task(tmp_path / "src")
         execute(task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest, volume=volume)
-        assert sorted(os.listdir(volume.path)) == ["contract.sol", "output"]
+        assert os.listdir(volume.path) == ["output"]
         assert os.listdir(volume.path / "output") == []
 
     def test_volume_is_discarded_when_the_backend_raises(self, tmp_path, volume):
@@ -555,6 +555,19 @@ class TestExecute:
             execute(make_task(tmp_path / "src"), backend, compilers={}, results_root=tmp_path / "r",
                     image_digest=digest, volume=volume)
         assert volume.path is None
+
+    @pytest.mark.parametrize("failure", ["missing-compiler", "missing-aux-file"])
+    def test_volume_is_discarded_when_staging_fails(self, tmp_path, volume, failure):
+        backend = MockBackend()
+        digest = backend.pull("example.io/x:1")
+        if failure == "missing-compiler":
+            task, error = make_task(tmp_path / "src", compiler="0.8.4"), MissingCompilerError
+        else:
+            task, error = make_task(tmp_path / "src", aux_files=(tmp_path / "gone.txt",)), StagingIOError
+        with pytest.raises(error):
+            execute(task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest, volume=volume)
+        assert volume.path is None  # the next task stages into a new volume
+        assert not (tmp_path / "r").exists()
 
     def test_volume_cleaned_up(self, tmp_path):
         before = {p.name for p in Path(tempfile.gettempdir()).iterdir()}

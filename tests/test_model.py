@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import Counter
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -357,13 +358,18 @@ def test_a_record_refuses_assignment(record):
     lambda: _plan(),
     lambda: MockToolBehavior(),
 ], ids=["RunSummary-keyword", "RunSummary-positional", "RawResult", "RunPlan", "MockToolBehavior"])
-def test_records_built_with_defaults_share_no_container(build):
+def test_records_built_with_defaults_share_no_mutable_container(build):
     first, second = build(), build()
-    containers = [name for name in first._fields if isinstance(getattr(first, name), dict)]
+    containers = [name for name in first._fields if isinstance(getattr(first, name), Mapping)]
     assert containers
     for name in containers:
-        assert getattr(first, name) == {}
-        assert getattr(first, name) is not getattr(second, name)
+        default = getattr(first, name)
+        assert default == {}
+        if isinstance(default, dict):
+            assert default is not getattr(second, name)
+        else:  # one read-only mapping serves every record
+            with pytest.raises(TypeError):
+                default["x"] = 1
 
 
 def test_a_given_container_is_kept():

@@ -306,6 +306,6 @@ def test_volumes_are_made_once_per_worker_and_tasks_create_only_their_own_files(
     assert counts["os.rmdir"] == 2 * workers, counts  # output/ and the volume itself
     # raw/stdout, raw/stderr, meta.json, result.json and the done marker, per task
     assert counts["created in task folders"] == 5 * n, counts
-    # the files the tool wrote, and one contract file per volume: later tasks rewrite it
-    assert counts["created in volumes"] == len(written) * delta + workers, counts
+    # the files the tool wrote, and one contract file per task
+    assert counts["created in volumes"] == len(written) * delta + n, counts
     assert not list(tmp.iterdir())
