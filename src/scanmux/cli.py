@@ -13,14 +13,7 @@ from pathlib import Path, PurePosixPath
 
 import yaml
 
-from .executor import (
-    DockerCliBackend,
-    ExecutorUnavailableError,
-    MockBackend,
-    META_FILENAME,
-    read_meta,
-    read_raw,
-)
+from .executor import DockerCliBackend, ExecutorUnavailableError, MockBackend, read_meta, read_raw
 from .model import ContractFormat, HarnessError, ResourceLimits
 from .parsing import ExitClass
 from .paths import bundled_registry, bundled_release_index, bundled_taxonomy
@@ -48,7 +41,7 @@ from .reporting import (
     reports_current,
     write_reports,
 )
-from .runner import Runner, TaskExecutor, finalize, read_done_markers
+from .runner import Runner, TaskExecutor, done_markers, finalize
 from .solc import CompilerCache, MockCompilerFetcher, ReleaseIndex, UrlCompilerFetcher
 
 DEFAULT_RESULTS = "results/" + DEFAULT_SCHEME
@@ -321,27 +314,23 @@ def cmd_reparse(args) -> int:
         if missing:  # checked before the loop, so a refused reparse rewrites nothing
             raise PlanningError(missing)
 
-        markers = read_done_markers(results_root, (task.output_dir for task in lock.tasks))
         finished: dict[str, ExitClass] = {}
         reparsed = 0
-        for task in lock.tasks:
-            out_dir = results_root / task.output_dir
-            marker = markers.get(task.output_dir)
-            if marker is None:  # absent or corrupt: collect_outcomes reports it as incomplete
+        for task, folder, marker in done_markers(results_root, lock.tasks):
+            if not marker:  # absent, corrupt or behind a symlink: collect_outcomes reports it as incomplete
                 continue
             content_hash, args_digest, exit_class = marker
             finished[task.output_dir] = exit_class
             try:  # unreadable stored output: the task keeps its result.json
-                record = read_meta(out_dir / META_FILENAME)
-                raw = read_raw(out_dir, record.result_files)
+                record = read_meta(folder)
+                raw = read_raw(folder, record.result_files)
             except (OSError, ValueError, KeyError, TypeError, RecursionError):
                 continue
             tool = tools[task.tool, task.tool_version]
-            exit_class = finalize(
-                results_root, task.output_dir, record, raw, registry.parser_for(tool), content_hash, args_digest,
+            finished[task.output_dir] = finalize(
+                results_root, folder, record, raw, registry.parser_for(tool), content_hash, args_digest,
                 stored=exit_class,
             )
-            finished[task.output_dir] = exit_class
             reparsed += 1
 
         # The stamp covers neither markers nor stored output, so a task left out above means a rewrite.

@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path, PurePosixPath
 from typing import Mapping, NamedTuple, Sequence
 
+from . import taskdir
 from .model import (
     _EXTENSION_FORMATS,
     KILLED,
@@ -46,11 +47,6 @@ GRACE_SECONDS = 5.0
 # engine counts as hung, and a ``pull``, which may fetch a multi-GiB image.
 QUERY_TIMEOUT_SECONDS = 30
 PULL_TIMEOUT_SECONDS = 3600
-
-META_FILENAME = "meta.json"
-RAW_DIRNAME = "raw"
-STDOUT_FILENAME = "stdout"
-STDERR_FILENAME = "stderr"
 
 
 class StagingIOError(HarnessError):
@@ -471,7 +467,7 @@ def _from_iso(text: str) -> float:
     return datetime.fromisoformat(text).timestamp()
 
 
-def write_meta(path: Path, record: ExecutionRecord, extra: Mapping[str, object] | None = None) -> None:
+def write_meta(folder: str, record: ExecutionRecord, extra: Mapping[str, object] | None = None) -> None:
     doc: dict[str, object] = {
         "started_at": _iso(record.started_at),
         "finished_at": _iso(record.finished_at),
@@ -486,11 +482,11 @@ def write_meta(path: Path, record: ExecutionRecord, extra: Mapping[str, object] 
     }
     if extra:
         doc.update(extra)
-    path.write_text(dump_json(doc), encoding="utf-8")
+    taskdir.write(folder, taskdir.META, dump_json(doc).encode("utf-8"))
 
 
-def read_meta(path: Path) -> ExecutionRecord:
-    doc = json.loads(path.read_text(encoding="utf-8"))
+def read_meta(folder: str) -> ExecutionRecord:
+    doc = json.loads(taskdir.read(folder, taskdir.META).decode("utf-8"))
     return ExecutionRecord(
         started_at=_from_iso(doc["started_at"]),
         finished_at=_from_iso(doc["finished_at"]),
@@ -510,13 +506,14 @@ def execute(
     backend: ContainerBackend,
     *,
     compilers: VerifiedCompilers,
-    results_root: Path,
+    folder: str,
     image_digest: str,
     volume: ScratchVolume,
 ) -> tuple[ExecutionRecord, RawResult, bool]:
     """Stage into the worker's ``volume`` (with the ``compilers`` this run verified), run and harvest one task.
 
-    Writes ``raw/`` artifacts and ``meta.json`` into the task's output folder.
+    Writes ``raw/`` artifacts and ``meta.json`` into the task's ``folder``
+    (from ``taskdir.folder``), replacing a ``raw/`` left by an aborted attempt.
     Returns (record, raw result, aborted). This is the one place that decides
     what happens to the volume after a task: it is emptied for the next task
     only when ``backend.run`` returned and the task neither timed out nor was
@@ -532,14 +529,8 @@ def execute(
         finished = time.time()
         reusable = not outcome.aborted and outcome.limit_hit is not LimitHit.TIMEOUT
 
-        out_dir = results_root / task.output_dir
-        raw_dir = out_dir / RAW_DIRNAME
-        if raw_dir.exists():  # leftovers of an aborted attempt
-            shutil.rmtree(raw_dir)
-        raw_dir.mkdir(parents=True, exist_ok=True)
-        (raw_dir / STDOUT_FILENAME).write_bytes(outcome.stdout)
-        (raw_dir / STDERR_FILENAME).write_bytes(outcome.stderr)
-
+        taskdir.remove(folder, taskdir.RAW)
+        streams = {taskdir.STDOUT: outcome.stdout, taskdir.STDERR: outcome.stderr}
         file_patterns = [
             s for s in task.tool.result_sources if s not in ("stdout", "stderr")
         ]
@@ -548,12 +539,9 @@ def execute(
             p for p in file_patterns
             if not any(fnmatch.fnmatch(rel, p) for rel in harvested)
         ]
-        for rel, data in harvested.items():
-            target = raw_dir / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
+        for rel, data in (streams | harvested).items():
+            taskdir.write(folder, f"{taskdir.RAW}/{rel}", data)
 
-        captured = [STDOUT_FILENAME, STDERR_FILENAME] + sorted(harvested)
         record = ExecutionRecord(
             started_at=started,
             finished_at=finished,
@@ -564,14 +552,14 @@ def execute(
             version_label=task.tool.version_label,
             image_digest=image_digest,
             limit_hit=outcome.limit_hit,
-            result_files=tuple(captured),
+            result_files=(*streams, *sorted(harvested)),
         )
         extra: dict[str, object] = {}
         if missing:
             extra["missing_results"] = sorted(missing)
         if task.warnings:
             extra["warnings"] = list(task.warnings)
-        write_meta(out_dir / META_FILENAME, record, extra)
+        write_meta(folder, record, extra)
         raw = RawResult(stdout=outcome.stdout, stderr=outcome.stderr, files=harvested)
         return record, raw, outcome.aborted
     finally:
@@ -581,26 +569,12 @@ def execute(
             volume.discard()
 
 
-def read_raw(out_dir: Path, result_files: Sequence[str]) -> RawResult:
+def read_raw(folder: str, result_files: Sequence[str]) -> RawResult:
     """Reconstruct a RawResult from the ``raw/`` files that ``meta.json`` lists.
 
-    So that a shared results tree cannot make a reparse read host files, a
-    name that is absolute, has a ``..`` part or passes through a symlink
-    (``raw/`` included) raises ``ValueError``, or ``OSError`` when the file is
-    one; cheaper than ``os.path.realpath``, which lstats every component.
+    A name that is not a str raises TypeError; one that leaves ``raw/`` or
+    passes through a symlink raises as ``taskdir.read`` does.
     """
-    raw_dir = out_dir / RAW_DIRNAME
-    if os.path.islink(raw_dir):
-        raise ValueError(f"{raw_dir}: is a symlink")
-    files = {}
-    for rel in result_files:
-        path = raw_dir / rel  # before rel.split: a name that is not a str is a TypeError
-        parts = rel.split("/")
-        if os.path.isabs(rel) or ".." in parts:
-            raise ValueError(f"{path}: outside {raw_dir}")
-        if any(os.path.islink(raw_dir.joinpath(*parts[:i])) for i in range(1, len(parts))):
-            raise ValueError(f"{path}: passes through a symlink")
-        with open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW), "rb") as fh:
-            files[rel] = fh.read()
-    stdout, stderr = files.pop(STDOUT_FILENAME), files.pop(STDERR_FILENAME)
+    files = {rel: taskdir.read(folder, taskdir.RAW + "/" + rel) for rel in result_files}
+    stdout, stderr = files.pop(taskdir.STDOUT), files.pop(taskdir.STDERR)
     return RawResult(stdout=stdout, stderr=stderr, files=files)

@@ -5,8 +5,8 @@ from __future__ import annotations
 import fnmatch
 import json
 from enum import Enum
-from pathlib import Path
 
+from . import taskdir
 from .model import (
     BytecodeLocation,
     ExecutionRecord,
@@ -19,8 +19,6 @@ from .model import (
 )
 from .paths import dump_json
 from .registry import DocumentRule, ParserSpec, compile_rule
-
-RESULT_FILENAME = "result.json"
 
 # Crash signatures no tool author should have to anticipate; prepended to
 # every parser's failure rules unless the ParserSpec opts out.
@@ -271,27 +269,27 @@ def report_bytes(report: ParsedReport) -> bytes:
     return dump_json(report_to_doc(report)).encode("utf-8")
 
 
-def write_report(path: str | Path, report: ParsedReport) -> None:
-    Path(path).write_bytes(report_bytes(report))
+def write_report(folder: str, report: ParsedReport) -> None:
+    """Write ``report`` as the ``result.json`` of task ``folder``."""
+    taskdir.write(folder, taskdir.RESULT, report_bytes(report))
 
 
-def read_findings(path: str | Path) -> list[tuple[str, str, tuple | int | None]]:
-    """(label, message, location) of each finding in the ``result.json`` at ``path``.
+def read_findings(folder: str) -> list[tuple[str, str, tuple | int | None]]:
+    """(label, message, location) of each finding in the ``result.json`` of task ``folder``.
 
     The lean reader the reports use: no ``ParsedReport`` is built. A location
     is ``(line, file)`` for a source location, the offset for a bytecode one,
     or None. Raises ValueError, KeyError or TypeError for a file that does not
     hold a report.
     """
-    with open(path, "rb") as fh:
-        doc = json.loads(fh.read())
+    doc = json.loads(taskdir.read(folder, taskdir.RESULT))
     if not isinstance(doc, dict) or not {"errors", "failures", "parser_version"} <= doc.keys():
-        raise ValueError(f"{path}: not a report")
+        raise ValueError(f"{folder}: not a report")
     findings = []
     for finding in doc["findings"]:
         label, location = finding["label"], finding.get("location")
         if not label:
-            raise ValueError(f"{path}: a finding without a label")
+            raise ValueError(f"{folder}: a finding without a label")
         if location is not None:
             location = (location["line"], location.get("file")) if location["kind"] == "source" else location["offset"]
         findings.append((label, finding["message"], location))

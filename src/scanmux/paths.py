@@ -12,6 +12,8 @@ from types import GeneratorType
 
 import yaml
 
+from .model import HarnessError
+
 
 def data_dir() -> Path:
     return Path(__file__).parent / "data"
@@ -39,18 +41,22 @@ def replacing(path: Path, mode: int, **text):
 
     The file is binary, or text opened with ``text`` (``encoding`` and the
     like). On an exception the temp file is removed and ``path`` is left as
-    it was; a crash leaves the old file and a ``.<name>.*`` temp sibling.
+    it was; a crash leaves the old file and a ``.<name>.*`` temp sibling. An
+    OSError, the block's writes included, becomes a HarnessError naming ``path``.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w" if text else "wb", **text) as f:
-            yield f
-            os.fchmod(f.fileno(), mode)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w" if text else "wb", **text) as f:
+                yield f
+                os.fchmod(f.fileno(), mode)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise HarnessError(f"{path}: cannot be written: {exc.strerror or exc}") from None
 
 
 def load_yaml(text: str):

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 import yaml
 
 from .model import HarnessError
-from .parsing import RESULT_FILENAME, ExitClass, read_findings
+from .parsing import ExitClass, read_findings
 from .paths import load_yaml, replacing, sarif_schema_path, write_json
 
 SARIF_FILENAME = "report.sarif"
@@ -131,12 +131,12 @@ def collect_outcomes(
 ) -> Iterator[TaskOutcome]:
     """Yield the outcome of each ``plan.LockedTask`` in ``entries``, in their order.
 
-    ``finished`` maps an output dir to its exit class. A task's
-    ``result.json`` is read only when its outcome is due, so one task's
-    findings are held at a time. An entry absent from ``finished`` or without
-    a readable ``result.json`` yields nothing and is appended to
-    ``incomplete``. Incomplete tasks are reported, not fatal: a stopped run
-    can still be summarized, and reparse rewrites a torn result.json.
+    ``finished`` maps an output dir to its exit class, for tasks found through
+    ``taskdir.folder``: no link is checked again. A ``result.json`` is read
+    only when due, so one task's findings are held at a time. An entry absent
+    from ``finished`` or without a readable ``result.json`` yields nothing and
+    is appended to ``incomplete``. Incomplete tasks are reported, not fatal: a
+    stopped run can still be summarized, and reparse rewrites a torn result.json.
     """
     fields = attrgetter("output_dir", "contract", "source_path", "tool", "tool_version")  # plan imports this module
     for entry in entries:
@@ -144,7 +144,7 @@ def collect_outcomes(
         try:
             exit_class = finished[output_dir]
             findings = []
-            for label, message, location in read_findings(os.path.join(results_root, output_dir, RESULT_FILENAME)):
+            for label, message, location in read_findings(os.path.join(results_root, output_dir)):
                 mapped = taxonomy.lookup(tool_id, label) or _UNMAPPED
                 findings.append((label, message, location, mapped.swc_id, mapped.dasp_class))
         except (OSError, ValueError, KeyError, TypeError, RecursionError):

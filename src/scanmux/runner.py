@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 import random
 import threading
 from collections import Counter, deque
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from . import taskdir
 from .executor import ContainerBackend, ScratchVolume, VerifiedCompilers, compiler_stamp, execute
 from .model import ExecutionRecord, HarnessError, RawResult, Task
-from .parsing import RESULT_FILENAME, ExitClass, classify_exit, parse, report_bytes, write_report
+from .parsing import ExitClass, classify_exit, parse, report_bytes, write_report
 from .plan import PlanningError, RunPlan
 from .registry import ParserSpec, Registry
 from .reporting import SUMMARY_FILENAME
 from .solc import CompilerCache, SemVer
 
-DONE_MARKER_FILENAME = "done"
 MARKER_VERSION = "v1"
 _EXIT_CLASSES = frozenset(c.value for c in ExitClass)
 
@@ -26,30 +27,27 @@ class CorruptMarkerError(HarnessError):
     pass
 
 
-def write_done_marker(out_dir: Path, content_hash: str, args_digest: str, exit_class: str) -> None:
+def write_done_marker(folder: str, content_hash: str, args_digest: str, exit_class: str) -> None:
     """Record completion. Must be the last artifact written for a task."""
-    (out_dir / DONE_MARKER_FILENAME).write_text(
-        f"{MARKER_VERSION} {content_hash} {args_digest} {exit_class}\n", encoding="utf-8"
-    )
+    taskdir.write(folder, taskdir.DONE, f"{MARKER_VERSION} {content_hash} {args_digest} {exit_class}\n".encode())
 
 
-def read_done_marker(out_dir: Path) -> tuple[str, str, str] | None:
+def read_done_marker(folder: str) -> tuple[str, str, str] | None:
     """(content_hash, args_digest, exit_class) of a completed task, or None."""
-    path = out_dir / DONE_MARKER_FILENAME
     try:
-        parts = path.read_text(encoding="utf-8", errors="replace").split()
+        parts = taskdir.read(folder, taskdir.DONE).decode("utf-8", errors="replace").split()
     except FileNotFoundError:
         return None
-    except OSError as exc:  # e.g. a directory: as corrupt as a torn marker
-        raise CorruptMarkerError(f"{path}: unreadable marker: {exc.strerror}") from None
+    except OSError as exc:  # e.g. a directory or a symlink: as corrupt as a torn marker
+        raise CorruptMarkerError(f"{folder}: unreadable marker: {exc.strerror}") from None
     if len(parts) != 4 or parts[0] != MARKER_VERSION or parts[3] not in _EXIT_CLASSES:
-        raise CorruptMarkerError(f"{path}: malformed marker")
+        raise CorruptMarkerError(f"{folder}: malformed marker")
     return parts[1], parts[2], parts[3]
 
 
 def finalize(
-    results_root: Path,
-    output_dir: str,
+    results_root: str | Path,
+    folder: str,
     record: ExecutionRecord,
     raw: RawResult,
     parser: ParserSpec,
@@ -58,7 +56,7 @@ def finalize(
     *,
     stored: ExitClass | None = None,
 ) -> ExitClass:
-    """Parse, classify, write ``result.json``, then the done marker last.
+    """Parse, classify, write ``result.json`` into the task ``folder``, then the done marker last.
 
     The one completion path for a task, shared by a run and by reparse, so
     reparsing stored output with an unchanged registry reproduces both files
@@ -69,69 +67,33 @@ def finalize(
     """
     report = parse(raw, parser)
     exit_class = classify_exit(record, report)
-    out_dir = results_root / output_dir
-    result_path = out_dir / RESULT_FILENAME
-    if exit_class is stored and _holds(result_path, report_bytes(report)):
-        return exit_class
-    (results_root / SUMMARY_FILENAME).unlink(missing_ok=True)
-    write_report(result_path, report)
-    write_done_marker(out_dir, content_hash, args_digest, exit_class.value)
+    with contextlib.suppress(OSError):
+        if exit_class is stored and taskdir.read(folder, taskdir.RESULT) == report_bytes(report):
+            return exit_class
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(os.path.join(results_root, SUMMARY_FILENAME))
+    write_report(folder, report)
+    write_done_marker(folder, content_hash, args_digest, exit_class.value)
     return exit_class
 
 
-def _holds(path: Path, data: bytes) -> bool:
-    """True when the file at ``path`` holds exactly ``data``; a missing or unreadable file does not."""
-    try:
-        return path.read_bytes() == data
-    except OSError:
-        return False
+def done_markers(results_root: str | Path, tasks: Iterable) -> Iterator[tuple]:
+    """Yield (task, its folder, its done marker) for each of ``tasks`` (with an ``output_dir``), in order.
 
-
-def _archive_stale(out_dir: Path) -> None:
-    if not out_dir.exists():
-        return
-    k = 1
-    while True:
-        target = out_dir.with_name(f"{out_dir.name}.stale.{k}")
-        if not target.exists():
-            out_dir.rename(target)
-            return
-        k += 1
-
-
-def _symlink_in(results_root: Path, output_dir: str) -> str | None:
-    """The first component of ``output_dir`` below ``results_root`` that is a symlink, or None.
-
-    Such a task folder may point anywhere on the host, so nothing is read or
-    written through it: it has no marker, and running its task is an error.
+    The marker is (content hash, args digest, exit class), ``()`` when corrupt, or
+    None when absent. A folder that a symlink leads to is None, with no marker.
     """
-    path = str(results_root)
-    for part in output_dir.split("/"):
-        path = os.path.join(path, part)
-        if os.path.islink(path):
-            return path
-    return None
-
-
-def read_done_markers(
-    results_root: Path, output_dirs: Iterable[str]
-) -> dict[str, tuple[str, str, ExitClass] | None]:
-    """Output dir -> (content hash, args digest, exit class) of its done marker, None if corrupt.
-
-    An output dir without a marker, or reached through a symlink, has no entry.
-    """
-    markers: dict[str, tuple[str, str, ExitClass] | None] = {}
-    for output_dir in output_dirs:
-        if _symlink_in(results_root, output_dir) is not None:
+    for task in tasks:
+        try:
+            folder = taskdir.folder(results_root, task.output_dir)
+        except HarnessError:
+            yield task, None, None
             continue
         try:
-            marker = read_done_marker(results_root / output_dir)
+            marker = read_done_marker(folder)
         except CorruptMarkerError:
-            markers[output_dir] = None
-            continue
-        if marker is not None:
-            markers[output_dir] = (marker[0], marker[1], ExitClass(marker[2]))
-    return markers
+            marker = ()
+        yield task, folder, marker and (marker[0], marker[1], ExitClass(marker[2]))
 
 
 def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], dict[str, ExitClass]]:
@@ -142,18 +104,18 @@ def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], 
     a corrupt or stale marker is moved aside (suffix ``.stale.<k>``) so the
     rerun starts clean without destroying evidence.
     """
-    root = Path(results_root)
-    markers = read_done_markers(root, (task.output_dir for task in plan.tasks))
     pending: list[Task] = []
     done: dict[str, ExitClass] = {}
-    for task in plan.tasks:
-        if task.output_dir not in markers:
-            pending.append(task)
-        elif (marker := markers[task.output_dir]) and marker[:2] == (task.contract.content_hash, plan.args_digest):
+    for task, folder, marker in done_markers(results_root, plan.tasks):
+        if marker and marker[:2] == (task.contract.content_hash, plan.args_digest):
             done[task.output_dir] = marker[2]
-        else:
-            _archive_stale(root / task.output_dir)
-            pending.append(task)
+            continue
+        if marker is not None:  # corrupt or stale
+            k = 1
+            while os.path.lexists(f"{folder}.stale.{k}"):
+                k += 1
+            os.rename(folder, f"{folder}.stale.{k}")
+        pending.append(task)
     return pending, done
 
 
@@ -204,26 +166,14 @@ class TaskResult(NamedTuple):
         return self.exit_class
 
 
-class _RunSummary(NamedTuple):
-    total: int
-    skipped_as_done: int
-    tally: Counter[ExitClass | str] | None = None  # None: a new Counter
-    finished: dict[str, ExitClass] | None = None  # output dir -> exit class of every done task; None: a new dict
-    infra_errors: dict[str, str] | None = None  # output dir -> message, per unfinished task; None: a new dict
-
-
-class RunSummary(_RunSummary):
+class RunSummary(NamedTuple):
     """The record of one run; ``tally`` counts the tasks it executed by ``TaskResult.tally_key``."""
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        return self._replace(
-            tally=Counter() if self.tally is None else self.tally,
-            finished={} if self.finished is None else self.finished,
-            infra_errors={} if self.infra_errors is None else self.infra_errors,
-        )
+    total: int
+    skipped_as_done: int
+    tally: Counter[ExitClass | str]
+    finished: dict[str, ExitClass]  # output dir -> exit class of every done task
+    infra_errors: dict[str, str]  # output dir -> message, per unfinished task
 
     @property
     def executed(self) -> int:
@@ -246,31 +196,30 @@ class TaskExecutor:
     def run_task(
         self, task: Task, results_root: Path, compilers: VerifiedCompilers, volume: ScratchVolume
     ) -> TaskResult:
-        if (link := _symlink_in(results_root, task.output_dir)) is not None:
-            return TaskResult(task, error=f"{link} is a symlink; nothing is read or written through it")
         try:
+            folder = taskdir.folder(results_root, task.output_dir)
             record, raw, aborted = execute(
                 task,
                 self.backend,
                 compilers=compilers,
-                results_root=results_root,
+                folder=folder,
                 image_digest=self.plan.image_digests[task.tool.image_ref],
                 volume=volume,
             )
+            if aborted:
+                # No done marker: the task must rerun on resume.
+                return TaskResult(task, aborted=True)
+            exit_class = finalize(
+                results_root,
+                folder,
+                record,
+                raw,
+                self.registry.parser_for(task.tool),
+                task.contract.content_hash,
+                self.plan.args_digest,
+            )
         except HarnessError as exc:
             return TaskResult(task, error=str(exc))
-        if aborted:
-            # No done marker: the task must rerun on resume.
-            return TaskResult(task, aborted=True)
-        exit_class = finalize(
-            results_root,
-            task.output_dir,
-            record,
-            raw,
-            self.registry.parser_for(task.tool),
-            task.contract.content_hash,
-            self.plan.args_digest,
-        )
         return TaskResult(task, exit_class=exit_class)
 
 
@@ -361,7 +310,7 @@ class Runner:
         plan = self.executor.plan
         pending, done = resume_filter(plan, self.results_root)
         compilers = self._verify_compilers(pending)
-        summary = RunSummary(total=len(plan.tasks), skipped_as_done=len(done), finished=done)
+        summary = RunSummary(len(plan.tasks), len(done), Counter(), done, {})
         self._queue = deque(permute(pending, plan.seed))
         args = (summary, len(pending), compilers)
         _in_threads("scanmux-worker", self._worker, [args] * min(self.workers, max(len(pending), 1)))

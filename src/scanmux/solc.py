@@ -396,7 +396,7 @@ def ensure_compiler(
                 )
         try:
             return cache.store(version, data)
-        except OSError as exc:
+        except (OSError, HarnessError) as exc:  # replacing names the file in a HarnessError
             raise HarnessError(f"compiler {version}: cannot store it in {cache.cache_dir}: {exc}") from exc
     raise DownloadFailedError(f"could not fetch compiler {version}: {last_error}", FETCH_ATTEMPTS)
 

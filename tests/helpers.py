@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import scanmux
@@ -179,3 +180,24 @@ def run_python(script: str, *args: str, timeout: float = 120.0) -> subprocess.Co
     return subprocess.run(
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=timeout
     )
+
+
+def settle_interned_strings(room: int = 50_000) -> None:
+    """Leave CPython's table of interned strings room for ``room`` more, so that no traced window pays for growing it.
+
+    pathlib interns each part of each path it parses. Once enough interned
+    strings have come and gone, the table is rebuilt, allocating up to a few
+    MiB at once in whichever call crosses that line, so the line moves with
+    everything that ran before. This interns and holds fresh strings until,
+    past ``room`` of them, it sees the table grow (a jump of traced memory),
+    then drops them. A table grows to at least three times the strings it
+    holds, so it then has room for ``room`` more. Call it with tracemalloc
+    stopped.
+    """
+    tracemalloc.start()
+    held: list[str] = []
+    before = 0
+    while len(held) < room or tracemalloc.get_traced_memory()[0] - before < 1 << 19:
+        before = tracemalloc.get_traced_memory()[0]
+        held.append(sys.intern(f"settle-{len(held)}"))
+    tracemalloc.stop()

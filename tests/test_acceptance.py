@@ -424,7 +424,7 @@ def test_criterion_7_timeout_enforced(tmp_path, release_index, volume):
     assert result.exit_class is ExitClass.TIMEOUT
     # cut off near the 1s limit; a broken timeout would run the full 3s sleep
     out_dir = root / plan.tasks[0].output_dir
-    assert 0.9 <= read_meta(out_dir / "meta.json").duration <= 2.5
+    assert 0.9 <= read_meta(out_dir).duration <= 2.5
     marker = read_done_marker(out_dir)
     assert marker is not None and marker[2] == "timeout"
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import fcntl
 import json
 import os
@@ -11,6 +12,7 @@ import signal
 import subprocess
 import sys
 import sysconfig
+import tempfile
 import threading
 from pathlib import Path
 
@@ -26,11 +28,8 @@ from scanmux.cli import (
     _split_tool_args,
 )
 from scanmux.executor import (
-    META_FILENAME,
     PULL_TIMEOUT_SECONDS,
     QUERY_TIMEOUT_SECONDS,
-    RAW_DIRNAME,
-    STDOUT_FILENAME,
     BackendFailureError,
     MockBackend,
 )
@@ -42,6 +41,7 @@ from scanmux.registry import load_registry
 from scanmux.reporting import FINDINGS_FILENAME, SARIF_FILENAME, SUMMARY_FILENAME
 from scanmux.runner import Runner, read_done_marker
 from scanmux.solc import MockCompilerFetcher, SemVer
+from scanmux.taskdir import META, RAW, STDOUT
 
 from helpers import run_python, write_corpus, write_tool_dir
 from test_acceptance import tree_digest
@@ -831,6 +831,38 @@ class TestRunCommand:
         assert host_tree() == before
         assert json.loads((results / SUMMARY_FILENAME).read_text())["incomplete"] == ["a/mythril"]
 
+    @pytest.mark.parametrize("member", [RAW, META])
+    def test_pending_task_whose_member_is_a_symlink_completes(self, tmp_path, capsys, member):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "a.rt.hex").write_text("0x6080604052\n")
+        results, host = tmp_path / "res", tmp_path / "host"
+        argv = ["run", "-f", f"{tmp_path}/c/*", "--backend", "mock", "--results", str(results),
+                "--compiler-cache", str(tmp_path / "cc"), "-t", "mythril"]
+        assert main(argv) == 0
+        task = results / "a" / "mythril"
+
+        def files() -> dict[str, bytes]:  # but meta.json, which holds timings
+            return {p.relative_to(task).as_posix(): p.read_bytes() for p in task.rglob("*")
+                    if p.is_file() and p.name != META}
+
+        finished = files()
+        (task / "done").unlink()  # pending again, and the member now leads to the host
+        if member == RAW:
+            shutil.rmtree(task / RAW)
+            host.mkdir()
+            (host / STDOUT).write_text("host file\n")
+        else:
+            (task / META).unlink()
+            host.write_text("host file\n")
+        (task / member).symlink_to(host)
+        before = {p: p.read_bytes() if p.is_file() else None for p in [host, *host.rglob("*")]}
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "executed 1 of 1 tasks" in capsys.readouterr().out
+        assert not (task / member).is_symlink()
+        assert files() == finished
+        assert {p: p.read_bytes() if p.is_file() else None for p in [host, *host.rglob("*")]} == before
+
     def test_format_override(self, tmp_path, capsys, mock_registry_dir):
         blob = tmp_path / "payload.bin"
         blob.write_text("6080fdfe")
@@ -906,13 +938,52 @@ class TestRunCommand:
         assert counts["reparse"].get("read", 0) + counts["reparse"].get("write", 0) <= 5 * n + 10, counts
         assert counts["reparse"].get("scandir", 0) == 0, counts
 
+    # Counts the opens of files under the results root (by path: a reopened descriptor is not counted) in a first
+    # run, a no-op resume and a no-op reparse, in a new interpreter.
+    OPENS = (
+        "import json, os, sys\n"
+        "import scanmux.cli\n"
+        "root, argv = sys.argv[1], sys.argv[2:]\n"
+        "opens = {}\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and isinstance(args[0], str) and args[0].startswith(root + os.sep):\n"
+        "        opens[phase] = opens.get(phase, 0) + 1\n"
+        "sys.addaudithook(hook)\n"
+        "for phase, phase_argv in [('run', argv), ('resume', argv), ('reparse', ['reparse', root])]:\n"
+        "    if scanmux.cli.main(phase_argv) != 0:\n"
+        "        sys.exit(phase + ' failed')\n"
+        "print(json.dumps(opens))\n"
+    )
+
+    def test_no_op_commands_open_a_fixed_number_of_files_per_task(self, tmp_path, mock_registry_dir):
+        def opens(n: int) -> tuple[dict, list[int]]:
+            corpus = write_corpus(tmp_path / f"contracts{n}", n_sol=2 * n, n_creation=n, n_runtime=n)
+            results = tmp_path / f"results{n}"
+            argv = run_argv(corpus, mock_registry_dir, results, tmp_path / "cc")
+            proc = run_python(self.OPENS, str(results), *argv)
+            assert proc.returncode == 0, proc.stderr
+            raw = [len(json.loads((results / task["output_dir"] / META).read_text())["result_files"])
+                   for task in json.loads((results / PLAN_LOCK_FILENAME).read_text())["tasks"]]
+            return json.loads(proc.stdout.strip().splitlines()[-1]), raw
+
+        (few, few_raw), (many, many_raw) = opens(1), opens(3)
+        assert (len(few_raw), len(many_raw)) == (12, 36)
+        # a resume reads each task's marker; a reparse its marker, meta.json, each raw/ file and result.json
+        assert many["resume"] - few["resume"] == len(many_raw) - len(few_raw), (few, many)
+        assert many["reparse"] - few["reparse"] == sum(3 + k for k in many_raw) - sum(3 + k for k in few_raw), \
+            (few, many)
+
     # A first run and then a traced no-op resume, in a new interpreter: what earlier tests left behind
-    # (say, a table of interned strings about to grow) cannot land in the traced window.
+    # (say, a table of interned strings about to grow) cannot land in the traced window, nor can the growth
+    # of that table which the first run leaves due (settle_interned_strings).
     RESUME_PEAK = (
         "import sys, tracemalloc\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from helpers import settle_interned_strings\n"
         "import scanmux.cli\n"
-        "argv = sys.argv[1:]\n"
+        "argv = sys.argv[2:]\n"
         "assert scanmux.cli.main(argv) == 0\n"
+        "settle_interned_strings()\n"
         "tracemalloc.start()\n"
         "assert scanmux.cli.main(argv) == 0\n"
         "print('traced peak', tracemalloc.get_traced_memory()[1])\n"
@@ -930,7 +1001,7 @@ class TestRunCommand:
                 (corpus / f"r{i:03d}.rt.hex").write_text(f"0x6080604052{i:04x}\n")
             argv = ["run", "-f", f"{corpus}/*", "--results", str(tmp_path / f"results{n}"),
                     "--compiler-cache", str(tmp_path / "cc"), "--backend", "mock"]
-            proc = run_python(self.RESUME_PEAK, *argv)
+            proc = run_python(self.RESUME_PEAK, str(Path(__file__).parent), *argv)
             assert proc.returncode == 0, proc.stderr
             resume = proc.stdout.split("planned ")[-1]  # the second command's output
             assert "executed 0 of" in resume
@@ -940,6 +1011,98 @@ class TestRunCommand:
         assert (few, many) == (205, 820)
         # the plan and the resume scan take ~340 bytes a task; a lock document held beside them took ~560 more
         assert (high - low) / (many - few) < 600, (low, high)
+
+
+class TestFullDisk:
+    """A write that finds the disk full ends a command with one line naming the file, and no traceback."""
+
+    NO_SPACE = os.strerror(errno.ENOSPC)
+
+    @staticmethod
+    def refuse_temp_files(monkeypatch, name: str) -> None:
+        """``tempfile.mkstemp`` fails for lack of space when it makes the temp file that replaces ``name``."""
+        mkstemp = tempfile.mkstemp
+
+        def full(*args, **kwargs):
+            if kwargs.get("prefix") == f".{name}.":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", full)
+
+    @staticmethod
+    def refuse_task_files(monkeypatch, name: str) -> None:
+        """``os.open`` fails for lack of space when it opens a task's ``name`` for writing."""
+        real_open = os.open
+
+        def full(path, flags, *args, **kwargs):
+            if isinstance(path, str) and path.endswith(os.sep + name) and flags & os.O_WRONLY:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", full)
+
+    def errors(self, capsys, results: Path) -> list[str]:
+        """The error lines on stderr; none of them a traceback, and no temp file left in the root."""
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [p.name for p in results.iterdir() if p.name.startswith(".")] == []
+        return [line for line in err.splitlines() if line.startswith(("error:", "infra error:"))]
+
+    @pytest.mark.parametrize("name", [PLAN_LOCK_FILENAME, FINDINGS_FILENAME, SARIF_FILENAME, SUMMARY_FILENAME])
+    def test_root_file_in_a_run(self, tmp_path, capsys, monkeypatch, small_corpus, mock_registry_dir, name):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
+        self.refuse_temp_files(monkeypatch, name)
+        assert main(argv) == 2
+        assert self.errors(capsys, results) == [f"error: {results / name}: cannot be written: {self.NO_SPACE}"]
+        monkeypatch.undo()
+        assert main(argv) == 0
+        reference = tmp_path / "reference"
+        assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc", "--sarif")) == 0
+        assert tree_digest(results) == tree_digest(reference)
+
+    @pytest.mark.parametrize("name", [FINDINGS_FILENAME, SARIF_FILENAME, SUMMARY_FILENAME])
+    def test_report_in_a_reparse(self, tmp_path, capsys, monkeypatch, small_corpus, mock_registry_dir, name):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")) == 0
+        (results / SUMMARY_FILENAME).unlink()  # so the reports are written again
+        capsys.readouterr()
+        self.refuse_temp_files(monkeypatch, name)
+        assert main(["reparse", str(results), "--sarif"]) == 2
+        assert self.errors(capsys, results) == [f"error: {results / name}: cannot be written: {self.NO_SPACE}"]
+        monkeypatch.undo()
+        assert main(["reparse", str(results), "--sarif"]) == 0
+
+    @pytest.mark.parametrize("name", [META, "result.json"])
+    def test_task_file_in_a_run(self, tmp_path, capsys, monkeypatch, small_corpus, mock_registry_dir, name):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        self.refuse_task_files(monkeypatch, name)
+        assert main(argv) == 3
+        dirs = sorted(task["output_dir"] for task in json.loads((results / PLAN_LOCK_FILENAME).read_text())["tasks"])
+        assert self.errors(capsys, results) == [
+            f"infra error: {d}: {results / d / name}: cannot be written: {self.NO_SPACE}" for d in dirs
+        ]
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert f"executed {len(dirs)} of {len(dirs)} tasks" in capsys.readouterr().out
+        reference = tmp_path / "reference"
+        assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc")) == 0
+        assert tree_digest(results) == tree_digest(reference)
+
+    def test_result_file_in_a_reparse(self, tmp_path, capsys, monkeypatch, small_corpus, mock_registry_dir):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        damaged = sorted(results.rglob("result.json"))[0]
+        damaged.write_bytes(b"{}\n")  # differs from what the reparse encodes, so it is written again
+        capsys.readouterr()
+        self.refuse_task_files(monkeypatch, "result.json")
+        assert main(["reparse", str(results)]) == 2
+        assert self.errors(capsys, results) == [f"error: {damaged}: cannot be written: {self.NO_SPACE}"]
+        monkeypatch.undo()
+        assert main(["reparse", str(results)]) == 0
+        assert damaged.read_bytes() != b"{}\n"
 
 
 class TestReparseCommand:
@@ -1037,7 +1200,7 @@ class TestReparseCommand:
         secret = tmp_path / "secret.txt"
         secret.write_text("VULN: Reentrancy at line 1\n")
         task = sorted(results.rglob("done"))[0].parent
-        raw = task / RAW_DIRNAME
+        raw = task / RAW
         name = {"dotdot": os.path.relpath(secret, raw), "absolute": str(secret), "symlink": "leak",
                 "symlinked-raw": secret.name, "symlinked-dir": f"leak/{secret.name}"}[escape]
         if escape == "symlink":
@@ -1049,9 +1212,9 @@ class TestReparseCommand:
                 stored.rename(tmp_path / stored.name)
             raw.rmdir()
             raw.symlink_to(tmp_path)
-        meta = json.loads((task / META_FILENAME).read_text())
+        meta = json.loads((task / META).read_text())
         meta["result_files"].append(name)
-        (task / META_FILENAME).write_text(json.dumps(meta))
+        (task / META).write_text(json.dumps(meta))
         kept = {p: p.read_bytes() for p in (task / "result.json", task / "done")}
         capsys.readouterr()
         assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
@@ -1066,7 +1229,7 @@ class TestReparseCommand:
                         "--tools", "mythril", "--mock-fixtures", str(fixtures))
         assert main(argv) == 0
         tasks = sorted(p.parent for p in results.rglob("done"))
-        (tasks[0] / RAW_DIRNAME / STDOUT_FILENAME).write_bytes(HOSTILE[hostile])
+        (tasks[0] / RAW / STDOUT).write_bytes(HOSTILE[hostile])
         assert main(["reparse", str(results)]) == 0, capsys.readouterr().err
         assert json.loads((tasks[0] / "result.json").read_text())["failures"] == ["unparseable tool output: stdout"]
         totals = json.loads((results / "summary.json").read_text())["totals"]
@@ -1295,10 +1458,10 @@ class TestReparseCommand:
         damaged.write_bytes(b"{}\n")  # differs from what the reparse encodes, so it must be rewritten
         torn = []
 
-        def write_half_then_fail(path, report):  # as a full disk leaves it
-            torn.append(Path(path))
+        def write_half_then_fail(folder, report):  # as a full disk leaves it
+            torn.append(Path(folder) / "result.json")
             data = report_bytes(report)
-            Path(path).write_bytes(data[: len(data) // 2])
+            torn[-1].write_bytes(data[: len(data) // 2])
             raise OSError("No space left on device")
 
         monkeypatch.setattr("scanmux.runner.write_report", write_half_then_fail)

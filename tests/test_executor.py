@@ -421,9 +421,8 @@ class TestMeta:
             limit_hit=LimitHit.TIMEOUT,
             result_files=("stdout", "stderr"),
         )
-        path = tmp_path / "meta.json"
-        write_meta(path, record)
-        back = read_meta(path)
+        write_meta(tmp_path, record)
+        back = read_meta(tmp_path)
         assert back == record
 
     def test_extra_fields_survive_as_json(self, tmp_path):
@@ -431,9 +430,8 @@ class TestMeta:
             started_at=0, finished_at=1, duration=1, exit_code=0, args="a",
             tool_id="t", version_label="1", image_digest="d",
         )
-        path = tmp_path / "meta.json"
-        write_meta(path, record, {"warnings": ["w"]})
-        doc = json.loads(path.read_text())
+        write_meta(tmp_path, record, {"warnings": ["w"]})
+        doc = json.loads((tmp_path / "meta.json").read_text())
         assert doc["warnings"] == ["w"]
 
 
@@ -445,7 +443,7 @@ class TestExecute:
         root = tmp_path / "results"
         with ScratchVolume() as volume:
             record, raw, aborted = execute(
-                task, backend, compilers={}, results_root=root, image_digest=digest, volume=volume
+                task, backend, compilers={}, folder=str(root / task.output_dir), image_digest=digest, volume=volume
             )
         return task, root, record, raw, aborted
 
@@ -492,7 +490,8 @@ class TestExecute:
         digest = backend.pull("example.io/x:1")
         task = make_task(tmp_path / "src", result_sources=("stdout", "output/*.json"))
         root = tmp_path / "results"
-        record, raw, _ = execute(task, backend, compilers={}, results_root=root, image_digest=digest, volume=volume)
+        record, raw, _ = execute(task, backend, compilers={}, folder=str(root / task.output_dir), image_digest=digest,
+                                 volume=volume)
         out = root / task.output_dir
         assert raw.files == {}
         assert record.result_files == ("stdout", "stderr")
@@ -508,7 +507,7 @@ class TestExecute:
         stale = root / task.output_dir / "raw"
         stale.mkdir(parents=True)
         (stale / "leftover").write_text("junk")
-        execute(task, backend, compilers={}, results_root=root, image_digest=digest, volume=volume)
+        execute(task, backend, compilers={}, folder=str(root / task.output_dir), image_digest=digest, volume=volume)
         assert not (stale / "leftover").exists()
         assert (stale / "stdout").read_bytes() == b"fresh\n"
 
@@ -523,7 +522,8 @@ class TestExecute:
             limits=ResourceLimits(wall_timeout=0.1),
         )
         record, raw, aborted = execute(
-            task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest, volume=volume,
+            task, backend, compilers={}, folder=str(tmp_path / "r" / task.output_dir), image_digest=digest,
+            volume=volume,
         )
         assert record.exit_code == KILLED
         assert record.limit_hit is LimitHit.TIMEOUT
@@ -544,7 +544,8 @@ class TestExecute:
         backend = MockBackend({"example.io/x:1": MockToolBehavior(files={"output/r.json": "[]", "junk/x": "j"})})
         digest = backend.pull("example.io/x:1")
         task = make_task(tmp_path / "src")
-        execute(task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest, volume=volume)
+        execute(task, backend, compilers={}, folder=str(tmp_path / "r" / task.output_dir), image_digest=digest,
+                volume=volume)
         assert os.listdir(volume.path) == ["output"]
         assert os.listdir(volume.path / "output") == []
 
@@ -552,7 +553,7 @@ class TestExecute:
         backend = MockBackend(default=None)  # no scripted behavior: run raises
         digest = backend.pull("example.io/x:1")
         with pytest.raises(BackendFailureError):
-            execute(make_task(tmp_path / "src"), backend, compilers={}, results_root=tmp_path / "r",
+            execute(make_task(tmp_path / "src"), backend, compilers={}, folder=str(tmp_path / "r" / "out" / "t"),
                     image_digest=digest, volume=volume)
         assert volume.path is None
 
@@ -565,7 +566,8 @@ class TestExecute:
         else:
             task, error = make_task(tmp_path / "src", aux_files=(tmp_path / "gone.txt",)), StagingIOError
         with pytest.raises(error):
-            execute(task, backend, compilers={}, results_root=tmp_path / "r", image_digest=digest, volume=volume)
+            execute(task, backend, compilers={}, folder=str(tmp_path / "r" / task.output_dir), image_digest=digest,
+                volume=volume)
         assert volume.path is None  # the next task stages into a new volume
         assert not (tmp_path / "r").exists()
 

@@ -325,7 +325,7 @@ def _every_record():
         RunOutcome(0, b"out"),
         MockToolBehavior(stdout="hi\n"),
         TaskResult(task, exit_class=ExitClass.SUCCESS),
-        RunSummary(1, 0),
+        RunSummary(1, 0, Counter(), {}, {}),
         TaxonomyEntry("SWC-107", 1),
         CatalogEntry("Reentrancy"),
         TaskOutcome("out", "c", "c.sol", "t", "1.0", ExitClass.SUCCESS, []),
@@ -352,12 +352,10 @@ def test_a_record_refuses_assignment(record):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: RunSummary(total=0, skipped_as_done=0),
-    lambda: RunSummary(0, 0),
     lambda: RawResult(),
     lambda: _plan(),
     lambda: MockToolBehavior(),
-], ids=["RunSummary-keyword", "RunSummary-positional", "RawResult", "RunPlan", "MockToolBehavior"])
+], ids=["RawResult", "RunPlan", "MockToolBehavior"])
 def test_records_built_with_defaults_share_no_mutable_container(build):
     first, second = build(), build()
     containers = [name for name in first._fields if isinstance(getattr(first, name), Mapping)]
@@ -374,7 +372,7 @@ def test_records_built_with_defaults_share_no_mutable_container(build):
 
 def test_a_given_container_is_kept():
     tally = Counter()
-    summary = RunSummary(2, 0, tally)
+    summary = RunSummary(2, 0, tally, {}, {})
     summary.tally["x"] += 1
     assert summary.tally is tally and tally["x"] == 1
 

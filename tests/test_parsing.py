@@ -298,9 +298,9 @@ class TestReportFile:
     @given(fs=st.lists(findings, max_size=8), errs=st.lists(st.text(max_size=20), max_size=4))
     def test_roundtrip(self, fs, errs, tmp_path_factory):
         report = ParsedReport(findings=tuple(fs), errors=tuple(errs), parser_version="pv")
-        path = tmp_path_factory.mktemp("reports") / "result.json"
-        write_report(path, report)
-        assert read_findings(path) == [
+        folder = tmp_path_factory.mktemp("reports")
+        write_report(folder, report)
+        assert read_findings(folder) == [
             (f.native_label, f.message, _read_location(f.location)) for f in report.findings
         ]
 
@@ -315,19 +315,20 @@ class TestReportFile:
         '{"findings": ["x"], "errors": [], "failures": [], "parser_version": ""}',
     ])
     def test_a_file_that_holds_no_report_is_refused(self, tmp_path, text):
-        path = tmp_path / "result.json"
-        path.write_text(text)
+        (tmp_path / "result.json").write_text(text)
         with pytest.raises((ValueError, KeyError, TypeError)):
-            read_findings(path)
+            read_findings(tmp_path)
 
     def test_serialization_is_stable(self, tmp_path):
         report = ParsedReport(
             findings=(Finding("a", "m", SourceLocation(3, "f.sol"), "High"),),
             errors=("e",), failures=("f",), parser_version="1",
         )
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        write_report(a, report)
-        write_report(b, report)
+        a, b = tmp_path / "a" / "result.json", tmp_path / "b" / "result.json"
+        a.parent.mkdir()
+        b.parent.mkdir()
+        write_report(tmp_path / "a", report)
+        write_report(tmp_path / "b", report)
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().endswith("\n")
 

@@ -413,7 +413,8 @@ def test_plan_lock_interrupted_rewrite_keeps_the_previous_lock(
         raise OSError("killed during the rewrite")
 
     monkeypatch.setattr(os, "replace", killed)
-    with pytest.raises(OSError, match="killed"):  # an unchanged plan is not rewritten, so move the registry
+    # an unchanged plan is not rewritten, so move the registry
+    with pytest.raises(HarnessError, match="plan.lock: cannot be written: killed"):
         write_plan_lock(plan._replace(registry_path=str(tmp_path / "moved")), root)
     monkeypatch.undo()
     assert (root / "plan.lock").read_bytes() == before

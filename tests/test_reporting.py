@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tracemalloc
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
@@ -23,6 +24,7 @@ from scanmux.model import (
     BytecodeLocation,
     ContractFormat,
     Finding,
+    HarnessError,
     ParsedReport,
     SourceLocation,
 )
@@ -50,6 +52,8 @@ from scanmux.reporting import (
     write_sarif,
     write_summary,
 )
+
+from helpers import settle_interned_strings
 
 TAXONOMY_YAML = """\
 schema: 1
@@ -226,7 +230,7 @@ class TestNormalize:
             Finding("Oddity", "m3", BytecodeLocation(4)),
         ))
         (tmp_path / "run").mkdir()
-        write_report(tmp_path / "run" / "result.json", report)
+        write_report(tmp_path / "run", report)
         entry = LockedTask("run", "c.sol", "c.sol", "MyTool", "1.0", None)
         [collected] = collect_outcomes(tmp_path, [entry], {"run": ExitClass.SUCCESS}, taxonomy)
         assert collected.findings == [
@@ -786,7 +790,7 @@ class TestAtomicReports:
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", crash)
-        with pytest.raises(OSError):
+        with pytest.raises(HarnessError, match=re.escape(f"{path}: cannot be written: disk full")):
             write(path, content)
         monkeypatch.undo()
         assert path.read_bytes() == b"previous\n"
@@ -1008,7 +1012,7 @@ class StreamedRoot:
                 for j in range(findings)
             ))
             (root / entry.output_dir).mkdir(parents=True)
-            write_report(root / entry.output_dir / "result.json", report)
+            write_report(root / entry.output_dir, report)
             entries.append(entry)
             finished[entry.output_dir] = ExitClass.SUCCESS if i % 4 else ExitClass.TOOL_ERROR
         return entries, finished
@@ -1059,7 +1063,7 @@ class TestStreamedReports:
         for task in tasks:
             entry = task["entry"]
             (root / entry.output_dir).mkdir(parents=True)
-            write_report(root / entry.output_dir / "result.json", task["report"])
+            write_report(root / entry.output_dir, task["report"])
             if task["torn"]:
                 path = root / entry.output_dir / "result.json"
                 path.write_bytes(path.read_bytes()[:-3])
@@ -1091,7 +1095,7 @@ class TestStreamedReports:
         for sarif, times in ((False, 1), (True, 2)):
             reads.clear()
             write_reports(tmp_path, entries, 0, finished, SARIF_TAXONOMY, keys=None, bin_size=1, sarif=sarif, stamp="s")
-            assert sorted(reads) == sorted([str(tmp_path / e.output_dir / "result.json") for e in entries] * times)
+            assert sorted(reads) == sorted([str(tmp_path / e.output_dir) for e in entries] * times)
 
     def test_report_memory_does_not_grow_with_the_findings(self, tmp_path):
         keys = {f"c{i}.sol": i * 1000 for i in range(7)}
@@ -1099,6 +1103,7 @@ class TestStreamedReports:
         def peak(tasks: int) -> int:
             root = tmp_path / str(tasks)
             entries, finished = StreamedRoot.write(root, tasks=tasks, findings=60)
+            settle_interned_strings()  # the SARIF locations parse a path per finding
             tracemalloc.start()
             try:
                 write_reports(root, entries, 0, finished, SARIF_TAXONOMY, keys=keys, bin_size=10, sarif=True,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scanmux.executor import META_FILENAME, MockBackend, MockToolBehavior, read_meta, read_raw
+from scanmux.executor import MockBackend, MockToolBehavior, read_meta, read_raw
 from scanmux.parsing import ExitClass, read_findings, write_report
 from scanmux.reporting import SUMMARY_FILENAME
 from scanmux.runner import (
@@ -155,7 +155,7 @@ class TestTaskExecutor:
         assert (out / "meta.json").exists()
         marker = read_done_marker(out)
         assert marker == (task.contract.content_hash, plan.args_digest, "success")
-        assert len(read_findings(out / "result.json")) == 1
+        assert len(read_findings(out)) == 1
 
     def test_aborted_task_leaves_no_marker(self, wired, tmp_path, volume):
         behaviors = {IMG["delta"]: MockToolBehavior(sleep_s=60)}
@@ -180,9 +180,9 @@ class TestFinalize:
         out = tmp_path / task.output_dir
 
         def again(stored):
-            record = read_meta(out / META_FILENAME)
+            record = read_meta(out)
             return finalize(
-                tmp_path, task.output_dir, record, read_raw(out, record.result_files),
+                tmp_path, out, record, read_raw(out, record.result_files),
                 executor.registry.parser_for(task.tool), task.contract.content_hash, plan.args_digest,
                 stored=stored,
             )
@@ -208,15 +208,15 @@ class TestFinalize:
             (out / "result.json").write_bytes(result_json)
         summary_at_write = []
 
-        def watched(path, report):
+        def watched(folder, report):
             summary_at_write.append((tmp_path / SUMMARY_FILENAME).exists())
-            write_report(path, report)
+            write_report(folder, report)
 
         monkeypatch.setattr("scanmux.runner.write_report", watched)
         assert again(stored) is ExitClass.SUCCESS
         assert summary_at_write == [False]
         assert read_done_marker(out)[2] == "success"
-        assert len(read_findings(out / "result.json")) == 1
+        assert len(read_findings(out)) == 1
 
 
 class TestRunner:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scanmux.model import HarnessError
 from scanmux.solc import (
     MIN_SUPPORTED,
     CompilerCache,
@@ -304,7 +305,7 @@ def test_store_failure_keeps_previous_index(tmp_path: Path, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", crash)
-    with pytest.raises(OSError):
+    with pytest.raises(HarnessError, match="solc-0.8.4: cannot be written: disk full"):
         cache.store(SemVer.parse("0.8.4"), b"new")
     monkeypatch.undo()
     assert sorted(p.name for p in cache.cache_dir.iterdir()) == before
