@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import fcntl
+import gc
 import os
 import re
 import signal
@@ -313,6 +315,7 @@ def cmd_reparse(args) -> int:
                    for (tool_id, version), tool in tools.items() if tool is None]
         if missing:  # checked before the loop, so a refused reparse rewrites nothing
             raise PlanningError(missing)
+        registry.build_parsers(tools.values())  # before the loop too: a bad parser file rewrites nothing
 
         finished: dict[str, ExitClass] = {}
         reparsed = 0
@@ -341,6 +344,7 @@ def cmd_reparse(args) -> int:
 
 def cmd_tools(args) -> int:
     registry = load_registry(_registry_dir(args))
+    registry.build_parsers()  # the whole-registry check: every parser file is decoded and checked
     columns = list(ContractFormat)
     rows = [
         (t.tool_id, t.version_label, *("x" if f in t.supported_formats else "-" for f in columns))
@@ -358,6 +362,9 @@ def cmd_tools(args) -> int:
 
 
 def main(argv=None) -> int:
+    # At exit the interpreter's last collections then skip what is still alive, which the OS frees anyway.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -7,9 +7,7 @@ import fnmatch
 import hashlib
 import json
 import os
-import shlex
 import shutil
-import subprocess
 import tempfile
 import threading
 import time
@@ -244,6 +242,8 @@ class DockerCliBackend(ContainerBackend):
         self._abort_requested = False
 
     def available(self) -> bool:
+        import subprocess
+
         if shutil.which(self.binary) is None:
             return False
         try:  # a hung or vanished engine is as unavailable as a stopped one
@@ -253,6 +253,9 @@ class DockerCliBackend(ContainerBackend):
         return probe.returncode == 0
 
     def pull(self, image_ref: str) -> str:
+        import shlex
+        import subprocess
+
         try:
             pull = subprocess.run(
                 [self.binary, "pull", image_ref],
@@ -276,6 +279,8 @@ class DockerCliBackend(ContainerBackend):
 
     def run_argv(self, image: str, volume_dir: Path, command: str, limits: ResourceLimits) -> list[str]:
         """Argv of the engine invocation; split out for testability."""
+        import shlex
+
         # A staged compiler may be a hard link to the cache's own file, so
         # it is mounted read-only over the writable volume.
         compiler = volume_dir / COMPILER_FILENAME
@@ -296,6 +301,8 @@ class DockerCliBackend(ContainerBackend):
         ]
 
     def run(self, image_digest: str, volume_dir: Path, command: str, limits: ResourceLimits) -> RunOutcome:
+        import subprocess
+
         argv = self.run_argv(image_digest, volume_dir, command, limits)
         with self._kill_lock:
             if self._abort_requested:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import string
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -48,7 +47,7 @@ BYTECODE_FORMATS = frozenset(
     {ContractFormat.CREATION_BYTECODE, ContractFormat.RUNTIME_CODE}
 )
 
-_HEX_DIGITS = frozenset(string.hexdigits)
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def content_hash(data: bytes) -> str:

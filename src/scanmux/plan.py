@@ -6,7 +6,7 @@ import glob as globlib
 import hashlib
 import json
 import re
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .executor import ContainerBackend
@@ -114,12 +114,12 @@ def discover_contracts(
 
 def filename_stem(contract_id: str) -> str:
     """Base name of a contract path with the format extension removed."""
-    name = PurePosixPath(contract_id).name
+    name = contract_id.rpartition("/")[2]
     for ext, _ in _EXTENSION_FORMATS:
         if name.endswith(ext) and len(name) > len(ext):
             return name[: -len(ext)]
-    stem = PurePosixPath(name).stem
-    return stem or name
+    dot = name.rfind(".")  # pathlib's stem: a leading or trailing dot starts no suffix
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def validate_scheme(scheme: str) -> None:

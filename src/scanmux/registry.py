@@ -7,7 +7,8 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import yaml
 
@@ -118,14 +119,37 @@ class ParserSpec(_ParserSpec):
 
 
 class Registry(NamedTuple):
-    """Validated, read-only set of tool and parser specs."""
+    """Validated tool specs, each tool's parser built from its parser file on first use.
+
+    ``parsers`` is the memo, parser ref -> spec, filled one parser file at a
+    time. ``parser_files`` maps each tool directory's name to the directory
+    and the bytes of its parser file that the content digest was taken
+    from, None when it has none.
+    """
 
     tools: tuple[ToolSpec, ...]
-    parsers: Mapping[str, ParserSpec]
+    parsers: dict[str, ParserSpec]
     content_digest: str
+    parser_files: Mapping[str, tuple[Path, bytes | None]] = MappingProxyType({})
 
     def parser_for(self, tool: ToolSpec) -> ParserSpec:
-        return self.parsers[tool.parser_ref]
+        """The parser of ``tool``; the first call for a parser file decodes, checks and compiles all of it."""
+        spec = self.parsers.get(tool.parser_ref)
+        if spec is None:
+            dir_name, _, name = tool.parser_ref.partition("/")
+            tool_dir, data = self.parser_files[dir_name]
+            self.parsers.update(_load_parser_file(tool_dir, data))
+            spec = self.parsers.get(tool.parser_ref)
+            if spec is None:
+                raise DanglingParserRefError(
+                    f"{tool_dir / CONFIG_FILENAME}: parser {name!r} has no rules in {PARSER_FILENAME}"
+                )
+        return spec
+
+    def build_parsers(self, tools: Iterable[ToolSpec] | None = None) -> None:
+        """Build the parser of each of ``tools`` (default: every tool), so that a bad parser file fails here."""
+        for tool in {t.key: t for t in (self.tools if tools is None else tools)}.values():
+            self.parser_for(tool)
 
     def find(self, tool_id: str, version_label: str) -> ToolSpec | None:
         for tool in self.tools:
@@ -139,9 +163,21 @@ def _fail(path: Path, message: str, line: int | None = None) -> None:
     raise ConfigSyntaxError(f"{where}: {message}")
 
 
-def _load_yaml(path: Path) -> dict:
+def _read(path: Path) -> bytes | None:
+    """The bytes of ``path``, or None when there is no such file."""
     try:
-        doc = load_yaml(path.read_text(encoding="utf-8"))
+        return path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
+        _fail(path, f"cannot be read: {exc.strerror or exc}")
+
+
+def _load_yaml(path: Path, data: bytes) -> dict:
+    try:
+        doc = load_yaml(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        _fail(path, f"not UTF-8: byte {exc.start} cannot be decoded")
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         _fail(path, f"invalid YAML: {getattr(exc, 'problem', exc)}", None if mark is None else mark.line + 1)
@@ -200,11 +236,23 @@ def _parse_parser_spec(name: str, raw: dict, path: Path) -> ParserSpec:
         _fail(path, str(exc))
 
 
-def _load_tool_dir(tool_dir: Path) -> tuple[ToolSpec, dict[str, ParserSpec]]:
-    config_path = tool_dir / CONFIG_FILENAME
-    if not config_path.exists():
-        _fail(config_path, "missing tool configuration")
-    doc = _load_yaml(config_path)
+def _load_parser_file(tool_dir: Path, data: bytes | None) -> dict[str, ParserSpec]:
+    """Parser ref -> spec for each parser in ``tool_dir``'s parser file, whose bytes are ``data``."""
+    if data is None:
+        return {}
+    parser_path = tool_dir / PARSER_FILENAME
+    raw_parsers = _load_yaml(parser_path, data).get("parsers")
+    if not isinstance(raw_parsers, dict) or not raw_parsers:
+        _fail(parser_path, "expected a nonempty parsers mapping")
+    return {
+        f"{tool_dir.name}/{name}": _parse_parser_spec(str(name), raw, parser_path)
+        for name, raw in raw_parsers.items()
+    }
+
+
+def _load_tool(config_path: Path, data: bytes) -> ToolSpec:
+    tool_dir = config_path.parent
+    doc = _load_yaml(config_path, data)
 
     tool_id = str(_require(doc, "id", config_path)).lower()
     version = str(_require(doc, "version", config_path))
@@ -227,39 +275,20 @@ def _load_tool_dir(tool_dir: Path) -> tuple[ToolSpec, dict[str, ParserSpec]]:
     for aux in aux_files:
         if not aux.exists():
             _fail(config_path, f"aux file {aux.name!r} not found in tool directory")
-
-    parsers: dict[str, ParserSpec] = {}
-    parser_path = tool_dir / PARSER_FILENAME
-    if parser_path.exists():
-        parser_doc = _load_yaml(parser_path)
-        raw_parsers = parser_doc.get("parsers")
-        if not isinstance(raw_parsers, dict) or not raw_parsers:
-            _fail(parser_path, "expected a nonempty parsers mapping")
-        for name, raw in raw_parsers.items():
-            parsers[str(name)] = _parse_parser_spec(str(name), raw, parser_path)
-
-    if parser_name not in parsers:
-        raise DanglingParserRefError(
-            f"{config_path}: parser {parser_name!r} has no rules in {PARSER_FILENAME}"
-        )
-
-    parser_ref = f"{tool_dir.name}/{parser_name}"
     try:
-        tool = ToolSpec(
+        return ToolSpec(
             tool_id=tool_id,
             version_label=version,
             image_ref=image,
             supported_formats=formats,
             invocation=invocation,
             result_sources=tuple(str(r) for r in results),
-            parser_ref=parser_ref,
+            parser_ref=f"{tool_dir.name}/{parser_name}",
             needs_compiler=bool(doc.get("needs_compiler", False)),
             aux_files=aux_files,
         )
     except ValueError as exc:
         _fail(config_path, str(exc))
-    scoped = {f"{tool_dir.name}/{name}": spec for name, spec in parsers.items()}
-    return tool, scoped
 
 
 def load_registry(registry_dir: str | Path) -> Registry:
@@ -267,16 +296,22 @@ def load_registry(registry_dir: str | Path) -> Registry:
 
     Returns tools in deterministic order (lexicographic by tool id, then
     version label). Duplicate (tool_id, version_label) pairs are rejected.
+    Each file is read once: its bytes feed the content digest, and a parser
+    file's are kept for ``Registry.parser_for`` to decode and check.
     """
     root = Path(registry_dir)
     if not root.is_dir():
         raise ConfigSyntaxError(f"{root}: not a directory")
     tools: list[ToolSpec] = []
-    parsers: dict[str, ParserSpec] = {}
+    parser_files: dict[str, tuple[Path, bytes | None]] = {}
     seen: dict[tuple[str, str], Path] = {}
     hasher = hashlib.sha256()
     for tool_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        tool, scoped = _load_tool_dir(tool_dir)
+        config_path = tool_dir / CONFIG_FILENAME
+        config = _read(config_path)
+        if config is None:
+            _fail(config_path, "missing tool configuration")
+        tool = _load_tool(config_path, config)
         key = (tool.tool_id, tool.version_label)
         if key in seen:
             raise DuplicateToolError(
@@ -284,14 +319,13 @@ def load_registry(registry_dir: str | Path) -> Registry:
             )
         seen[key] = tool_dir
         tools.append(tool)
-        parsers.update(scoped)
+        parser = _read(tool_dir / PARSER_FILENAME)
+        parser_files[tool_dir.name] = (tool_dir, parser)
         hasher.update(tool_dir.name.encode())
-        hasher.update((tool_dir / CONFIG_FILENAME).read_bytes())
-        parser_path = tool_dir / PARSER_FILENAME
-        if parser_path.exists():
-            hasher.update(parser_path.read_bytes())
+        hasher.update(config)
+        hasher.update(parser or b"")
     tools.sort(key=lambda t: (t.tool_id, t.version_label))
-    return Registry(tools=tuple(tools), parsers=parsers, content_digest=hasher.hexdigest())
+    return Registry(tools=tuple(tools), parsers={}, content_digest=hasher.hexdigest(), parser_files=parser_files)
 
 
 def resolve_tools(registry: Registry, requested: Sequence[str]) -> list[ToolSpec]:

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
-import numbers
 import os
 from itertools import groupby
 from operator import attrgetter
@@ -154,12 +152,12 @@ def collect_outcomes(
         yield TaskOutcome(output_dir, contract_id, source_path, tool_id, version_label, exit_class, findings)
 
 
-def _sarif_location(outcome: TaskOutcome, location: tuple | int) -> dict:
+def _sarif_location(outcome: TaskOutcome, location: tuple | int, uri: Callable[[str], str]) -> dict:
     if isinstance(location, tuple):
         line, file = location
         return {
             "physicalLocation": {
-                "artifactLocation": {"uri": Path(file or outcome.source_path).as_posix()},
+                "artifactLocation": {"uri": uri(file or outcome.source_path)},
                 "region": {"startLine": max(1, line)},
             }
         }
@@ -188,13 +186,16 @@ def emit_sarif(outcomes: Iterable[TaskOutcome], taxonomy: TaxonomyMap) -> dict:
     whose rules are the SWC ids the run's results used ("results" sorts
     before "tool").
     """
+    uri = functools.cache(lambda path: Path(path).as_posix())  # each distinct path is normalized once
     return _sarif_document(
-        _sarif_run(tool_id, version_label, group, taxonomy)
+        _sarif_run(tool_id, version_label, group, taxonomy, uri)
         for (tool_id, version_label), group in groupby(outcomes, key=attrgetter("tool_id", "version_label"))
     )
 
 
-def _sarif_run(tool_id: str, version_label: str, outcomes: Iterable[TaskOutcome], taxonomy: TaxonomyMap) -> dict:
+def _sarif_run(
+    tool_id: str, version_label: str, outcomes: Iterable[TaskOutcome], taxonomy: TaxonomyMap, uri: Callable[[str], str]
+) -> dict:
     used_swc: set[str] = set()
 
     def results():
@@ -204,7 +205,7 @@ def _sarif_run(tool_id: str, version_label: str, outcomes: Iterable[TaskOutcome]
                     used_swc.add(swc_id)
                 result = {"ruleId": swc_id or label, "level": "warning", "message": {"text": message}}
                 if location is not None:
-                    result["locations"] = [_sarif_location(outcome, location)]
+                    result["locations"] = [_sarif_location(outcome, location, uri)]
                 yield result
 
     def tool() -> dict:
@@ -297,6 +298,8 @@ def _compile(schema, definitions: dict, resolving: tuple) -> Callable[[object], 
         elif key == "minLength":
             checks.append(lambda x, n=value: not isinstance(x, str) or len(x) >= n)
         elif key == "minimum":
+            import numbers
+
             checks.append(
                 lambda x, m=value: isinstance(x, bool) or not isinstance(x, numbers.Number) or x >= m
             )
@@ -517,6 +520,8 @@ def _location_text(outcome: TaskOutcome, location: tuple | int | None) -> str:
 
 def write_findings_csv(path: str | Path, outcomes: Iterable[TaskOutcome]) -> None:
     """One row per finding, in the outcomes' order; the task column is the task's output dir."""
+    import csv
+
     # A tool's JSON can escape a lone surrogate into a label; UTF-8 cannot hold it.
     with replacing(Path(path), 0o644, encoding="utf-8", errors="backslashreplace", newline="") as f:
         writer = csv.writer(f)
@@ -574,6 +579,8 @@ def write_reports(
 def read_keys(path: str | Path) -> dict[str, int]:
     """contract id -> integer key. Lines with a non-integer key column are
     treated as headers or comments and skipped."""
+    import csv
+
     out: dict[str, int] = {}
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for row in csv.reader(fh):

@@ -310,6 +310,7 @@ class Runner:
         plan = self.executor.plan
         pending, done = resume_filter(plan, self.results_root)
         compilers = self._verify_compilers(pending)
+        self.executor.registry.build_parsers(task.tool for task in pending)  # workers then only read the memo
         summary = RunSummary(len(plan.tasks), len(done), Counter(), done, {})
         self._queue = deque(permute(pending, plan.seed))
         args = (summary, len(pending), compilers)

@@ -305,16 +305,22 @@ class CompilerCache:
         return self.cache_dir / f"solc-{version}"
 
     def _load_index(self) -> None:
-        if not self.index_path.exists():
+        try:
+            data = self.index_path.read_bytes()
+        except (FileNotFoundError, NotADirectoryError):  # no index yet; storing there reports a bad cache dir
             return
-        for raw in self.index_path.read_text(encoding="utf-8").splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        except OSError as exc:
+            raise HarnessError(
+                f"{self.index_path}: compiler cache index cannot be read: {exc.strerror or exc}"
+            ) from None
+        for raw in data.splitlines():
             try:
+                line = raw.decode("utf-8").strip()
+                if not line or line.startswith("#"):
+                    continue
                 version_s, digest, size_s = line.split()
                 self._index[SemVer.parse(version_s)] = (digest, int(size_s))
-            except ValueError:  # a torn or hand-edited line: that version is fetched again
+            except ValueError:  # a torn, undecodable or hand-edited line: that version is fetched again
                 continue
 
     def known_versions(self) -> tuple[SemVer, ...]:

@@ -43,9 +43,10 @@ from scanmux.runner import Runner, read_done_marker
 from scanmux.solc import MockCompilerFetcher, SemVer
 from scanmux.taskdir import META, RAW, STDOUT
 
-from helpers import run_python, write_corpus, write_tool_dir
+from helpers import MOCK_TOOLS, run_python, write_corpus, write_tool_dir
 from test_acceptance import tree_digest
 from test_parsing import BUNDLED, HOSTILE
+from test_registry import READ_FAULTS, damage
 
 
 class TestParseMemory:
@@ -151,6 +152,17 @@ class TestToolsCommand:
         assert len(lines) == 1 + 5 + 1
         assert lines[1].split() == ["alpha", "1.0", "x", "-", "-"]
         assert lines[-1].split() == ["total", "5", "tools", "3", "2", "4"]
+
+    @pytest.mark.parametrize("fault", sorted(READ_FAULTS))
+    @pytest.mark.parametrize("name", ["config.yaml", "parser.yaml"])
+    def test_registry_file_that_cannot_be_read_or_decoded_exits_2(
+        self, capsys, mock_registry_dir, name, fault
+    ):
+        path = mock_registry_dir / "charlie" / name
+        damage(path, fault)
+        assert main(["tools", "--registry", str(mock_registry_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {READ_FAULTS[fault]}") and err.count("\n") == 1, err
 
 
 def run_argv(corpus: Path, registry: Path, results: Path, cache: Path, *extra: str) -> list[str]:
@@ -707,7 +719,7 @@ class TestRunCommand:
             raise failure
 
         monkeypatch.setattr("scanmux.executor.shutil.which", lambda name: f"/usr/bin/{name}")
-        monkeypatch.setattr("scanmux.executor.subprocess.run", probe)
+        monkeypatch.setattr("subprocess.run", probe)
         argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc")
         assert main([a for a in argv if a not in ("--backend", "mock")]) == 3
         assert capsys.readouterr().err == "error: container engine is not available\n"
@@ -727,7 +739,7 @@ class TestRunCommand:
             return subprocess.CompletedProcess(argv, 0, stdout="sha256:feed\n", stderr="")
 
         monkeypatch.setattr(cli.DockerCliBackend, "available", lambda self: True)
-        monkeypatch.setattr("scanmux.executor.subprocess.run", engine)
+        monkeypatch.setattr("subprocess.run", engine)
         argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc")
         assert main([a for a in argv if a not in ("--backend", "mock")]) == 2
         err = capsys.readouterr().err
@@ -743,6 +755,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"cannot store it in {afile / 'cc'}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("fault", ["directory", "not-utf8"])
+    def test_compiler_cache_index_that_cannot_be_read_or_decoded(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, fault
+    ):
+        index = tmp_path / "cc" / "index"
+        if fault == "directory":
+            index.mkdir(parents=True)
+        else:
+            index.parent.mkdir()
+            index.write_bytes(b"\xff\xfe")
+        code = main(run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc"))
+        err = capsys.readouterr().err
+        if fault == "directory":  # an error naming it, before the results root is made
+            assert (code, err) == (2, f"error: {index}: compiler cache index cannot be read: Is a directory\n")
+            assert not (tmp_path / "r").exists()
+        else:  # the line is skipped, so every compiler is fetched again and the index rewritten
+            assert code == 0, err
+            assert b"\xff" not in index.read_bytes()
 
     @pytest.mark.parametrize("unusable", ["under-a-file", "lock-is-a-directory"])
     def test_unusable_results_root_is_an_error_naming_it(
@@ -1011,6 +1042,100 @@ class TestRunCommand:
         assert (few, many) == (205, 820)
         # the plan and the resume scan take ~340 bytes a task; a lock document held beside them took ~560 more
         assert (high - low) / (many - few) < 600, (low, high)
+
+
+# One command in a new interpreter. The last line of stdout is [exit code, the tool directories whose parser.yaml
+# was opened (an audit hook), the tool directories whose parser file was built], each list sorted.
+PARSER_FILES = (
+    "import json, os, sys\n"
+    "opened, built = [], []\n"
+    "def hook(event, args):\n"
+    "    if event == 'open' and isinstance(args[0], str) and os.path.basename(args[0]) == 'parser.yaml':\n"
+    "        opened.append(os.path.basename(os.path.dirname(args[0])))\n"
+    "sys.addaudithook(hook)\n"
+    "from scanmux import cli, registry\n"
+    "build = registry._load_parser_file\n"
+    "def counted(tool_dir, data):\n"
+    "    built.append(tool_dir.name)\n"
+    "    return build(tool_dir, data)\n"
+    "registry._load_parser_file = counted\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(opened), sorted(built)]))\n"
+)
+
+
+class TestParserFilesOnFirstUse:
+    """A command builds (decodes, checks, compiles) only the parser files of the tools it runs or reparses.
+
+    Every command reads each parser.yaml once, since the registry's content digest covers its bytes.
+    """
+
+    ALL = sorted(MOCK_TOOLS)
+
+    @staticmethod
+    def command(*argv) -> tuple[int, list[str], list[str], str]:
+        proc = run_python(PARSER_FILES, *map(str, argv))
+        assert proc.returncode == 0, proc.stderr
+        code, opened, built = json.loads(proc.stdout.strip().splitlines()[-1])
+        return code, opened, built, proc.stderr
+
+    @staticmethod
+    def broken(registry_dir: Path, tool: str) -> Path:
+        """Give ``tool``'s parser an empty label, which fails its checks; returns the parser file."""
+        parser = registry_dir / tool / "parser.yaml"
+        parser.write_text(parser.read_text().replace("label: Weakness", "label: ''"))
+        return parser
+
+    def test_each_command_builds_only_the_parsers_it_uses(self, tmp_path, small_corpus, mock_registry_dir):
+        results = tmp_path / "r"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "-t", "charlie,delta")
+        assert self.command(*argv)[:3] == (0, self.ALL, ["charlie", "delta"])
+        assert self.command(*argv)[:3] == (0, self.ALL, [])  # a no-op resume parses nothing
+        # a task left pending: only its tool's parser is built
+        (charlie_marker,) = (p for p in results.rglob("done") if p.parent.name == "charlie")
+        charlie_marker.unlink()
+        assert self.command(*argv)[:3] == (0, self.ALL, ["charlie"])
+        assert self.command("reparse", results)[:3] == (0, self.ALL, ["charlie", "delta"])
+        assert self.command("tools", "--registry", mock_registry_dir)[:3] == (0, self.ALL, self.ALL)
+
+    def test_broken_parser_of_a_pending_tool_fails_the_run_before_any_task(
+        self, tmp_path, small_corpus, mock_registry_dir
+    ):
+        parser = self.broken(mock_registry_dir, "delta")
+        results = tmp_path / "r"
+        code, _, _, err = self.command(
+            *run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "-t", "charlie,delta")
+        )
+        assert (code, err) == (2, f"error: {parser}: parser 'default': each finding rule needs pattern and a "
+                                  "nonempty label\n")
+        assert (results / PLAN_LOCK_FILENAME).exists()  # reported after the lock write, as a bad compiler is
+        assert [p.name for p in results.rglob("*") if p.is_file()] == [PLAN_LOCK_FILENAME]  # no task ran
+
+    def test_broken_parser_of_an_unused_tool_does_not_stop_a_run(self, tmp_path, small_corpus, mock_registry_dir):
+        self.broken(mock_registry_dir, "echo")
+        argv = run_argv(small_corpus, mock_registry_dir, tmp_path / "r", tmp_path / "cc", "-t", "charlie,delta")
+        assert self.command(*argv)[:3] == (0, self.ALL, ["charlie", "delta"])
+
+    def test_reparse_refused_for_a_broken_locked_parser_rewrites_nothing(
+        self, tmp_path, small_corpus, mock_registry_dir
+    ):
+        results = tmp_path / "r"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "-t", "charlie,delta", "--sarif")
+        assert self.command(*argv)[0] == 0
+        changed = tmp_path / "changed"
+        shutil.copytree(mock_registry_dir, changed)
+        # delta's new rule alone would rewrite each delta task, and delta's tasks come first in the lock;
+        # charlie's broken parser refuses the reparse
+        delta = changed / "delta" / "parser.yaml"
+        delta.write_text(delta.read_text() + "      - '^WARN:'\n")
+        parser = self.broken(changed, "charlie")
+        before = {p: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes()) for p in results.rglob("*") if p.is_file()}
+        code, _, built, err = self.command("reparse", results, "--registry", changed, "--sarif")
+        assert (code, err) == (2, f"error: {parser}: parser 'default': each finding rule needs pattern and a "
+                                  "nonempty label\n")
+        assert "charlie" in built
+        after = {p: (p.stat().st_ino, p.stat().st_mtime_ns, p.read_bytes()) for p in results.rglob("*") if p.is_file()}
+        assert after == before
 
 
 class TestFullDisk:

@@ -341,6 +341,7 @@ class TestReportFile:
 
 
 BUNDLED = load_registry(bundled_registry())
+BUNDLED.build_parsers()  # every parser, as `scanmux tools` builds them; the memo fills lazily otherwise
 
 HOSTILE = {
     "deep-nesting": b"[" * 100_000,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import given
@@ -104,6 +104,23 @@ def test_discover_format_override(tmp_path: Path):
 ])
 def test_filename_stem(cid, stem):
     assert filename_stem(cid) == stem
+
+
+def _pathlib_filename_stem(contract_id: str) -> str:
+    """filename_stem as it was written with PurePosixPath, the reference for the string version."""
+    name = PurePosixPath(contract_id).name
+    for ext in (".rt.hex", ".hex", ".sol"):
+        if name.endswith(ext) and len(name) > len(ext):
+            return name[: -len(ext)]
+    return PurePosixPath(name).stem or name
+
+
+@pytest.mark.parametrize("cid", [
+    "dir/sub/a.sol", "a.b.sol", "x.rt.hex", "dir/x.rt.hex", "y.hex", ".hidden", "dir/.hidden",
+    "notes.txt", "dir/a.tar.gz", "README", "dir/README", ".sol", ".rt.hex", "v1.2/c", "a..sol",
+])
+def test_filename_stem_matches_pathlib(cid):
+    assert filename_stem(cid) == _pathlib_filename_stem(cid)
 
 
 def test_validate_scheme_accepts_known():

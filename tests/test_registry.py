@@ -115,8 +115,9 @@ def test_dangling_parser_ref(tmp_path: Path):
     write_tool_dir(tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"})
     cfg = tmp_path / "t" / "config.yaml"
     cfg.write_text(cfg.read_text().replace("parser: default", "parser: nosuch"))
-    with pytest.raises(DanglingParserRefError):
-        load_registry(tmp_path)
+    registry = load_registry(tmp_path)  # a parser file is checked when its parsers are built
+    with pytest.raises(DanglingParserRefError, match=r"config\.yaml: parser 'nosuch' has no rules in parser\.yaml"):
+        registry.build_parsers()
 
 
 def test_missing_schema_version(tmp_path: Path):
@@ -174,8 +175,9 @@ def test_bad_finding_regex_rejected(tmp_path: Path):
         tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"},
         parser_yaml=bad_parser,
     )
-    with pytest.raises(ConfigSyntaxError):
-        load_registry(tmp_path)
+    registry = load_registry(tmp_path)
+    with pytest.raises(ConfigSyntaxError, match=r"parser\.yaml: "):
+        registry.build_parsers()
 
 
 @pytest.mark.parametrize("label", ["''", ""], ids=["empty", "null"])
@@ -189,8 +191,63 @@ def test_empty_finding_label_rejected(tmp_path: Path, label):
         tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"},
         parser_yaml=empty_label,
     )
+    registry = load_registry(tmp_path)
     with pytest.raises(ConfigSyntaxError, match=r"parser\.yaml: parser 'default': .*nonempty label"):
+        registry.build_parsers()
+
+
+def damage(path: Path, fault: str) -> None:
+    """Make a registry file fail to read (a directory in its place) or to decode (bytes that are not UTF-8)."""
+    if fault == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        with open(path, "ab") as f:
+            f.write(b"\xff\xfe")
+
+
+READ_FAULTS = {"directory": "cannot be read: Is a directory", "not-utf8": "not UTF-8: byte "}
+
+
+@pytest.mark.parametrize("fault", sorted(READ_FAULTS))
+def test_unreadable_config_file_is_a_config_error(tmp_path: Path, fault):
+    write_tool_dir(tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"})
+    damage(tmp_path / "t" / "config.yaml", fault)
+    with pytest.raises(ConfigSyntaxError, match=rf"t/config\.yaml: {READ_FAULTS[fault]}"):
         load_registry(tmp_path)
+
+
+def test_parser_file_that_is_not_utf8_fails_when_built(tmp_path: Path):
+    write_tool_dir(tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"})
+    damage(tmp_path / "t" / "parser.yaml", "not-utf8")
+    registry = load_registry(tmp_path)
+    with pytest.raises(ConfigSyntaxError, match=r"t/parser\.yaml: not UTF-8: byte "):
+        registry.build_parsers()
+
+
+def test_parser_file_that_cannot_be_read_fails_the_load(tmp_path: Path):
+    write_tool_dir(tmp_path, "t", "1", ["solidity"], {"solidity": "x {contract}"})
+    damage(tmp_path / "t" / "parser.yaml", "directory")
+    with pytest.raises(ConfigSyntaxError, match=r"t/parser\.yaml: cannot be read: Is a directory"):
+        load_registry(tmp_path)  # the content digest covers its bytes
+
+
+def test_each_registry_file_is_read_once_and_parsers_are_built_once(tmp_path: Path, monkeypatch):
+    for name in ("a", "b"):
+        write_tool_dir(tmp_path, name, "1", ["solidity"], {"solidity": "x {contract}"})
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path.name) or read_bytes(path))
+    registry = load_registry(tmp_path)
+    assert sorted(reads) == ["config.yaml"] * 2 + ["parser.yaml"] * 2
+    assert registry.parsers == {}
+    registry.build_parsers(registry.tools[:1])
+    assert list(registry.parsers) == ["a/default"]
+    first = registry.parser_for(registry.tools[0])
+    registry.build_parsers()
+    assert registry.parser_for(registry.tools[0]) is first  # memoized
+    assert list(registry.parsers) == ["a/default", "b/default"]
+    assert len(reads) == 4
 
 
 def test_missing_aux_file_rejected(tmp_path: Path):
@@ -290,4 +347,5 @@ BUNDLED_PARSER_VERSIONS = {
 
 
 def test_bundled_parser_versions_are_pinned(bundled):
+    bundled.build_parsers()
     assert {ref: spec.version for ref, spec in bundled.parsers.items()} == BUNDLED_PARSER_VERSIONS

@@ -298,11 +298,15 @@ class TestSarif:
     def test_source_location(self, taxonomy):
         outcomes = [outcome(findings=[
             Finding("Mystery", "m", SourceLocation(7, "contracts/a.sol")),
+            Finding("Mystery", "m", SourceLocation(8, "./b.sol")),  # as_posix() drops the ./
+            Finding("Mystery", "m", SourceLocation(9, "./b.sol")),
         ], taxonomy=taxonomy)]
         doc = sarif_doc(outcomes, taxonomy)
-        loc = doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "contracts/a.sol"
-        assert loc["region"] == {"startLine": 7}
+        locs = [result["locations"][0]["physicalLocation"] for result in doc["runs"][0]["results"]]
+        assert {loc["region"]["startLine"]: loc["artifactLocation"]["uri"] for loc in locs} == {
+            7: "contracts/a.sol", 8: "b.sol", 9: "b.sol",
+        }
+        assert locs[0]["region"] == {"startLine": 7}
         validate_sarif(doc)
 
     def test_location_falls_back_to_source_path(self, taxonomy):

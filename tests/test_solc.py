@@ -294,6 +294,27 @@ def test_cache_skips_torn_index_line(tmp_path: Path):
     assert CompilerCache(tmp_path / "cc").known_versions() == (old, new)
 
 
+def test_cache_skips_undecodable_index_line(tmp_path: Path):
+    cache = CompilerCache(tmp_path / "cc")
+    fetcher = MockCompilerFetcher()
+    old, new = SemVer.parse("0.4.26"), SemVer.parse("0.8.4")
+    for v in (old, new):
+        ensure_compiler(v, cache, fetcher)
+    first, second = cache.index_path.read_bytes().splitlines(keepends=True)
+    cache.index_path.write_bytes(first + b"\xff\xfe" + second)  # the second line is no longer UTF-8
+    reloaded = CompilerCache(tmp_path / "cc")
+    assert reloaded.known_versions() == (old,)
+    ensure_compiler(new, reloaded, fetcher)
+    assert fetcher.calls == [old, new, new]
+    assert CompilerCache(tmp_path / "cc").known_versions() == (old, new)
+
+
+def test_unreadable_index_is_an_error_naming_it(tmp_path: Path):
+    (tmp_path / "cc" / "index").mkdir(parents=True)
+    with pytest.raises(HarnessError, match=r"cc/index: compiler cache index cannot be read: Is a directory"):
+        CompilerCache(tmp_path / "cc")
+
+
 def test_store_failure_keeps_previous_index(tmp_path: Path, monkeypatch):
     cache = CompilerCache(tmp_path / "cc")
     old = SemVer.parse("0.4.26")
