@@ -31,7 +31,7 @@ from .plan import (
     validate_scheme,
     write_plan_lock,
 )
-from .registry import load_registry
+from .registry import load_registry, resolve_tools
 from .reporting import (
     FINDINGS_FILENAME,
     SARIF_FILENAME,
@@ -237,6 +237,10 @@ def cmd_run(args) -> int:
     if not backend.available():
         raise ExecutorUnavailableError("container engine is not available")
 
+    if not (results_root / PLAN_LOCK_FILENAME).exists():
+        # Before the first lock pins the registry's digest, and before any pull or fetch. A lock on disk was
+        # written after this check passed on the same registry bytes, or belongs to another invocation.
+        registry.build_parsers(resolve_tools(registry, tools))
     cache = CompilerCache(args.compiler_cache or _default_cache_dir())
     plan = build_plan(
         contracts, registry, tools, scheme, limits, args.seed,

@@ -7,7 +7,6 @@ import hashlib
 import json
 import re
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import yaml
@@ -130,7 +129,7 @@ class Registry(NamedTuple):
     tools: tuple[ToolSpec, ...]
     parsers: dict[str, ParserSpec]
     content_digest: str
-    parser_files: Mapping[str, tuple[Path, bytes | None]] = MappingProxyType({})
+    parser_files: Mapping[str, tuple[Path, bytes | None]]
 
     def parser_for(self, tool: ToolSpec) -> ParserSpec:
         """The parser of ``tool``; the first call for a parser file decodes, checks and compiles all of it."""

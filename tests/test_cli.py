@@ -1102,14 +1102,16 @@ class TestParserFilesOnFirstUse:
         self, tmp_path, small_corpus, mock_registry_dir
     ):
         parser = self.broken(mock_registry_dir, "delta")
-        results = tmp_path / "r"
-        code, _, _, err = self.command(
-            *run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "-t", "charlie,delta")
-        )
+        good = parser.read_text().replace("label: ''", "label: Weakness")
+        results, cache = tmp_path / "r", tmp_path / "cc"
+        argv = run_argv(small_corpus, mock_registry_dir, results, cache, "-t", "charlie,delta")
+        code, _, _, err = self.command(*argv)
         assert (code, err) == (2, f"error: {parser}: parser 'default': each finding rule needs pattern and a "
                                   "nonempty label\n")
-        assert (results / PLAN_LOCK_FILENAME).exists()  # reported after the lock write, as a bad compiler is
-        assert [p.name for p in results.rglob("*") if p.is_file()] == [PLAN_LOCK_FILENAME]  # no task ran
+        # reported before planning: no lock pins the broken parser's digest, and no compiler was fetched
+        assert not results.exists() and not cache.exists()
+        parser.write_text(good)
+        assert self.command(*argv)[:3] == (0, self.ALL, ["charlie", "delta"])  # the fixed parser runs on that root
 
     def test_broken_parser_of_an_unused_tool_does_not_stop_a_run(self, tmp_path, small_corpus, mock_registry_dir):
         self.broken(mock_registry_dir, "echo")

@@ -313,7 +313,7 @@ def _every_record():
         rule,
         DocumentRule("issues.*", label_from="title"),
         ParserSpec("p", "line_patterns", (rule,)),
-        Registry((tool,), {}, "digest"),
+        Registry((tool,), {}, "digest", {}),
         version,
         Comparator("^", 0, 8, None),
         VersionConstraint.parse(">=0.4.24 <0.9.0"),
