@@ -237,9 +237,10 @@ def cmd_run(args) -> int:
     if not backend.available():
         raise ExecutorUnavailableError("container engine is not available")
 
-    if not (results_root / PLAN_LOCK_FILENAME).exists():
-        # Before the first lock pins the registry's digest, and before any pull or fetch. A lock on disk was
-        # written after this check passed on the same registry bytes, or belongs to another invocation.
+    # Before the first lock pins the registry's digest, and before any pull or fetch. A lock on disk was written
+    # after this check passed on the same registry bytes, or belongs to another invocation. A root that cannot
+    # be looked up reads as new here; the mkdir below reports it.
+    if not os.path.exists(results_root / PLAN_LOCK_FILENAME):
         registry.build_parsers(resolve_tools(registry, tools))
     cache = CompilerCache(args.compiler_cache or _default_cache_dir())
     plan = build_plan(
