@@ -257,7 +257,7 @@ def cmd_run(args) -> int:
     with _own_results_root(results_root):
         write_plan_lock(plan, results_root)
         print(
-            f"planned {len(plan.tasks)} tasks ({len(plan.skips)} skips) into {results_root}",
+            f"planned {len(plan.tasks)} tasks ({plan.skips} skips) into {results_root}",
             flush=True,
         )
 
@@ -286,7 +286,7 @@ def cmd_run(args) -> int:
             signal.signal(signal.SIGINT, previous)
 
         # A pending task that never reached finalize left summary.json, so only force rebuilds for it.
-        _refresh_reports(results_root, map(LockedTask.of, plan.tasks), len(plan.skips), summary.finished, keys, args,
+        _refresh_reports(results_root, map(LockedTask.of, plan.tasks), plan.skips, summary.finished, keys, args,
                          force=summary.skipped_as_done < summary.total)
 
         tally = summary.tally

@@ -6,6 +6,7 @@ import glob as globlib
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
@@ -214,28 +215,19 @@ def args_digest(canonical_args: str) -> str:
     return hashlib.sha256(canonical_args.encode()).hexdigest()[:16]
 
 
-class SkipRecord(NamedTuple):
-    """A (contract, tool) pair that was requested but not planned."""
-
-    contract_id: str
-    tool_key: str
-    reason: str
-
-
 class LockedTask(NamedTuple):
     """A task as ``plan.lock`` records it: what resume, reparse and the reports read."""
 
     output_dir: str
     contract: str
-    source_path: str
     tool: str
     tool_version: str
     compiler: str | None
 
     @classmethod
     def of(cls, task: Task) -> LockedTask:
-        return cls(task.output_dir, task.contract.id, str(task.contract.source_path),
-                   task.tool.tool_id, task.tool.version_label, task.compiler_version)
+        return cls(task.output_dir, task.contract.id, task.tool.tool_id, task.tool.version_label,
+                   task.compiler_version)
 
 
 class PlanLock(NamedTuple):
@@ -249,7 +241,7 @@ class PlanLock(NamedTuple):
 
 class _RunPlan(NamedTuple):
     tasks: tuple[Task, ...]
-    skips: tuple[SkipRecord, ...]
+    skips: int  # requested (contract, tool) pairs whose format the tool does not support
     seed: int
     created_with_args: str
     args_digest: str
@@ -316,41 +308,33 @@ def build_plan(
     runid = f"run-{digest[:8]}"
 
     problems: list[str] = []
-    resolved: dict[str, SemVer | None] = {}
+    resolved: dict[str, tuple[str | None, tuple[str, ...]]] = {}
 
     def resolve_for(contract: ContractInput) -> tuple[str | None, tuple[str, ...]]:
-        """(compiler version, warnings) for one Solidity contract."""
+        """(compiler version, warnings) for one Solidity contract: one shared pair per constraint, version interned."""
         key = str(contract.pragma_constraint) if contract.pragma_constraint else ""
         if key not in resolved:
             if contract.pragma_constraint is None:
-                resolved[key] = max(release_index.versions)
+                version = sys.intern(str(max(release_index.versions)))
+                resolved[key] = version, (f"no pragma; defaulting to compiler {version}",)
             else:
                 try:
-                    resolved[key] = resolve_version(
-                        contract.pragma_constraint, release_index.versions
-                    )
+                    version = resolve_version(contract.pragma_constraint, release_index.versions)
+                    resolved[key] = sys.intern(str(version)), ()
                 except HarnessError as exc:
                     problems.append(f"{contract.id}: {exc}")
-                    resolved[key] = None
-        version = resolved[key]
-        if version is None:
-            return None, ()
-        if contract.pragma_constraint is None:
-            return str(version), (f"no pragma; defaulting to compiler {version}",)
-        return str(version), ()
+                    resolved[key] = None, ()
+        return resolved[key]
 
     tasks: list[Task] = []
-    skips: list[SkipRecord] = []
+    skips = 0
     taken: set[str] = set()
-    keyed = [(tool, tool.key) for tool in tools]  # one key string per tool, and one reason per format, for all skips
-    unsupported = {fmt: f"does not support {fmt.value}" for fmt in ContractFormat}
     for contract in ordered:
-        for tool, tool_key in keyed:
+        for tool in tools:
             if contract.format not in tool.supported_formats:
-                skips.append(SkipRecord(contract.id, tool_key, unsupported[contract.format]))
+                skips += 1
                 continue
-            compiler = None
-            warnings: tuple[str, ...] = ()
+            compiler, warnings = None, ()
             if tool.needs_compiler and contract.format is ContractFormat.SOLIDITY:
                 compiler, warnings = resolve_for(contract)
                 if compiler is None:
@@ -370,7 +354,7 @@ def build_plan(
                 )
             )
 
-    needed = {SemVer.parse(t.compiler_version) for t in tasks if t.compiler_version}
+    needed = {SemVer.parse(v) for v in {t.compiler_version for t in tasks} if v}  # a few versions, many tasks
     # The index pins the mock fetcher's placeholder binaries; engine runs fetch
     # real ones and rely on the cache's own digests.
     pin_index = release_index if backend_name == "mock" else None
@@ -389,7 +373,7 @@ def build_plan(
 
     return RunPlan(
         tasks=tuple(tasks),
-        skips=tuple(skips),
+        skips=skips,
         seed=seed,
         created_with_args=canonical,
         args_digest=digest,
@@ -403,11 +387,12 @@ def build_plan(
 def plan_to_doc(plan: RunPlan) -> dict:
     """JSON-ready view of a plan; no timestamps, so rebuilds are byte-identical.
 
-    A task entry holds its ``LockedTask``'s fields. The entry lists are callables that yield
-    them, so ``write_plan_lock`` encodes the document twice, if need be, without holding them.
+    A task entry holds its ``LockedTask``'s fields, and ``skips`` counts the requested pairs
+    left out. The task list is a callable that yields the entries, so ``write_plan_lock``
+    encodes the document twice, if need be, without holding them.
     """
     return {
-        "version": 2,
+        "version": 3,
         "args": plan.created_with_args,
         "args_digest": plan.args_digest,
         "seed": plan.seed,
@@ -416,7 +401,7 @@ def plan_to_doc(plan: RunPlan) -> dict:
         "registry_path": plan.registry_path,
         "image_digests": dict(sorted(plan.image_digests.items())),
         "tasks": lambda: (LockedTask.of(t)._asdict() for t in plan.tasks),
-        "skips": lambda: ({"contract": s.contract_id, "tool": s.tool_key, "reason": s.reason} for s in plan.skips),
+        "skips": plan.skips,
     }
 
 
@@ -457,13 +442,18 @@ def write_plan_lock(plan: RunPlan, results_root: str | Path) -> None:
 _LOCK_TASK_KEYS = LockedTask._fields[:-1]  # the string keys; "compiler" may be null
 
 
-def read_plan_lock(results_root: str | Path) -> PlanLock:
-    """The lock as a ``PlanLock``; refuses one that is not JSON or not an object with ``tasks`` and ``skips`` lists.
+def _bad_lock(path: Path, problem: str) -> HarnessError:
+    return HarnessError(f"{path}: {problem}; remove it and rerun with the original arguments")
 
-    It also refuses a ``registry_path`` that is neither a string nor null, a
-    task entry without the string keys that resume and reparse read or whose
-    output folder is not inside the results root, and a skip entry that is not
-    an object. Other keys (version 1 has more) are left out of the task rows.
+
+def read_plan_lock(results_root: str | Path) -> PlanLock:
+    """The lock as a ``PlanLock``; refuses one that is not JSON or not an object with a ``tasks`` list and ``skips``.
+
+    ``skips`` is a non-negative count (version 3) or a list of objects, which is counted
+    (versions 1 and 2). It also refuses a ``registry_path`` that is neither a string nor
+    null, and a task entry without the string keys that resume and reparse read or whose
+    output folder is not inside the results root. Other keys (version 2's ``source_path``,
+    version 1's six) are left out of the task rows.
     """
     path = Path(results_root) / PLAN_LOCK_FILENAME
     try:
@@ -473,29 +463,28 @@ def read_plan_lock(results_root: str | Path) -> PlanLock:
     except OSError as exc:
         raise HarnessError(f"{path}: cannot be read: {exc.strerror}") from None
     except (ValueError, RecursionError):  # malformed, or nested too deep to decode
-        raise HarnessError(f"{path}: not valid JSON; remove it and rerun with the original arguments") from None
-    if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list) and isinstance(doc.get("skips"), list)):
-        raise HarnessError(
-            f"{path}: not a plan lock (no 'tasks' and 'skips' lists); remove it and rerun with the original arguments"
-        )
+        raise _bad_lock(path, "not valid JSON") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("tasks"), list) and "skips" in doc):
+        raise _bad_lock(path, "not a plan lock (no 'tasks' list and 'skips' count)")
+    skips = doc["skips"]
+    if isinstance(skips, list):
+        if not all(isinstance(entry, dict) for entry in skips):
+            raise _bad_lock(path, "a skip entry is not an object")
+        skips = len(skips)
+    elif type(skips) is not int or skips < 0:  # a bool is an int too
+        raise _bad_lock(path, "skips is neither a non-negative count nor a list")
     if not isinstance(doc.get("registry_path"), (str, type(None))):
-        raise HarnessError(f"{path}: registry_path is neither a string nor null; remove it and rerun with the original arguments")
+        raise _bad_lock(path, "registry_path is neither a string nor null")
     for i, entry in enumerate(doc["tasks"]):
         if not (
             isinstance(entry, dict)
             and all(isinstance(entry.get(key), str) for key in _LOCK_TASK_KEYS)
             and "compiler" in entry and (entry["compiler"] is None or isinstance(entry["compiler"], str))
         ):
-            raise HarnessError(
-                f"{path}: task {i} lacks a string {', '.join(_LOCK_TASK_KEYS)} or a string or null compiler; "
-                "remove it and rerun with the original arguments"
+            raise _bad_lock(
+                path, f"task {i} lacks a string {', '.join(_LOCK_TASK_KEYS)} or a string or null compiler"
             )
         if not stays_inside_root(entry["output_dir"]):
-            raise HarnessError(
-                f"{path}: task {i} has the output folder {entry['output_dir']!r}, outside the results root; "
-                "remove it and rerun with the original arguments"
-            )
+            raise _bad_lock(path, f"task {i} has the output folder {entry['output_dir']!r}, outside the results root")
         doc["tasks"][i] = LockedTask._make(map(entry.__getitem__, LockedTask._fields))  # drops the entry's dict
-    if not all(isinstance(entry, dict) for entry in doc["skips"]):
-        raise HarnessError(f"{path}: a skip entry is not an object; remove it and rerun with the original arguments")
-    return PlanLock(doc.get("args_digest"), doc.get("registry_path"), doc["tasks"], len(doc["skips"]))
+    return PlanLock(doc.get("args_digest"), doc.get("registry_path"), doc["tasks"], skips)

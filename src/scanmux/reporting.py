@@ -109,7 +109,6 @@ class TaskOutcome(NamedTuple):
 
     output_dir: str
     contract_id: str
-    source_path: str
     tool_id: str
     version_label: str
     exit_class: ExitClass
@@ -136,9 +135,9 @@ def collect_outcomes(
     is appended to ``incomplete``. Incomplete tasks are reported, not fatal: a
     stopped run can still be summarized, and reparse rewrites a torn result.json.
     """
-    fields = attrgetter("output_dir", "contract", "source_path", "tool", "tool_version")  # plan imports this module
+    fields = attrgetter("output_dir", "contract", "tool", "tool_version")  # plan imports this module
     for entry in entries:
-        output_dir, contract_id, source_path, tool_id, version_label = fields(entry)
+        output_dir, contract_id, tool_id, version_label = fields(entry)
         try:
             exit_class = finished[output_dir]
             findings = []
@@ -149,7 +148,7 @@ def collect_outcomes(
             if incomplete is not None:
                 incomplete.append(output_dir)
             continue
-        yield TaskOutcome(output_dir, contract_id, source_path, tool_id, version_label, exit_class, findings)
+        yield TaskOutcome(output_dir, contract_id, tool_id, version_label, exit_class, findings)
 
 
 def _sarif_location(outcome: TaskOutcome, location: tuple | int, uri: Callable[[str], str]) -> dict:
@@ -157,7 +156,7 @@ def _sarif_location(outcome: TaskOutcome, location: tuple | int, uri: Callable[[
         line, file = location
         return {
             "physicalLocation": {
-                "artifactLocation": {"uri": uri(file or outcome.source_path)},
+                "artifactLocation": {"uri": uri(file or outcome.contract_id)},
                 "region": {"startLine": max(1, line)},
             }
         }
@@ -514,7 +513,7 @@ def _location_text(outcome: TaskOutcome, location: tuple | int | None) -> str:
         return ""
     if isinstance(location, tuple):
         line, file = location
-        return f"{file or outcome.source_path}:{line}"
+        return f"{file or outcome.contract_id}:{line}"
     return f"offset:{location}"
 
 

@@ -102,7 +102,8 @@ def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], 
     A task is pending when its marker is absent, corrupt, or does not match
     this plan, or when its folder is reached through a symlink. A folder with
     a corrupt or stale marker is moved aside (suffix ``.stale.<k>``) so the
-    rerun starts clean without destroying evidence.
+    rerun starts clean without destroying evidence; one that cannot be moved
+    is a ``HarnessError``, and the folder stays as it was.
     """
     pending: list[Task] = []
     done: dict[str, ExitClass] = {}
@@ -114,7 +115,10 @@ def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], 
             k = 1
             while os.path.lexists(f"{folder}.stale.{k}"):
                 k += 1
-            os.rename(folder, f"{folder}.stale.{k}")
+            try:
+                os.rename(folder, f"{folder}.stale.{k}")
+            except OSError as exc:
+                raise HarnessError(f"{folder}: cannot be moved aside: {exc.strerror}") from None
         pending.append(task)
     return pending, done
 

@@ -53,10 +53,6 @@ class SemVer(NamedTuple):
     def __str__(self) -> str:
         return f"{self.major}.{self.minor}.{self.patch}"
 
-    @property
-    def tuple(self) -> tuple[int, int, int]:
-        return (self.major, self.minor, self.patch)
-
 
 _TERM_RE = re.compile(r"(\^|~|>=|<=|>|<|=)?\s*(\d+)\.(\d+)(?:\.(\d+))?")
 
@@ -77,7 +73,7 @@ class Comparator(NamedTuple):
 
     def satisfied_by(self, v: SemVer) -> bool:
         lo, hi = self.bounds()
-        return lo <= v.tuple < hi
+        return lo <= v < hi
 
     def bounds(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
         """Half-open interval [lo, hi) of versions this term admits."""
@@ -219,7 +215,7 @@ def resolve_version(constraint: VersionConstraint, releases: Sequence[SemVer]) -
     if not releases:
         raise NoSatisfyingVersionError("release list is empty")
     satisfying = [v for v in releases if constraint.satisfied_by(v)]
-    supported = [v for v in satisfying if v.tuple >= MIN_SUPPORTED]
+    supported = [v for v in satisfying if v >= MIN_SUPPORTED]
     if supported:
         return max(supported)
     if satisfying or constraint.upper_bound() <= MIN_SUPPORTED:

@@ -216,7 +216,7 @@ def test_criterion_4_resolution_matches_bruteforce(tmp_path, release_versions):
         elif form == 3:
             text = f"<={v}"
         elif form == 4:
-            lo, hi = sorted(rng.sample(pool, 2), key=lambda s: SemVer.parse(s).tuple)
+            lo, hi = sorted(rng.sample(pool, 2), key=lambda s: tuple(SemVer.parse(s)))
             text = f">={lo} <{hi}"
         else:
             text = "^" + v.rsplit(".", 1)[0]
@@ -229,7 +229,7 @@ def test_criterion_4_resolution_matches_bruteforce(tmp_path, release_versions):
         constraint = VersionConstraint.parse(text)
         brute = [
             v for v in release_versions
-            if constraint.satisfied_by(v) and v.tuple >= MIN_SUPPORTED
+            if constraint.satisfied_by(v) and tuple(v) >= MIN_SUPPORTED
         ]
         try:
             got = resolve_version(constraint, release_versions)

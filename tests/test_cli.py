@@ -825,6 +825,39 @@ class TestRunCommand:
         assert (task.with_name(task.name + ".stale.1") / "done").is_dir()
         assert read_done_marker(task)[2] == "success"
 
+    def test_stale_folder_that_cannot_be_moved_aside_ends_the_run(
+        self, tmp_path, capsys, monkeypatch, small_corpus, mock_registry_dir
+    ):
+        def run_then_corrupt(results: Path) -> Path:
+            assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+            task = sorted(results.rglob("done"))[0].parent
+            (task / "done").write_bytes(b"garbage")
+            return task
+
+        results = tmp_path / "results"
+        task = run_then_corrupt(results)
+        before = tree_digest(results)
+        rename = os.rename
+
+        def read_only(src, dst, *args, **kwargs):
+            if ".stale." in os.fspath(dst):
+                raise OSError(errno.EROFS, os.strerror(errno.EROFS), os.fspath(src))
+            return rename(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "rename", read_only)
+        capsys.readouterr()
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {task}: cannot be moved aside: {os.strerror(errno.EROFS)}\n"
+        assert tree_digest(results) == before
+        monkeypatch.undo()
+        assert main(argv) == 0
+        reference = tmp_path / "reference"
+        run_then_corrupt(reference)
+        assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc")) == 0
+        assert tree_digest(results) == tree_digest(reference)
+
     @pytest.mark.parametrize("linked", ["empty-task-folder", "finished-parent-folder"])
     def test_task_folder_reached_through_a_symlink_is_neither_read_nor_written(self, tmp_path, capsys, linked):
         (tmp_path / "c").mkdir()
@@ -1362,33 +1395,41 @@ class TestReparseCommand:
         totals = json.loads((results / "summary.json").read_text())["totals"]
         assert (totals["tool_failure"], totals["success"]) == (1, 3)
 
+    @pytest.mark.parametrize("version", [1, 2])
     def test_lock_in_the_version_1_shape_resumes_and_reparses(
-        self, tmp_path, capsys, small_corpus, mock_registry_dir
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, version
     ):
         (small_corpus / "bare.sol").write_text("contract Bare {}\n")  # no pragma: its tasks carry warnings
         results = tmp_path / "results"
-        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")
         assert main(argv) == 0
-        # put back the six per-task keys that version 1 repeated from elsewhere
         contracts = {c.id: c for c in discover_contracts([f"{small_corpus}/*"])}
         registry, limits = load_registry(mock_registry_dir), ResourceLimits()
         lock_path = results / PLAN_LOCK_FILENAME
         lock = json.loads(lock_path.read_text())
+        # versions 1 and 2 listed each skipped pair, and repeated the contract as its source path
+        skips = [{"contract": c.id, "tool": t.key, "reason": f"does not support {c.format.value}"}
+                 for c in contracts.values() for t in registry.tools if c.format not in t.supported_formats]
+        assert len(skips) == lock["skips"] > 0
+        lock["skips"] = skips
         for entry in lock["tasks"]:
             contract = contracts[entry["contract"]]
-            meta = json.loads((results / entry["output_dir"] / "meta.json").read_text())
-            entry |= {
-                "format": contract.format.value,
-                "content_hash": contract.content_hash,
-                "pragma": str(contract.pragma_constraint) if contract.pragma_constraint else None,
-                "image": registry.find(entry["tool"], entry["tool_version"]).image_ref,
-                "warnings": meta.get("warnings", []),
-                "limits": {"timeout_s": limits.wall_timeout, "memory_bytes": limits.memory_bytes,
-                           "cpu": limits.cpu_quota},
-            }
-        lock["version"] = 1
-        lock_path.write_text(dump_json(lock))
-        assert any(entry["warnings"] for entry in lock["tasks"])
+            entry["source_path"] = str(contract.source_path)
+            if version == 1:  # put back the six per-task keys that version 1 repeated from elsewhere
+                meta = json.loads((results / entry["output_dir"] / "meta.json").read_text())
+                entry |= {
+                    "format": contract.format.value,
+                    "content_hash": contract.content_hash,
+                    "pragma": str(contract.pragma_constraint) if contract.pragma_constraint else None,
+                    "image": registry.find(entry["tool"], entry["tool_version"]).image_ref,
+                    "warnings": meta.get("warnings", []),
+                    "limits": {"timeout_s": limits.wall_timeout, "memory_bytes": limits.memory_bytes,
+                               "cpu": limits.cpu_quota},
+                }
+        lock["version"] = version
+        old_lock = dump_json(lock)
+        lock_path.write_text(old_lock)
+        assert version == 2 or any(entry["warnings"] for entry in lock["tasks"])
 
         def files():
             return {p.relative_to(results).as_posix(): p.read_bytes() for p in results.rglob("*") if p.is_file()}
@@ -1398,13 +1439,13 @@ class TestReparseCommand:
         assert main(argv) == 0
         assert "executed 0 of" in capsys.readouterr().out
         resumed = files()
-        assert json.loads(resumed.pop(PLAN_LOCK_FILENAME))["version"] == 2
-        before.pop(PLAN_LOCK_FILENAME)
-        assert resumed == before
-        assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
-        reparsed = files()
-        reparsed.pop(PLAN_LOCK_FILENAME)
-        assert reparsed == before
+        assert json.loads(resumed.pop(PLAN_LOCK_FILENAME))["version"] == 3
+        assert resumed == {name: data for name, data in before.items() if name != PLAN_LOCK_FILENAME}
+        # a root never resumed since: reparse rebuilds the same reports from the old lock, and keeps it
+        lock_path.write_text(old_lock)
+        (results / SUMMARY_FILENAME).unlink()
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"]) == 0
+        assert files() == before
 
     def test_missing_root_fails(self, tmp_path, capsys):
         assert main(["reparse", str(tmp_path / "nothing")]) == 2
@@ -1555,11 +1596,14 @@ class TestReparseCommand:
          "task 1 has the output folder '../b', outside the results root"),
         (edited_lock(lambda doc: doc["tasks"][1].update(output_dir="/tmp/b")),
          "task 1 has the output folder '/tmp/b', outside the results root"),
-        (edited_lock(lambda doc: doc["skips"].append(None)), "a skip entry is not an object"),
+        (edited_lock(lambda doc: doc.update(skips=[None])), "a skip entry is not an object"),
+        (edited_lock(lambda doc: doc.update(skips=-1)), "skips is neither a non-negative count nor a list"),
+        (edited_lock(lambda doc: doc.update(skips=True)), "skips is neither a non-negative count nor a list"),
+        (edited_lock(lambda doc: doc.update(skips="3")), "skips is neither a non-negative count nor a list"),
         (edited_lock(lambda doc: doc.update(registry_path=5)), "registry_path is neither a string nor null"),
     ], ids=["torn", "nested-too-deep", "list", "no-tasks", "no-tool-version", "compiler-not-a-string", "no-compiler",
             "task-not-an-object", "dotdot-output-dir", "absolute-output-dir", "skip-not-an-object",
-            "registry-path-not-a-string"])
+            "negative-skips", "boolean-skips", "string-skips", "registry-path-not-a-string"])
     def test_torn_plan_lock_is_an_error_naming_it(
         self, tmp_path, capsys, small_corpus, mock_registry_dir, damage, problem
     ):

@@ -35,7 +35,7 @@ from scanmux.model import (
     validate_hex_payload,
 )
 from scanmux.parsing import ExitClass
-from scanmux.plan import LockedTask, PlanLock, RunPlan, SkipRecord
+from scanmux.plan import LockedTask, PlanLock, RunPlan
 from scanmux.registry import DocumentRule, FindingRule, ParserSpec, Registry
 from scanmux.reporting import CatalogEntry, TaskOutcome, TaxonomyEntry
 from scanmux.runner import RunSummary, TaskResult
@@ -291,7 +291,7 @@ def _finding():
 
 
 def _plan(tasks=()):
-    return RunPlan(tasks, (SkipRecord("c", "t:1.0", "why"),), 0, "{}", "0" * 16, "run-0", "{toolid}")
+    return RunPlan(tasks, 1, 0, "{}", "0" * 16, "run-0", "{toolid}")
 
 
 def _every_record():
@@ -318,7 +318,6 @@ def _every_record():
         Comparator("^", 0, 8, None),
         VersionConstraint.parse(">=0.4.24 <0.9.0"),
         Release(version, None),
-        SkipRecord("c", "t:1.0", "why"),
         _plan((task,)),
         LockedTask.of(task),
         PlanLock("0" * 16, "registry", [LockedTask.of(task)], 1),
@@ -328,7 +327,7 @@ def _every_record():
         RunSummary(1, 0, Counter(), {}, {}),
         TaxonomyEntry("SWC-107", 1),
         CatalogEntry("Reentrancy"),
-        TaskOutcome("out", "c", "c.sol", "t", "1.0", ExitClass.SUCCESS, []),
+        TaskOutcome("out", "c", "t", "1.0", ExitClass.SUCCESS, []),
     ]
 
 

@@ -246,8 +246,8 @@ def test_build_plan_task_and_skip_counts(
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     # 12 sol x {alpha,bravo,delta} + 4 creation x {bravo,echo} + 4 runtime x {bravo,charlie,delta,echo}
     assert len(plan.tasks) == 60
-    assert len(plan.skips) == 40
-    assert len(plan.tasks) + len(plan.skips) == 100
+    assert plan.skips == 40
+    assert len(plan.tasks) + plan.skips == 100
 
 
 def test_build_plan_runid_and_digest(corpus_dir, mock_registry, compiler_cache, release_index):
@@ -324,12 +324,19 @@ def test_build_plan_pulls_only_planned_images(
     assert backend.pull_calls == ["example.io/mock/alpha:1.0"]
 
 
-def test_build_plan_skips_have_reasons(corpus_dir, mock_registry, compiler_cache, release_index):
+def test_build_plan_shares_one_compiler_string_per_version(
+    corpus_dir, mock_registry, compiler_cache, release_index
+):
+    (corpus_dir / "nopragma.sol").write_text("contract C {}")
     contracts = discover_corpus(corpus_dir)
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
-    for skip in plan.skips:
-        assert "does not support" in skip.reason
-        assert ":" in skip.tool_key
+    compiled = [t for t in plan.tasks if t.compiler_version]
+    by_version = {}
+    for task in compiled:
+        assert task.compiler_version is by_version.setdefault(task.compiler_version, task.compiler_version)
+    assert len({t.contract.pragma_constraint for t in compiled}) > len(by_version)  # a version serves two constraints
+    warned = [t.warnings for t in compiled if t.warnings]
+    assert len(warned) > 1 and all(w is warned[0] for w in warned)
 
 
 def test_plan_lock_roundtrip(tmp_path, corpus_dir, mock_registry, compiler_cache, release_index):
@@ -354,10 +361,11 @@ def test_plan_lock_task_entries_hold_only_what_readers_use(
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     write_plan_lock(plan, tmp_path)
     written = json.loads((tmp_path / PLAN_LOCK_FILENAME).read_text())
-    assert written["version"] == 2
+    assert written["version"] == 3
     assert {frozenset(entry) for entry in written["tasks"]} == {
-        frozenset({"output_dir", "contract", "source_path", "tool", "tool_version", "compiler"})
+        frozenset({"output_dir", "contract", "tool", "tool_version", "compiler"})
     }
+    assert written["skips"] == 40
     assert [LockedTask(**entry) for entry in written["tasks"]] == read_plan_lock(tmp_path).tasks
 
 
@@ -367,13 +375,14 @@ def test_plan_lock_of_version_1_reads_as_the_same_rows(
     contracts = discover_corpus(corpus_dir)
     plan = plan_for(contracts, mock_registry, compiler_cache, release_index, MockBackend())
     write_plan_lock(plan, tmp_path)
-    version_2 = read_plan_lock(tmp_path)
+    version_3 = read_plan_lock(tmp_path)
     path = tmp_path / PLAN_LOCK_FILENAME
     doc = json.loads(path.read_text())
     by_dir = {t.output_dir: t for t in plan.tasks}
     for entry in doc["tasks"]:  # version 1 repeated these facts in every task entry
         task = by_dir[entry["output_dir"]]
         entry |= {
+            "source_path": str(task.contract.source_path),
             "format": task.contract.format.value,
             "content_hash": task.contract.content_hash,
             "pragma": str(task.contract.pragma_constraint) if task.contract.pragma_constraint else None,
@@ -382,10 +391,11 @@ def test_plan_lock_of_version_1_reads_as_the_same_rows(
             "limits": {"timeout_s": task.limits.wall_timeout, "memory_bytes": task.limits.memory_bytes,
                        "cpu": task.limits.cpu_quota},
         }
+    doc["skips"] = [{"contract": "c.hex", "tool": "alpha:1.0", "reason": "does not support hex"}] * doc["skips"]
     doc["version"] = 1
     path.write_text(dump_json(doc))
     version_1 = read_plan_lock(tmp_path)
-    assert version_1 == version_2
+    assert version_1 == version_3
     assert all(type(task) is LockedTask for task in version_1.tasks)
 
 
@@ -448,7 +458,7 @@ def test_plan_lock_is_rewritten_only_when_its_bytes_changed(
     path = root / PLAN_LOCK_FILENAME
     write_plan_lock(plan, root)
     if change == "version-1":
-        path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
+        path.write_text(path.read_text().replace('"version": 3', '"version": 1'))
     if change == "registry-moved":
         plan = plan._replace(registry_path=str(tmp_path / "moved"))
     if change == "other-byte-form":  # the same document, compact: no longer kept as it is
@@ -461,7 +471,7 @@ def test_plan_lock_is_rewritten_only_when_its_bytes_changed(
     after = os.stat(path)
     assert path.read_bytes() == dump_json(plan_to_doc(plan)).encode()
     written = json.loads(path.read_text())
-    assert written["registry_path"] == plan.registry_path and written["version"] == 2
+    assert written["registry_path"] == plan.registry_path and written["version"] == 3
     unchanged = (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
     assert unchanged == (change is None)
     if change is None:  # the reports were built from this very lock

@@ -192,7 +192,6 @@ def outcome(
     return TaskOutcome(
         output_dir=output_dir,
         contract_id=contract_id,
-        source_path=f"/src/{contract_id}",
         tool_id=tool,
         version_label=version,
         exit_class=exit_class,
@@ -231,7 +230,7 @@ class TestNormalize:
         ))
         (tmp_path / "run").mkdir()
         write_report(tmp_path / "run", report)
-        entry = LockedTask("run", "c.sol", "c.sol", "MyTool", "1.0", None)
+        entry = LockedTask("run", "c.sol", "MyTool", "1.0", None)
         [collected] = collect_outcomes(tmp_path, [entry], {"run": ExitClass.SUCCESS}, taxonomy)
         assert collected.findings == [
             ("Reentrancy", "m1", None, "SWC-107", 1),
@@ -309,11 +308,12 @@ class TestSarif:
         assert locs[0]["region"] == {"startLine": 7}
         validate_sarif(doc)
 
-    def test_location_falls_back_to_source_path(self, taxonomy):
-        outcomes = [outcome(findings=[Finding("Mystery", "m", SourceLocation(7))], taxonomy=taxonomy)]
+    def test_location_falls_back_to_the_contract(self, taxonomy):
+        outcomes = [outcome(contract_id="src/c.sol", findings=[Finding("Mystery", "m", SourceLocation(7))],
+                            taxonomy=taxonomy)]
         doc = sarif_doc(outcomes, taxonomy)
         loc = doc["runs"][0]["results"][0]["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"] == "/src/c.sol"
+        assert loc["artifactLocation"]["uri"] == "src/c.sol"
 
     def test_nonpositive_line_clamped(self, taxonomy):
         outcomes = [outcome(findings=[Finding("Mystery", "m", SourceLocation(0))], taxonomy=taxonomy)]
@@ -643,7 +643,7 @@ def reference_sarif(outcomes, taxonomy) -> dict:
                 result = {"ruleId": swc_id or label, "level": "warning", "message": {"text": message}}
                 if isinstance(location, tuple):
                     result["locations"] = [{"physicalLocation": {
-                        "artifactLocation": {"uri": Path(location[1] or o.source_path).as_posix()},
+                        "artifactLocation": {"uri": Path(location[1] or o.contract_id).as_posix()},
                         "region": {"startLine": max(1, location[0])},
                     }}]
                 elif location is not None:
@@ -670,7 +670,7 @@ def reference_csv(outcomes) -> bytes:
     for o in sorted(outcomes, key=lambda o: o.output_dir):
         for label, _, location, swc_id, dasp_class in o.findings:
             where = "" if location is None else (
-                f"{location[1] or o.source_path}:{location[0]}" if isinstance(location, tuple) else f"offset:{location}"
+                f"{location[1] or o.contract_id}:{location[0]}" if isinstance(location, tuple) else f"offset:{location}"
             )
             writer.writerow([o.output_dir, o.tool_id, o.version_label, label, swc_id or "",
                              "" if dasp_class is None else dasp_class, where])
@@ -1010,7 +1010,7 @@ class StreamedRoot:
         entries, finished = [], {}
         for i in range(tasks):
             tool = cls.TOOLS[i % 3]
-            entry = LockedTask(f"r/{i:05d}/{tool}", f"c{i % 7}.sol", f"src/c{i % 7}.sol", tool, "1.0", None)
+            entry = LockedTask(f"r/{i:05d}/{tool}", f"c{i % 7}.sol", tool, "1.0", None)
             report = ParsedReport(findings=tuple(
                 Finding(cls.LABELS[j % 5], f"finding {j} of task {i}", SourceLocation(j, None if j % 2 else "x.sol"))
                 for j in range(findings)
@@ -1046,8 +1046,8 @@ def outcome_sets(draw):
             st.text(max_size=8), LOCATIONS,
         ), max_size=5)) if tool != "zeta" else []
         tasks.append({
-            "entry": LockedTask(f"run/{draw(st.sampled_from(['b', 'a', 'c']))}{i}/{tool}", contract, f"corpus/{contract}",
-                                tool, draw(st.sampled_from(["1.0", "2.0"])), None),
+            "entry": LockedTask(f"run/{draw(st.sampled_from(['b', 'a', 'c']))}{i}/{tool}", contract, tool,
+                                draw(st.sampled_from(["1.0", "2.0"])), None),
             "exit_class": draw(st.none() | st.sampled_from(list(ExitClass))),
             "torn": draw(st.booleans()) and draw(st.booleans()),
             "report": ParsedReport(findings=tuple(findings)),
@@ -1080,7 +1080,7 @@ class TestStreamedReports:
                     output_dir=entry.output_dir, contract_id=entry.contract, tool=entry.tool,
                     version=entry.tool_version, exit_class=task["exit_class"],
                     findings=task["report"].findings, taxonomy=SARIF_TAXONOMY,
-                )._replace(source_path=entry.source_path))
+                ))
         skips = 1
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(paths, "_FLUSH_CHUNKS", bound)
