@@ -308,8 +308,10 @@ def cmd_run(args) -> int:
 
 def cmd_reparse(args) -> int:
     results_root = Path(args.results_root)
-    lock = read_plan_lock(results_root)
+    if not results_root.is_dir():  # no root to hold: the lock's reader names what is missing
+        read_plan_lock(results_root)
     with _own_results_root(results_root):
+        lock = read_plan_lock(results_root)  # held: no run rewrites it while the reports are built from it
         registry_dir = Path(args.registry or lock.registry_path or bundled_registry())
         registry = load_registry(registry_dir)
         keys = _read_series_keys(args)

@@ -27,6 +27,7 @@ from .model import (
     RawResult,
     ResourceLimits,
     Task,
+    content_hash,
 )
 from .paths import dump_json, load_yaml
 
@@ -52,6 +53,10 @@ class StagingIOError(HarnessError):
 
 
 class MissingCompilerError(HarnessError):
+    pass
+
+
+class ContractChangedError(HarnessError):
     pass
 
 
@@ -396,14 +401,19 @@ class ScratchVolume:
         return self.path
 
     def put_contract(self, contract: ContractInput) -> None:
-        """Write the contract as a new file under its format's name.
+        """Write the bytes of the file ``contract.id`` as a new file under its format's name.
 
+        Raises ContractChangedError, writing nothing, when those bytes do not
+        hash to ``contract.content_hash``, which the task's done marker records.
         Whatever a tool left at that name is unlinked first. No container
         holds a reused volume, so nothing can put a link there in between.
         """
+        data = Path(contract.id).read_bytes()
+        if content_hash(data) != contract.content_hash:
+            raise ContractChangedError(f"contract {contract.id} changed since this run planned it")
         target = self.ready() / CONTRACT_FILENAMES[contract.format]
         target.unlink(missing_ok=True)
-        shutil.copyfile(contract.source_path, target)
+        target.write_bytes(data)
 
     def discard(self) -> None:
         if self.path is not None:
@@ -431,9 +441,9 @@ class ScratchVolume:
 def stage_volume(task: Task, compilers: VerifiedCompilers, volume: ScratchVolume) -> Path:
     """Stage contract, compiler (if needed) and aux files in the worker's ``volume``; returns its path.
 
-    The volume holds an empty ``output/`` (see ``ScratchVolume``). A compiler
-    is staged only while its stamp is the one in ``compilers``, taken when the
-    run verified it.
+    The volume holds an empty ``output/`` (see ``ScratchVolume``). A contract
+    is staged only while it holds its planned bytes, and a compiler only while
+    its stamp is the one in ``compilers``, taken when the run verified it.
     """
     try:
         volume.put_contract(task.contract)
@@ -531,9 +541,9 @@ def execute(
     try:
         path = stage_volume(task, compilers, volume)
         command = render_command(task)
-        started = time.time()
+        started, clock = time.time(), time.monotonic()  # a wall-clock step moves no duration
         outcome = backend.run(image_digest, path, command, task.limits)
-        finished = time.time()
+        duration = time.monotonic() - clock
         reusable = not outcome.aborted and outcome.limit_hit is not LimitHit.TIMEOUT
 
         taskdir.remove(folder, taskdir.RAW)
@@ -551,8 +561,8 @@ def execute(
 
         record = ExecutionRecord(
             started_at=started,
-            finished_at=finished,
-            duration=finished - started,
+            finished_at=started + duration,
+            duration=duration,
             exit_code=outcome.exit_code,
             args=command,
             tool_id=task.tool.tool_id,

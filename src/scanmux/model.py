@@ -99,14 +99,13 @@ def detect_format(path: str | Path, override: ContractFormat | None = None) -> C
 
 class _ContractInput(NamedTuple):
     id: str
-    source_path: Path
     format: ContractFormat
     content_hash: str
     pragma_constraint: VersionConstraint | None = None
 
 
 class ContractInput(_ContractInput):
-    """One contract to analyze."""
+    """One contract to analyze; ``id`` is the path it was found at."""
 
     __slots__ = ()
 

@@ -280,17 +280,26 @@ def read_findings(folder: str) -> list[tuple[str, str, tuple | int | None]]:
     The lean reader the reports use: no ``ParsedReport`` is built. A location
     is ``(line, file)`` for a source location, the offset for a bytecode one,
     or None. Raises ValueError, KeyError or TypeError for a file that does not
-    hold a report.
+    hold a report, such as one whose label is empty or not a string, whose
+    message is not a string, whose line or offset is not an integer, or whose
+    file is neither a string nor null.
     """
     doc = json.loads(taskdir.read(folder, taskdir.RESULT))
     if not isinstance(doc, dict) or not {"errors", "failures", "parser_version"} <= doc.keys():
         raise ValueError(f"{folder}: not a report")
     findings = []
     for finding in doc["findings"]:
-        label, location = finding["label"], finding.get("location")
-        if not label:
-            raise ValueError(f"{folder}: a finding without a label")
+        label, message, location = finding["label"], finding["message"], finding.get("location")
+        if not (label and type(label) is str and type(message) is str):
+            raise ValueError(f"{folder}: a finding without a label or message string")
         if location is not None:
-            location = (location["line"], location.get("file")) if location["kind"] == "source" else location["offset"]
-        findings.append((label, finding["message"], location))
+            if location["kind"] == "source":
+                location = (location["line"], location.get("file"))
+                typed = type(location[0]) is int and (location[1] is None or type(location[1]) is str)
+            else:
+                location = location["offset"]
+                typed = type(location) is int  # not a bool
+            if not typed:
+                raise ValueError(f"{folder}: a finding location with a wrongly typed field")
+        findings.append((label, message, location))
     return findings

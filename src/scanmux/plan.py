@@ -104,7 +104,6 @@ def discover_contracts(
         contracts.append(
             ContractInput(
                 id=name,
-                source_path=path,
                 format=fmt,
                 content_hash=content_hash(data),
                 pragma_constraint=pragma,
@@ -355,10 +354,7 @@ def build_plan(
             )
 
     needed = {SemVer.parse(v) for v in {t.compiler_version for t in tasks} if v}  # a few versions, many tasks
-    # The index pins the mock fetcher's placeholder binaries; engine runs fetch
-    # real ones and rely on the cache's own digests.
-    pin_index = release_index if backend_name == "mock" else None
-    for error in prefetch_compilers(needed, cache, fetcher, pin_index):
+    for error in prefetch_compilers(needed, cache, fetcher):
         problems.append(str(error))
 
     image_digests: dict[str, str] = {}

@@ -34,10 +34,6 @@ class DownloadFailedError(HarnessError):
         self.attempts = attempts
 
 
-class DigestMismatchError(HarnessError):
-    pass
-
-
 class SemVer(NamedTuple):
     major: int
     minor: int
@@ -167,43 +163,20 @@ def extract_pragma(source_text: str) -> VersionConstraint | None:
     return VersionConstraint.parse(m.group(1))
 
 
-class Release(NamedTuple):
-    version: SemVer
-    digest: str | None  # None: unpinned, recorded on first fetch
-
-
 class ReleaseIndex:
-    """Ordered list of known compiler releases with expected digests."""
+    """Ordered list of known compiler releases."""
 
-    def __init__(self, releases: Sequence[Release]):
-        versions = [r.version for r in releases]
-        if versions != sorted(versions):
+    def __init__(self, versions: Sequence[SemVer]):
+        if list(versions) != sorted(versions):
             raise ValueError("release index must be ascending")
         if len(set(versions)) != len(versions):
             raise ValueError("release index contains duplicates")
-        self._releases = tuple(releases)
-        self._by_version = {r.version: r for r in self._releases}
+        self.versions = tuple(versions)
 
     @classmethod
     def load(cls, path: str | Path) -> "ReleaseIndex":
-        releases = []
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            version = SemVer.parse(parts[0])
-            digest = parts[1] if len(parts) > 1 and parts[1] != "-" else None
-            releases.append(Release(version, digest))
-        return cls(releases)
-
-    @property
-    def versions(self) -> tuple[SemVer, ...]:
-        return tuple(r.version for r in self._releases)
-
-    def digest_for(self, version: SemVer) -> str | None:
-        release = self._by_version.get(version)
-        return release.digest if release else None
+        lines = (raw.strip() for raw in Path(path).read_text(encoding="utf-8").splitlines())
+        return cls([SemVer.parse(line) for line in lines if line and not line.startswith("#")])
 
 
 def resolve_version(constraint: VersionConstraint, releases: Sequence[SemVer]) -> SemVer:
@@ -232,8 +205,7 @@ Fetcher = Callable[[SemVer], bytes]
 class MockCompilerFetcher:
     """Deterministic stand-in for a binary distribution channel.
 
-    Produces a placeholder shell stub per version; the bundled release index
-    pins exactly these bytes, so mock-backed runs verify digests end to end.
+    Produces a placeholder shell stub per version.
     """
 
     def __init__(self) -> None:
@@ -368,18 +340,12 @@ class CompilerCache:
 FETCH_ATTEMPTS = 3  # per compiler version, before planning reports it as failed
 
 
-def ensure_compiler(
-    version: SemVer,
-    cache: CompilerCache,
-    fetcher: Fetcher,
-    expected_digest: str | None = None,
-) -> Path:
+def ensure_compiler(version: SemVer, cache: CompilerCache, fetcher: Fetcher) -> Path:
     """Idempotently provision one compiler binary into the cache.
 
     A second call for the same version performs no fetch. A cached binary is
     taken on its index entry and size, unhashed: a run hashes it once with
     ``CompilerCache.lookup`` and stages it while its stat stamp is unchanged.
-    Corrupted downloads are discarded without touching the cache.
     """
     if cache.holds(version):
         return cache.path_for(version)
@@ -387,15 +353,9 @@ def ensure_compiler(
     for _ in range(FETCH_ATTEMPTS):
         try:
             data = fetcher(version)
-        except Exception as exc:  # fetcher failures are retried, digest errors are not
+        except Exception as exc:  # fetcher failures are retried
             last_error = exc
             continue
-        if expected_digest is not None:
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != expected_digest:
-                raise DigestMismatchError(
-                    f"compiler {version}: digest {actual[:12]}… does not match pinned {expected_digest[:12]}…"
-                )
         try:
             return cache.store(version, data)
         except (OSError, HarnessError) as exc:  # replacing names the file in a HarnessError
@@ -403,18 +363,12 @@ def ensure_compiler(
     raise DownloadFailedError(f"could not fetch compiler {version}: {last_error}", FETCH_ATTEMPTS)
 
 
-def prefetch_compilers(
-    versions: Iterable[SemVer],
-    cache: CompilerCache,
-    fetcher: Fetcher,
-    index: ReleaseIndex | None = None,
-) -> list[HarnessError]:
+def prefetch_compilers(versions: Iterable[SemVer], cache: CompilerCache, fetcher: Fetcher) -> list[HarnessError]:
     """Ensure every distinct version once; returns collected errors instead of raising."""
     errors: list[HarnessError] = []
     for version in sorted(set(versions)):
-        expected = index.digest_for(version) if index is not None else None
         try:
-            ensure_compiler(version, cache, fetcher, expected_digest=expected)
+            ensure_compiler(version, cache, fetcher)
         except HarnessError as exc:
             errors.append(exc)
     return errors

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import fcntl
 import json
@@ -14,6 +15,7 @@ import sys
 import sysconfig
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -413,6 +415,49 @@ class TestRunCommand:
         assert main(argv) == 0
         assert f"executed {len(hit)} of {self.EXPECTED_TASKS} tasks" in capsys.readouterr().out
         assert len(list(results.rglob("done"))) == self.EXPECTED_TASKS
+
+    def test_contract_changed_after_planning_fails_its_tasks_and_the_next_run_converges(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
+    ):
+        results, cache = tmp_path / "results", tmp_path / "cc"
+        argv = run_argv(small_corpus, mock_registry_dir, results, cache, "--sarif")
+        contract = sorted(small_corpus.glob("*.sol"))[0]
+        planned = contract.read_bytes()
+        verify = Runner._verify_compilers
+
+        def verify_then_edit(runner, pending):  # after planning hashed the contract, before any task stages it
+            contract.write_bytes(planned + b"// edited\n")
+            return verify(runner, pending)
+
+        monkeypatch.setattr(Runner, "_verify_compilers", verify_then_edit)
+        assert main(argv) == 3
+        lock = json.loads((results / PLAN_LOCK_FILENAME).read_text())
+        hit = sorted(t["output_dir"] for t in lock["tasks"] if t["contract"] == contract.as_posix())
+        assert len(hit) == 3  # alpha, bravo and delta
+        err = capsys.readouterr().err
+        for output_dir in hit:
+            assert f"infra error: {output_dir}: contract {contract.as_posix()} changed since this run planned it\n" in err
+            assert not (results / output_dir / "done").exists()
+        assert len(list(results.rglob("done"))) == self.EXPECTED_TASKS - len(hit)
+
+        monkeypatch.undo()
+        contract.write_bytes(planned)
+        assert main(argv) == 0
+        assert f"executed {len(hit)} of {self.EXPECTED_TASKS} tasks" in capsys.readouterr().out
+        reference = tmp_path / "reference"
+        assert main(run_argv(small_corpus, mock_registry_dir, reference, cache, "--sarif")) == 0
+        assert tree_digest(results) == tree_digest(reference)
+
+    def test_wall_clock_stepping_back_fails_no_task(self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch):
+        readings = iter(range(2_000_000_000, 0, -60))  # each reading a minute before the last
+        monkeypatch.setattr(time, "time", lambda: float(next(readings)))
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        monkeypatch.undo()
+        assert len(list(results.rglob("done"))) == self.EXPECTED_TASKS
+        for path in results.rglob("meta.json"):
+            meta = json.loads(path.read_text())
+            assert meta["finished_at"] >= meta["started_at"] and meta["duration_s"] >= 0
 
     @pytest.mark.parametrize("name, scheme, folder", [
         ("...sol", "{filename}/{toolid}", "../delta"),
@@ -1414,7 +1459,7 @@ class TestReparseCommand:
         lock["skips"] = skips
         for entry in lock["tasks"]:
             contract = contracts[entry["contract"]]
-            entry["source_path"] = str(contract.source_path)
+            entry["source_path"] = str(Path(contract.id))
             if version == 1:  # put back the six per-task keys that version 1 repeated from elsewhere
                 meta = json.loads((results / entry["output_dir"] / "meta.json").read_text())
                 entry |= {
@@ -1449,6 +1494,31 @@ class TestReparseCommand:
 
     def test_missing_root_fails(self, tmp_path, capsys):
         assert main(["reparse", str(tmp_path / "nothing")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'nothing' / PLAN_LOCK_FILENAME}: no plan found"), err
+        assert "Traceback" not in err
+
+    def test_lock_is_read_only_once_the_root_is_held(self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch):
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--tools", "delta")
+        assert main(argv) == 0
+        (small_corpus / "c09.sol").write_text("pragma solidity ^0.8.0;\ncontract D {}\n")  # one more delta task
+        own, codes = cli._own_results_root, []
+
+        @contextlib.contextmanager
+        def run_rewrites_the_lock_first(root):  # a run takes the root, rewrites its lock, and lets it go
+            monkeypatch.setattr(cli, "_own_results_root", own)
+            codes.append(main(argv))
+            with own(root):
+                yield
+
+        monkeypatch.setattr(cli, "_own_results_root", run_rewrites_the_lock_first)
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--sarif"]) == 0  # --sarif: a stamp the run did not write
+        assert codes == [0]
+        assert "reparsed 4 tasks" in capsys.readouterr().out
+        summary = json.loads((results / SUMMARY_FILENAME).read_text())
+        assert (summary["totals"]["total"], summary["incomplete"]) == (4, [])
 
     def test_registry_without_the_tool_fails(self, tmp_path, capsys, small_corpus, mock_registry_dir):
         results = tmp_path / "results"
@@ -1533,6 +1603,32 @@ class TestReparseCommand:
         summary = json.loads((results / "summary.json").read_text())
         assert summary["incomplete"] == []
         assert summary["totals"]["total"] == TestRunCommand.EXPECTED_TASKS
+
+    @pytest.mark.parametrize("edit", [
+        lambda finding: finding["location"].update(line="3"),
+        lambda finding: finding.update(message=7),
+    ], ids=["line-as-string", "message-as-number"])
+    def test_wrongly_typed_result_is_incomplete_until_reparse(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, edit
+    ):
+        fixtures, _ = warning_delta(tmp_path, mock_registry_dir)
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--tools", "delta", "--sarif",
+                        "--mock-fixtures", str(fixtures))
+        assert main(argv) == 0
+        path = sorted(results.rglob("result.json"))[0]
+        doc = json.loads(path.read_text())
+        edit(doc["findings"][0])
+        path.write_text(json.dumps(doc))
+        (results / SUMMARY_FILENAME).unlink()  # its stamp does not cover result.json
+
+        assert main(argv) == 0
+        assert json.loads((results / SUMMARY_FILENAME).read_text())["incomplete"] == [
+            path.parent.relative_to(results).as_posix()
+        ]
+        assert main(["reparse", str(results), "--sarif"]) == 0
+        assert json.loads((results / SUMMARY_FILENAME).read_text())["incomplete"] == []
+        assert json.loads(path.read_text())["findings"][0]["location"] == {"kind": "source", "line": 3, "file": None}
 
     @pytest.mark.parametrize(
         "damage",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from scanmux.executor import (
     CONTRACT_FILENAMES,
+    ContractChangedError,
     DockerCliBackend,
     MissingCompilerError,
     MockBackend,
@@ -49,9 +51,7 @@ def make_contract(tmp_path: Path, fmt=ContractFormat.SOLIDITY, body="contract A 
     tmp_path.mkdir(parents=True, exist_ok=True)
     path = tmp_path / f"input{ext}"
     path.write_text(body)
-    return ContractInput(
-        id=path.name, source_path=path, format=fmt, content_hash=content_hash(path.read_bytes())
-    )
+    return ContractInput(id=path.as_posix(), format=fmt, content_hash=content_hash(path.read_bytes()))
 
 
 def make_tool(
@@ -99,7 +99,7 @@ class TestStaging:
             path = stage_volume(task, {}, volume)
             assert path == volume.path
             assert sorted(os.listdir(path)) == sorted([name, "output"])
-            assert (path / name).read_bytes() == task.contract.source_path.read_bytes()
+            assert (path / name).read_bytes() == Path(task.contract.id).read_bytes()
             assert (path / "output").is_dir()
             assert path.stat().st_mode & 0o777 == 0o700
             volume.empty()
@@ -112,6 +112,15 @@ class TestStaging:
             task = Task(contract=contract, tool=make_tool(), output_dir="o", limits=ResourceLimits())
             assert (stage_volume(task, {}, volume) / "contract.sol").read_text() == body
             volume.empty()
+
+    def test_contract_changed_since_planning_is_refused(self, tmp_path, volume):
+        task = make_task(tmp_path)
+        path = stage_volume(task, {}, volume)
+        volume.empty()
+        Path(task.contract.id).write_text("contract B {}")
+        with pytest.raises(ContractChangedError, match=rf"^contract {re.escape(task.contract.id)} changed since"):
+            stage_volume(task, {}, volume)
+        assert os.listdir(path) == ["output"]  # nothing written
 
     @pytest.mark.parametrize("tamper", ["symlink", "hard-link", "mode", "fifo", "removed"])
     def test_restaging_never_writes_through_what_a_tool_left(self, tmp_path, volume, tamper):

@@ -39,7 +39,7 @@ from scanmux.plan import LockedTask, PlanLock, RunPlan
 from scanmux.registry import DocumentRule, FindingRule, ParserSpec, Registry
 from scanmux.reporting import CatalogEntry, TaskOutcome, TaxonomyEntry
 from scanmux.runner import RunSummary, TaskResult
-from scanmux.solc import Comparator, Release, SemVer, VersionConstraint
+from scanmux.solc import Comparator, SemVer, VersionConstraint
 
 
 def test_content_hash_known_value():
@@ -122,7 +122,6 @@ def test_detect_format_validates_bytecode_payload(tmp_path: Path):
 def _contract(fmt=ContractFormat.SOLIDITY, pragma=None, cid="c.sol"):
     return ContractInput(
         id=cid,
-        source_path=Path(cid),
         format=fmt,
         content_hash="0" * 64,
         pragma_constraint=pragma,
@@ -317,7 +316,6 @@ def _every_record():
         version,
         Comparator("^", 0, 8, None),
         VersionConstraint.parse(">=0.4.24 <0.9.0"),
-        Release(version, None),
         _plan((task,)),
         LockedTask.of(task),
         PlanLock("0" * 16, "registry", [LockedTask.of(task)], 1),
@@ -391,7 +389,7 @@ _RUNTIME = _contract(fmt=ContractFormat.RUNTIME_CODE, cid="r.rt.hex")
 # (record, its fields in order, the message of the ValueError)
 REFUSED = {
     "pragma-on-bytecode": (ContractInput, dict(
-        id="r.rt.hex", source_path=Path("r.rt.hex"), format=ContractFormat.RUNTIME_CODE, content_hash="0" * 64,
+        id="r.rt.hex", format=ContractFormat.RUNTIME_CODE, content_hash="0" * 64,
         pragma_constraint=VersionConstraint.parse("^0.4.0"),
     ), "r.rt.hex: pragma constraint on a bytecode contract"),
     "no-formats": (ToolSpec, _TOOL_FIELDS | dict(supported_formats=frozenset()),

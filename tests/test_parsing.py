@@ -313,6 +313,17 @@ class TestReportFile:
         '{"findings": [{"label": "x", "message": "m", "location": {"kind": "bytecode"}}],'
         ' "errors": [], "failures": [], "parser_version": ""}',
         '{"findings": ["x"], "errors": [], "failures": [], "parser_version": ""}',
+        *(  # a wrongly typed field
+            f'{{"findings": [{finding}], "errors": [], "failures": [], "parser_version": ""}}' for finding in (
+                '{"label": 5, "message": "m"}',
+                '{"label": "x", "message": 7}',
+                '{"label": "x", "message": "m", "location": {"kind": "source", "line": "3"}}',
+                '{"label": "x", "message": "m", "location": {"kind": "source", "line": true}}',
+                '{"label": "x", "message": "m", "location": {"kind": "source", "line": 3, "file": 5}}',
+                '{"label": "x", "message": "m", "location": {"kind": "bytecode", "offset": "0x1"}}',
+                '{"label": "x", "message": "m", "location": {"kind": "bytecode", "offset": false}}',
+            )
+        ),
     ])
     def test_a_file_that_holds_no_report_is_refused(self, tmp_path, text):
         (tmp_path / "result.json").write_text(text)

@@ -143,7 +143,7 @@ def _stub_contract(cid):
     from scanmux.model import ContractInput
 
     return ContractInput(
-        id=cid, source_path=Path(cid), format=ContractFormat.SOLIDITY, content_hash="0" * 64
+        id=cid, format=ContractFormat.SOLIDITY, content_hash="0" * 64
     )
 
 
@@ -382,7 +382,7 @@ def test_plan_lock_of_version_1_reads_as_the_same_rows(
     for entry in doc["tasks"]:  # version 1 repeated these facts in every task entry
         task = by_dir[entry["output_dir"]]
         entry |= {
-            "source_path": str(task.contract.source_path),
+            "source_path": str(Path(task.contract.id)),
             "format": task.contract.format.value,
             "content_hash": task.contract.content_hash,
             "pragma": str(task.contract.pragma_constraint) if task.contract.pragma_constraint else None,
