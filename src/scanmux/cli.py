@@ -17,7 +17,7 @@ import yaml
 
 from .executor import DockerCliBackend, ExecutorUnavailableError, MockBackend, read_meta, read_raw
 from .model import ContractFormat, HarnessError, ResourceLimits
-from .parsing import ExitClass
+from .parsing import ExitClass, result_is_current
 from .paths import bundled_registry, bundled_release_index, bundled_taxonomy
 from .plan import (
     DEFAULT_SCHEME,
@@ -331,16 +331,16 @@ def cmd_reparse(args) -> int:
                 continue
             content_hash, args_digest, exit_class = marker
             finished[task.output_dir] = exit_class
-            try:  # unreadable stored output: the task keeps its result.json
-                record = read_meta(folder)
-                raw = read_raw(folder, record.result_files)
-            except (OSError, ValueError, KeyError, TypeError, RecursionError):
-                continue
-            tool = tools[task.tool, task.tool_version]
-            finished[task.output_dir] = finalize(
-                results_root, folder, record, raw, registry.parser_for(tool), content_hash, args_digest,
-                stored=exit_class,
-            )
+            parser = registry.parser_for(tools[task.tool, task.tool_version])
+            if not result_is_current(folder, parser.version):  # a current one is left alone, stored output unread
+                try:  # unreadable stored output: the task keeps its result.json
+                    record = read_meta(folder)
+                    raw = read_raw(folder, record.result_files)
+                except (OSError, ValueError, KeyError, TypeError, RecursionError):
+                    continue
+                finished[task.output_dir] = finalize(
+                    results_root, folder, record, raw, parser, content_hash, args_digest, marked=True
+                )
             reparsed += 1
 
         # The stamp covers neither markers nor stored output, so a task left out above means a rewrite.

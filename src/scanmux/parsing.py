@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import fnmatch
+import functools
+import hashlib
 import json
 from enum import Enum
+from pathlib import Path
 
 from . import taskdir
 from .model import (
@@ -247,8 +250,25 @@ def _location_doc(location: Location | None) -> dict | None:
     return {"kind": "bytecode", "offset": location.offset}
 
 
+# What decides a result.json's bytes: parse, classify_exit and the document; dump_json; dedup; compile_rule.
+_DERIVING_MODULES = ("parsing.py", "paths.py", "model.py", "registry.py")
+
+
+@functools.cache
+def code_digest() -> str | None:
+    """A short SHA-256 of the source of ``_DERIVING_MODULES``, or None when one cannot be read."""
+    digest = hashlib.sha256()
+    try:
+        for name in _DERIVING_MODULES:
+            digest.update(hashlib.sha256(Path(__file__).with_name(name).read_bytes()).digest())
+    except OSError:
+        return None
+    return digest.hexdigest()[:16]
+
+
 def report_to_doc(report: ParsedReport) -> dict:
     return {
+        "code_digest": code_digest(),
         "findings": [
             {
                 "label": f.native_label,
@@ -274,7 +294,7 @@ def write_report(folder: str, report: ParsedReport) -> None:
     taskdir.write(folder, taskdir.RESULT, report_bytes(report))
 
 
-def read_findings(folder: str) -> list[tuple[str, str, tuple | int | None]]:
+def read_findings(folder: str, key: tuple[str, str] | None = None) -> list[tuple[str, str, tuple | int | None]]:
     """(label, message, location) of each finding in the ``result.json`` of task ``folder``.
 
     The lean reader the reports use: no ``ParsedReport`` is built. A location
@@ -282,11 +302,14 @@ def read_findings(folder: str) -> list[tuple[str, str, tuple | int | None]]:
     or None. Raises ValueError, KeyError or TypeError for a file that does not
     hold a report, such as one whose label is empty or not a string, whose
     message is not a string, whose line or offset is not an integer, or whose
-    file is neither a string nor null.
+    file is neither a string nor null. With ``key``, also a ValueError unless
+    the file's (parser version, code digest) is ``key``.
     """
     doc = json.loads(taskdir.read(folder, taskdir.RESULT))
     if not isinstance(doc, dict) or not {"errors", "failures", "parser_version"} <= doc.keys():
         raise ValueError(f"{folder}: not a report")
+    if key is not None and (doc["parser_version"], doc.get("code_digest")) != key:
+        raise ValueError(f"{folder}: derived under another key")
     findings = []
     for finding in doc["findings"]:
         label, message, location = finding["label"], finding["message"], finding.get("location")
@@ -303,3 +326,14 @@ def read_findings(folder: str) -> list[tuple[str, str, tuple | int | None]]:
                 raise ValueError(f"{folder}: a finding location with a wrongly typed field")
         findings.append((label, message, location))
     return findings
+
+
+def result_is_current(folder: str, parser_version: str) -> bool:
+    """Whether the ``result.json`` of task ``folder`` reads as a report derived by ``parser_version`` and this code."""
+    if (digest := code_digest()) is None:  # the code is unknown, so no result is shown current
+        return False
+    try:
+        read_findings(folder, (parser_version, digest))
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return False
+    return True

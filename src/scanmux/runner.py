@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import random
 import threading
@@ -13,7 +14,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import taskdir
 from .executor import ContainerBackend, ScratchVolume, VerifiedCompilers, compiler_stamp, execute
 from .model import ExecutionRecord, HarnessError, RawResult, Task
-from .parsing import ExitClass, classify_exit, parse, report_bytes, write_report
+from .parsing import ExitClass, classify_exit, parse, write_report
 from .plan import PlanningError, RunPlan
 from .registry import ParserSpec, Registry
 from .reporting import SUMMARY_FILENAME
@@ -33,13 +34,15 @@ def write_done_marker(folder: str, content_hash: str, args_digest: str, exit_cla
 
 
 def read_done_marker(folder: str) -> tuple[str, str, str] | None:
-    """(content_hash, args_digest, exit_class) of a completed task, or None."""
+    """(content_hash, args_digest, exit_class) of a completed task, or None; a read fault is a HarnessError."""
     try:
         parts = taskdir.read(folder, taskdir.DONE).decode("utf-8", errors="replace").split()
     except FileNotFoundError:
         return None
-    except OSError as exc:  # e.g. a directory or a symlink: as corrupt as a torn marker
-        raise CorruptMarkerError(f"{folder}: unreadable marker: {exc.strerror}") from None
+    except OSError as exc:  # a directory, a symlink or a folder that is a file is as corrupt as a torn marker
+        if exc.errno in (errno.EISDIR, errno.ELOOP, errno.ENOTDIR):
+            raise CorruptMarkerError(f"{folder}: unreadable marker: {exc.strerror}") from None
+        raise HarnessError(f"{os.path.join(folder, taskdir.DONE)}: cannot be read: {exc.strerror or exc}") from None
     if len(parts) != 4 or parts[0] != MARKER_VERSION or parts[3] not in _EXIT_CLASSES:
         raise CorruptMarkerError(f"{folder}: malformed marker")
     return parts[1], parts[2], parts[3]
@@ -54,26 +57,27 @@ def finalize(
     content_hash: str,
     args_digest: str,
     *,
-    stored: ExitClass | None = None,
+    marked: bool = False,
 ) -> ExitClass:
-    """Parse, classify, write ``result.json`` into the task ``folder``, then the done marker last.
+    """Parse, classify, and write ``result.json`` and the done marker into the task ``folder``.
 
     The one completion path for a task, shared by a run and by reparse, so
     reparsing stored output with an unchanged registry reproduces both files
-    byte for byte. A task whose exit class is ``stored``, as reparse passes
-    its marker's, and whose ``result.json`` already holds the new bytes is
-    left untouched. Any other task first deletes ``summary.json``, and with it
-    the reports' stamp: no stamp outlives the ``result.json`` it was built from.
+    byte for byte. It first deletes ``summary.json``, and with it the reports'
+    stamp: no stamp outlives the ``result.json`` it was built from. The file
+    written last commits: the marker on a run, as it makes the task done, and
+    ``result.json`` on a reparse of a ``marked`` task, as its key makes the
+    task current. A kill between the two leaves the task to be derived again.
     """
     report = parse(raw, parser)
     exit_class = classify_exit(record, report)
-    with contextlib.suppress(OSError):
-        if exit_class is stored and taskdir.read(folder, taskdir.RESULT) == report_bytes(report):
-            return exit_class
     with contextlib.suppress(FileNotFoundError):
         os.unlink(os.path.join(results_root, SUMMARY_FILENAME))
+    if marked:
+        write_done_marker(folder, content_hash, args_digest, exit_class.value)
     write_report(folder, report)
-    write_done_marker(folder, content_hash, args_digest, exit_class.value)
+    if not marked:
+        write_done_marker(folder, content_hash, args_digest, exit_class.value)
     return exit_class
 
 
@@ -100,26 +104,30 @@ def resume_filter(plan: RunPlan, results_root: str | Path) -> tuple[list[Task], 
     """(tasks still to run, output dir -> exit class of each task already done).
 
     A task is pending when its marker is absent, corrupt, or does not match
-    this plan, or when its folder is reached through a symlink. A folder with
-    a corrupt or stale marker is moved aside (suffix ``.stale.<k>``) so the
-    rerun starts clean without destroying evidence; one that cannot be moved
-    is a ``HarnessError``, and the folder stays as it was.
+    this plan, or when its folder is reached through a symlink. Once every
+    marker was read, a folder with a corrupt or stale marker is moved aside
+    (suffix ``.stale.<k>``) so the rerun starts clean without destroying
+    evidence; one that cannot be moved is a ``HarnessError``, and the folder
+    stays as it was.
     """
     pending: list[Task] = []
     done: dict[str, ExitClass] = {}
+    stale: list[str] = []
     for task, folder, marker in done_markers(results_root, plan.tasks):
         if marker and marker[:2] == (task.contract.content_hash, plan.args_digest):
             done[task.output_dir] = marker[2]
             continue
         if marker is not None:  # corrupt or stale
-            k = 1
-            while os.path.lexists(f"{folder}.stale.{k}"):
-                k += 1
-            try:
-                os.rename(folder, f"{folder}.stale.{k}")
-            except OSError as exc:
-                raise HarnessError(f"{folder}: cannot be moved aside: {exc.strerror}") from None
+            stale.append(folder)
         pending.append(task)
+    for folder in stale:
+        k = 1
+        while os.path.lexists(f"{folder}.stale.{k}"):
+            k += 1
+        try:
+            os.rename(folder, f"{folder}.stale.{k}")
+        except OSError as exc:
+            raise HarnessError(f"{folder}: cannot be moved aside: {exc.strerror}") from None
     return pending, done
 
 

@@ -441,6 +441,15 @@ def test_criterion_8_reparse_reproduces_results(env, full_run):
         for p in full_run.root.rglob("result.json")
     }
     assert after == before
+    # the reparse above found every result current; with none on disk, each is parsed again from stored output
+    for rel in before:
+        (full_run.root / rel).unlink()
+    assert cli.main(["reparse", str(full_run.root), "--registry", str(env.registry_dir)]) == 0
+    restored = {
+        p.relative_to(full_run.root).as_posix(): p.read_bytes()
+        for p in full_run.root.rglob("result.json")
+    }
+    assert restored == before
 
 
 def test_criterion_9_tool_inventory(capsys):

@@ -49,6 +49,7 @@ from helpers import MOCK_TOOLS, run_python, write_corpus, write_tool_dir
 from test_acceptance import tree_digest
 from test_parsing import BUNDLED, HOSTILE
 from test_registry import READ_FAULTS, damage
+from test_runner import unreadable
 
 
 class TestParseMemory:
@@ -252,6 +253,25 @@ def warning_delta(tmp_path: Path, registry_dir: Path) -> tuple[Path, Path]:
     parser = changed / "delta" / "parser.yaml"
     parser.write_text(parser.read_text() + "      - '^WARN:'\n")
     return fixtures, changed
+
+
+def make_stale(task: Path) -> None:
+    """Give the result.json of ``task`` the key of other scanmux code, so that the next reparse derives it again."""
+    path = task / "result.json"
+    path.write_text(dump_json({**json.loads(path.read_text()), "code_digest": "0" * 16}))
+
+
+def finalized(monkeypatch) -> list[Path]:
+    """The folder of each task that a command finalizes from now on, in order, recorded as it goes."""
+    folders = []
+    finalize = cli.finalize
+
+    def recording(results_root, folder, *args, **kwargs):
+        folders.append(Path(folder))
+        return finalize(results_root, folder, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "finalize", recording)
+    return folders
 
 
 def edited_lock(change):
@@ -1042,9 +1062,9 @@ class TestRunCommand:
         assert counts["resume"].get("write", 0) == 0, counts  # unchanged reports are not rewritten
         assert counts["run"].get("compiler", 0) > 0, counts
         assert counts["resume"].get("compiler", 0) == 0, counts  # nothing pending: no compiler is hashed
-        # marker, meta.json, stdout, stderr and result.json per task; an unchanged task is not written
+        # the marker and result.json per task, whose key is current: no stored output is read, nothing is written
         assert counts["reparse"].get("write", 0) == 0, counts
-        assert counts["reparse"].get("read", 0) + counts["reparse"].get("write", 0) <= 5 * n + 10, counts
+        assert counts["reparse"].get("read", 0) + counts["reparse"].get("write", 0) <= 2 * n + 10, counts
         assert counts["reparse"].get("scandir", 0) == 0, counts
 
     # Counts the opens of files under the results root (by path: a reopened descriptor is not counted) in a first
@@ -1077,10 +1097,9 @@ class TestRunCommand:
 
         (few, few_raw), (many, many_raw) = opens(1), opens(3)
         assert (len(few_raw), len(many_raw)) == (12, 36)
-        # a resume reads each task's marker; a reparse its marker, meta.json, each raw/ file and result.json
+        # a resume reads each task's marker; a reparse its marker and result.json, whose key is current
         assert many["resume"] - few["resume"] == len(many_raw) - len(few_raw), (few, many)
-        assert many["reparse"] - few["reparse"] == sum(3 + k for k in many_raw) - sum(3 + k for k in few_raw), \
-            (few, many)
+        assert many["reparse"] - few["reparse"] == 2 * (len(many_raw) - len(few_raw)), (few, many)
 
     # A first run and then a traced no-op resume, in a new interpreter: what earlier tests left behind
     # (say, a table of interned strings about to grow) cannot land in the traced window, nor can the growth
@@ -1368,6 +1387,8 @@ class TestReparseCommand:
         reparse += [] if change == "dropped-sarif" else ["--sarif"]
         task = sorted(results.rglob("done"))[0].parent
         marker = (task / "done").read_bytes()
+        if change in ("marker-with-another-class", "torn-meta"):  # a current task's marker and meta.json go unread
+            make_stale(task)
         if change == "corrupt-marker":
             (task / "done").write_bytes(b"garbage")
         elif change == "marker-with-another-class":  # result.json still matches: only the marker is wrong
@@ -1389,6 +1410,162 @@ class TestReparseCommand:
         (results / SUMMARY_FILENAME).unlink()  # forces the reports to be built again
         assert main(reparse) == 0
         assert {name: (results / name).read_bytes() for name in after} == written
+
+    def test_parser_edit_rederives_only_its_tools_tasks(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
+    ):
+        fixtures, changed = warning_delta(tmp_path, mock_registry_dir)
+        results, fresh = tmp_path / "results", tmp_path / "fresh"
+
+        def argv(root: Path, registry: Path) -> list[str]:
+            return run_argv(small_corpus, registry, root, tmp_path / "cc", "--mock-fixtures", str(fixtures),
+                            "--sarif", "--results", f"{root}/{{filename}}/{{toolid}}")
+
+        assert main(argv(results, mock_registry_dir)) == 0
+        others = [name for name in task_files(results) if name.split("/")[-2] != "delta"]
+        before = file_stamps(results, *others)
+        folders = finalized(monkeypatch)
+        capsys.readouterr()
+        assert main(["reparse", str(results), "--registry", str(changed), "--sarif"]) == 0
+        assert f"reparsed {TestRunCommand.EXPECTED_TASKS} tasks" in capsys.readouterr().out
+        assert sorted(folder.name for folder in folders) == ["delta"] * 3  # 2 sol + 1 runtime
+        assert file_stamps(results, *others) == before
+
+        # The fresh run's plan.lock and markers record its registry; the rest matches file for file.
+        assert main(argv(fresh, changed)) == 0
+        derived, reference = tree_digest(results), tree_digest(fresh)
+        for tree in (derived, reference):
+            for name in [name for name in tree if name == PLAN_LOCK_FILENAME or name.endswith("/done")]:
+                del tree[name]
+        assert derived == reference
+
+        folders.clear()
+        assert main(["reparse", str(results), "--registry", str(changed), "--sarif"]) == 0
+        assert folders == []
+
+    # Reparses in a new interpreter that imports scanmux from the package copy named first.
+    REPARSE_WITH = (
+        "import sys\nsys.path.insert(0, sys.argv[1])\n"
+        "import scanmux.cli\nsys.exit(scanmux.cli.main(sys.argv[2:]))\n"
+    )
+
+    @pytest.mark.parametrize("module, definition", [
+        ("parsing.py", "def classify_exit("),
+        ("paths.py", "def dump_json("),
+    ], ids=["exit-classification", "encoder"])
+    def test_edited_deriving_code_rederives_every_task_once(
+        self, tmp_path, small_corpus, mock_registry_dir, module, definition
+    ):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        package = tmp_path / "package"
+        shutil.copytree(Path(scanmux.__file__).parent, package / "scanmux",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        source = package / "scanmux" / module
+        assert source.read_text().count(definition) == 1
+        source.write_text(source.read_text().replace(definition, f"# edited\n{definition}"))
+        results_json = sorted(p.relative_to(results).as_posix() for p in results.rglob("result.json"))
+        original = {name: (results / name).read_bytes() for name in results_json}
+        stamps = file_stamps(results, *results_json)
+        reparse = ["reparse", str(results), "--registry", str(mock_registry_dir)]
+
+        proc = run_python(self.REPARSE_WITH, str(package), *reparse)
+        assert proc.returncode == 0, proc.stderr
+        assert all(stamp != stamps[name] for name, stamp in file_stamps(results, *results_json).items())
+        digests = {json.loads((results / name).read_text())["code_digest"] for name in results_json}
+        assert len(digests) == 1 and digests != {json.loads(original[results_json[0]])["code_digest"]}
+        stamps = file_stamps(results, *results_json)
+        proc = run_python(self.REPARSE_WITH, str(package), *reparse)
+        assert proc.returncode == 0, proc.stderr
+        assert f"reparsed {TestRunCommand.EXPECTED_TASKS} tasks" in proc.stdout
+        assert file_stamps(results, *results_json) == stamps  # a no-op under the edited code
+
+        assert main(reparse) == 0  # and this code derives the original bytes again
+        assert {name: (results / name).read_bytes() for name in results_json} == original
+
+    @pytest.mark.parametrize("stale", ["other-code", "no-key"])
+    def test_stale_results_are_rederived_once(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch, stale
+    ):
+        results = tmp_path / "results"
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")) == 0
+        original = {p: p.read_bytes() for p in results.rglob("result.json")}
+        if stale == "other-code":
+            monkeypatch.setattr("scanmux.parsing.code_digest", lambda: "0" * 16)
+        else:  # as a scanmux older than the key wrote them
+            for path in original:
+                doc = json.loads(path.read_text())
+                del doc["code_digest"]
+                path.write_text(dump_json(doc))
+        folders = finalized(monkeypatch)
+        reparse = ["reparse", str(results), "--registry", str(mock_registry_dir), "--sarif"]
+        assert main(reparse) == 0
+        assert len(set(folders)) == len(folders) == TestRunCommand.EXPECTED_TASKS
+        if stale == "other-code":
+            assert {json.loads(p.read_text())["code_digest"] for p in original} == {"0" * 16}
+        else:
+            assert {p: p.read_bytes() for p in original} == original
+
+        names = [*task_files(results), *REPORTS]
+        stamps = file_stamps(results, *names)
+        folders.clear()
+        capsys.readouterr()
+        assert main(reparse) == 0
+        assert f"reparsed {TestRunCommand.EXPECTED_TASKS} tasks" in capsys.readouterr().out
+        assert folders == []
+        assert file_stamps(results, *names) == stamps
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.write_bytes(path.read_bytes()[:50]),
+        lambda path: path.write_text(path.read_text().replace('"message": "VULN', '"message": 7, "was": "VULN', 1)),
+        lambda path: path.unlink(),
+    ], ids=["torn", "wrongly-typed", "missing"])
+    def test_a_damaged_result_alone_is_rederived(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch, damage
+    ):
+        fixtures, _ = warning_delta(tmp_path, mock_registry_dir)
+        results = tmp_path / "results"
+        argv = run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--mock-fixtures", str(fixtures))
+        assert main(argv) == 0
+        path = sorted(p for p in results.rglob("result.json") if p.parent.name == "delta")[0]
+        intact = path.read_bytes()
+        damage(path)
+        assert not path.exists() or path.read_bytes() != intact
+        folders = finalized(monkeypatch)
+        assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
+        assert folders == [path.parent]
+        assert path.read_bytes() == intact
+
+    def test_marker_that_cannot_be_read_stops_run_and_reparse(
+        self, tmp_path, capsys, small_corpus, mock_registry_dir, monkeypatch
+    ):
+        def run_then_corrupt(results: Path) -> Path:
+            assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+            corrupt = sorted(results.rglob("done"))[0]
+            corrupt.write_bytes(b"garbage")  # moved aside by a run, once every marker was read
+            return corrupt.parent
+
+        results = tmp_path / "results"
+        corrupt = run_then_corrupt(results)
+        faulty = sorted(results.rglob("done"))[-1]
+        before = tree_digest(results)
+        unreadable(monkeypatch, faulty.parent)
+        for command in (run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc"),
+                        ["reparse", str(results), "--registry", str(mock_registry_dir)]):
+            capsys.readouterr()
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {faulty}: cannot be read: {os.strerror(errno.EIO)}\n"
+            assert not list(results.rglob("*.stale.*"))
+        assert corrupt.is_dir()
+        assert tree_digest(results) == before
+
+        monkeypatch.undo()
+        assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc")) == 0
+        reference = tmp_path / "reference"
+        run_then_corrupt(reference)
+        assert main(run_argv(small_corpus, mock_registry_dir, reference, tmp_path / "cc")) == 0
+        assert tree_digest(results) == tree_digest(reference)
 
     def test_results_root_that_is_a_file_is_an_error_naming_its_lock(self, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -1420,6 +1597,7 @@ class TestReparseCommand:
         meta = json.loads((task / META).read_text())
         meta["result_files"].append(name)
         (task / META).write_text(json.dumps(meta))
+        make_stale(task)  # else its meta.json goes unread
         kept = {p: p.read_bytes() for p in (task / "result.json", task / "done")}
         capsys.readouterr()
         assert main(["reparse", str(results), "--registry", str(mock_registry_dir)]) == 0
@@ -1435,6 +1613,7 @@ class TestReparseCommand:
         assert main(argv) == 0
         tasks = sorted(p.parent for p in results.rglob("done"))
         (tasks[0] / RAW / STDOUT).write_bytes(HOSTILE[hostile])
+        make_stale(tasks[0])  # else its stored output goes unread
         assert main(["reparse", str(results)]) == 0, capsys.readouterr().err
         assert json.loads((tasks[0] / "result.json").read_text())["failures"] == ["unparseable tool output: stdout"]
         totals = json.loads((results / "summary.json").read_text())["totals"]
@@ -1645,6 +1824,7 @@ class TestReparseCommand:
         results = tmp_path / "results"
         assert main(run_argv(small_corpus, mock_registry_dir, results, tmp_path / "cc", "--sarif")) == 0
         task = sorted(results.rglob("done"))[0].parent
+        make_stale(task)  # else its stored output goes unread
         kept = {name: (task / name).read_bytes() for name in ("done", "result.json")}
         damage(task)
         for report in ("summary.json", "findings.csv", "report.sarif"):
@@ -1915,8 +2095,8 @@ class TestKilledCommands:
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         assert not (results / SUMMARY_FILENAME).exists()  # withdrawn before the first rewrite
         markers = [p.read_text() for p in results.rglob("done")]
-        rewritten = count if point == "kill-after-markers" else 0
-        assert sum(m.endswith(" tool_error\n") for m in markers) == rewritten  # only delta's class changes
+        # a reparse writes a task's marker, then its result.json; only delta's class changes
+        assert sum(m.endswith(" tool_error\n") for m in markers) == count
 
         again = run_python(CUT_SHORT_CLI, "none", "0", *reparse, str(results))
         assert again.returncode == 0, again.stderr

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,13 +20,16 @@ from scanmux.model import (
     RawResult,
     SourceLocation,
 )
+from scanmux import parsing
 from scanmux.parsing import (
     ExitClass,
     classify_exit,
+    code_digest,
     parse,
     read_findings,
     report_bytes,
     report_to_doc,
+    result_is_current,
     write_report,
 )
 from scanmux.paths import bundled_registry, dump_json
@@ -345,7 +349,9 @@ class TestReportFile:
 
     def test_doc_shape(self):
         doc = report_to_doc(ParsedReport(findings=(FINDING,), parser_version="v"))
-        assert set(doc) == {"findings", "errors", "failures", "parser_version"}
+        assert set(doc) == {"code_digest", "findings", "errors", "failures", "parser_version"}
+        assert doc["code_digest"] == code_digest()
+        assert len(code_digest()) == 16 and int(code_digest(), 16) >= 0
         assert doc["findings"][0] == {
             "label": "x", "message": "m", "location": None, "severity": None
         }
@@ -433,3 +439,51 @@ def test_any_json_value_in_a_document_field_parses(ref, index, name, value):
     unlabelled = name == "label_from" and (value is None or value == "")
     assert len(report.findings) == (0 if unlabelled else 1)
     assert json.loads(report_bytes(report))["parser_version"] == spec.version
+
+
+class TestDerivationKey:
+    """A result.json is current when it reads as a report and holds its parser's version and this code's digest."""
+
+    @pytest.fixture
+    def folder(self, tmp_path):
+        write_report(tmp_path, ParsedReport(findings=(FINDING,), parser_version="pv"))
+        return tmp_path
+
+    def test_a_written_report_is_current_under_its_parser_version_only(self, folder):
+        assert result_is_current(folder, "pv")
+        assert not result_is_current(folder, "another")
+
+    def test_other_code_makes_every_report_stale(self, folder, monkeypatch):
+        monkeypatch.setattr(parsing, "code_digest", lambda: "0" * 16)
+        assert not result_is_current(folder, "pv")
+
+    def test_code_that_cannot_be_read_shows_no_report_current(self, folder, monkeypatch):
+        monkeypatch.setattr(parsing, "_DERIVING_MODULES", (*parsing._DERIVING_MODULES, "missing.py"))
+        assert code_digest.__wrapped__() is None
+        monkeypatch.setattr(parsing, "code_digest", lambda: None)
+        write_report(folder, ParsedReport(findings=(FINDING,), parser_version="pv"))
+        assert json.loads((folder / "result.json").read_text())["code_digest"] is None
+        assert not result_is_current(folder, "pv")
+
+    def test_the_digest_covers_each_deriving_module(self, tmp_path, monkeypatch):
+        source = Path(parsing.__file__).parent
+        for name in parsing._DERIVING_MODULES:
+            (tmp_path / name).write_bytes((source / name).read_bytes())
+        monkeypatch.setattr(parsing, "__file__", str(tmp_path / "parsing.py"))
+        assert code_digest.__wrapped__() == code_digest()
+        for name in parsing._DERIVING_MODULES:
+            original = (tmp_path / name).read_bytes()
+            (tmp_path / name).write_bytes(original + b"# edited\n")
+            assert code_digest.__wrapped__() != code_digest(), name
+            (tmp_path / name).write_bytes(original)
+
+    @pytest.mark.parametrize("damage", [
+        lambda path: path.write_bytes(path.read_bytes()[:40]),
+        lambda path: path.write_text(path.read_text().replace('"message": "m"', '"message": 7')),
+        lambda path: path.unlink(),
+        lambda path: path.write_text(dump_json({k: v for k, v in json.loads(path.read_text()).items()
+                                                 if k != "code_digest"})),
+    ], ids=["torn", "wrongly-typed", "missing", "without-a-key"])
+    def test_a_damaged_or_keyless_report_is_stale(self, folder, damage):
+        damage(folder / "result.json")
+        assert not result_is_current(folder, "pv")

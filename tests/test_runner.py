@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import os
 import threading
 import time
 from pathlib import Path
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scanmux import taskdir
 from scanmux.executor import MockBackend, MockToolBehavior, read_meta, read_raw
+from scanmux.model import HarnessError
 from scanmux.parsing import ExitClass, read_findings, write_report
 from scanmux.reporting import SUMMARY_FILENAME
 from scanmux.runner import (
@@ -70,6 +74,42 @@ def test_done_marker_corrupt(tmp_path, text):
     (tmp_path / "done").write_text(text)
     with pytest.raises(CorruptMarkerError):
         read_done_marker(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "symlink", "folder-is-a-file"])
+def test_a_marker_that_is_no_file_is_corrupt(tmp_path, kind):
+    folder = tmp_path / "task"
+    if kind == "folder-is-a-file":
+        folder.write_text("")
+    elif kind == "directory":
+        (folder / "done").mkdir(parents=True)
+    else:
+        folder.mkdir()
+        (folder / "done").symlink_to(tmp_path)
+    with pytest.raises(CorruptMarkerError):
+        read_done_marker(folder)
+
+
+def unreadable(monkeypatch, folder: Path, code: int = errno.EIO) -> None:
+    """Make reading the done marker of ``folder`` fail with ``code``, as a failing disk does."""
+    read = taskdir.read
+
+    def failing(where, name):
+        if name == taskdir.DONE and Path(where) == folder:
+            raise OSError(code, os.strerror(code))
+        return read(where, name)
+
+    monkeypatch.setattr(taskdir, "read", failing)
+
+
+@pytest.mark.parametrize("code", [errno.EIO, errno.EACCES], ids=["EIO", "EACCES"])
+def test_a_marker_that_cannot_be_read_is_an_error_naming_it(tmp_path, monkeypatch, code):
+    write_done_marker(tmp_path, "a" * 64, "b" * 16, "success")
+    unreadable(monkeypatch, tmp_path, code)
+    with pytest.raises(HarnessError) as raised:
+        read_done_marker(tmp_path)
+    assert not isinstance(raised.value, CorruptMarkerError)
+    assert str(raised.value) == f"{tmp_path / 'done'}: cannot be read: {os.strerror(code)}"
 
 
 @pytest.fixture
@@ -131,6 +171,18 @@ class TestResumeFilter:
         assert out.with_name(out.name + ".stale.1").is_dir()
         assert out.with_name(out.name + ".stale.2").is_dir()
 
+    def test_a_marker_read_fault_moves_nothing(self, wired, tmp_path, monkeypatch):
+        plan, _, _ = wired()
+        corrupt, faulty = (tmp_path / task.output_dir for task in plan.tasks[:2])
+        for out in (corrupt, faulty):
+            out.mkdir(parents=True)
+        (corrupt / "done").write_text("garbage")  # read first, moved aside only once every marker was read
+        write_done_marker(faulty, plan.tasks[1].contract.content_hash, plan.args_digest, "success")
+        unreadable(monkeypatch, faulty)
+        with pytest.raises(HarnessError, match="cannot be read"):
+            resume_filter(plan, tmp_path)
+        assert corrupt.is_dir() and not list(tmp_path.rglob("*.stale.*"))
+
     def test_corrupt_marker_archives(self, wired, tmp_path):
         plan, _, _ = wired()
         task = plan.tasks[0]
@@ -179,42 +231,37 @@ class TestFinalize:
         (tmp_path / SUMMARY_FILENAME).write_text("{}\n")
         out = tmp_path / task.output_dir
 
-        def again(stored):
+        def again(marked):
             record = read_meta(out)
             return finalize(
                 tmp_path, out, record, read_raw(out, record.result_files),
                 executor.registry.parser_for(task.tool), task.contract.content_hash, plan.args_digest,
-                stored=stored,
+                marked=marked,
             )
 
         return out, again
 
-    def test_unchanged_task_leaves_the_summary_untouched(self, finished, tmp_path):
-        out, again = finished
-        before = [(p.stat().st_ino, p.stat().st_mtime_ns) for p in (tmp_path / SUMMARY_FILENAME, out / "done")]
-        assert again(ExitClass.SUCCESS) is ExitClass.SUCCESS
-        assert [(p.stat().st_ino, p.stat().st_mtime_ns) for p in (tmp_path / SUMMARY_FILENAME, out / "done")] == before
-
-    @pytest.mark.parametrize("stored, result_json", [
-        (None, None),
-        (ExitClass.TOOL_ERROR, None),
-        (ExitClass.SUCCESS, b"{}\n"),
-    ], ids=["a-run", "class-changed", "report-changed"])
+    @pytest.mark.parametrize("marked, order", [
+        (False, ["result.json", "done"]),
+        (True, ["done", "result.json"]),
+    ], ids=["a-run", "a-reparse"])
     def test_changed_task_withdraws_the_summary_before_writing(
-        self, finished, tmp_path, monkeypatch, stored, result_json
+        self, finished, tmp_path, monkeypatch, marked, order
     ):
+        """The summary goes first; the file written last commits: the marker in a run, result.json in a reparse."""
         out, again = finished
-        if result_json is not None:
-            (out / "result.json").write_bytes(result_json)
-        summary_at_write = []
+        writes = []
 
-        def watched(folder, report):
-            summary_at_write.append((tmp_path / SUMMARY_FILENAME).exists())
-            write_report(folder, report)
+        def watched(name, write):
+            def record(folder, *args):
+                writes.append((name, (tmp_path / SUMMARY_FILENAME).exists()))
+                write(folder, *args)
+            return record
 
-        monkeypatch.setattr("scanmux.runner.write_report", watched)
-        assert again(stored) is ExitClass.SUCCESS
-        assert summary_at_write == [False]
+        monkeypatch.setattr("scanmux.runner.write_report", watched("result.json", write_report))
+        monkeypatch.setattr("scanmux.runner.write_done_marker", watched("done", write_done_marker))
+        assert again(marked) is ExitClass.SUCCESS
+        assert writes == [(name, False) for name in order]
         assert read_done_marker(out)[2] == "success"
         assert len(read_findings(out)) == 1
 
